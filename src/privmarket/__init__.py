@@ -15,6 +15,7 @@ from .ldp import (
     encode_one_hot,
     epsilon_of,
     estimate_frequencies,
+    randomize_batch,
     randomize_response,
 )
 from .envelope import (

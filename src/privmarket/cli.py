@@ -11,38 +11,33 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .envelope import unpack_bit_vector_stream
-from .ldp import BitCounts, PrivacyParams, estimate_frequencies
-from .ledger import Address, ContractPhase, EventLog, LogFormatError, verify_event_chain
-from .protocol import (
-    FilterCriteria,
-    OperatorProfile,
-    ProtocolError,
-    SurveyConfiguration,
-    run_survey,
-)
+from .ldp import PrivacyParams, accumulate_counts, estimate_frequencies
+from .ledger import ContractPhase, EventLog, LogFormatError, verify_event_chain
+from .protocol import FilterCriteria, ProtocolError, SurveyConfiguration
 from .simulate import (
+    CHOICES_SLOT,
     ExperimentConfig,
     Mode,
     default_query,
     export_results,
+    run_seeded_survey,
     run_trials,
     sample_true_choices,
     substream,
+    summarize,
 )
 
 DEMO_CHOICES = 20
-DEMO_REGIONS = ("NSW", "VIC", "QLD")
 
 
 def _flip_probability(text: str) -> float:
     try:
-        f = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (0.0 <= f < 1.0):
-        raise argparse.ArgumentTypeError(f"flip probability must satisfy 0 <= f < 1, got {text}")
-    return f
+        return PrivacyParams(float(text)).f
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _positive_int(text: str) -> int:
@@ -129,16 +124,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     export_results(results, args.out)
 
     print(f"{'N':>8} {'trials':>7} {'mean_l1_norm':>14} {'sd_l1_norm':>12} {'seed':>10}")
-    for population in sorted({r.population for r in results}):
-        group = [r for r in results if r.population == population]
-        values = [r.metrics.l1_normalized for r in group]
-        mean = sum(values) / len(values)
-        if len(values) > 1:
-            var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-            sd = var**0.5
-        else:
-            sd = 0.0
-        print(f"{population:>8} {len(group):>7} {mean:>14.6f} {sd:>12.6f} {args.seed:>10}")
+    for population, trials, mean, sd, seed in summarize(results):
+        print(f"{population:>8} {trials:>7} {mean:>14.6f} {sd:>12.6f} {seed:>10}")
     return 0
 
 
@@ -153,24 +140,9 @@ def _load_criteria(path: str | None) -> FilterCriteria:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     criteria = _load_criteria(args.criteria_file)
-    population = args.operators
-    choices = sample_true_choices(population, 10.0, 2.0, DEMO_CHOICES, substream(args.seed, 0, 0))
-    infra_rng = substream(args.seed, 0, population + 1)
-    seen: set[bytes] = set()
-    profiles = []
-    for i in range(population):
-        raw = infra_rng.bytes(20)
-        while raw in seen:
-            raw = infra_rng.bytes(20)
-        seen.add(raw)
-        profiles.append(
-            OperatorProfile(
-                operator_id=f"op-{i:02d}",
-                addresses=(Address(raw),),
-                attributes={"region": DEMO_REGIONS[i % len(DEMO_REGIONS)]},
-                true_choice=int(choices[i]),
-            )
-        )
+    choices = sample_true_choices(
+        args.operators, 10.0, 2.0, DEMO_CHOICES, substream(args.seed, 0, CHOICES_SLOT)
+    )
     config = SurveyConfiguration(
         query=default_query(DEMO_CHOICES),
         criteria=criteria,
@@ -178,9 +150,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
         fee=args.fee,
         privacy=PrivacyParams(args.f),
     )
-    operator_rngs = [substream(args.seed, 0, i + 1) for i in range(population)]
     try:
-        outcome = run_survey(config, profiles, operator_rngs=operator_rngs, infra_rng=infra_rng)
+        outcome = run_seeded_survey(config, choices, args.seed, 0)
     except ProtocolError as exc:
         for line in exc.trace:
             print(line)
@@ -239,11 +210,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if any(len(v) != n for v in vectors):
         print("reports file mixes vector lengths", file=sys.stderr)
         return 1
-    ones = [sum(v[j] for v in vectors) for j in range(n)]
-    estimate = estimate_frequencies(BitCounts(ones, len(vectors)), PrivacyParams(args.f))
+    bits = np.frombuffer(b"".join(map(bytes, vectors)), dtype=np.uint8)
+    counts = accumulate_counts(bits.reshape(len(vectors), n))
+    estimate = estimate_frequencies(counts, PrivacyParams(args.f))
     print("choice_index,ones,estimated_raw,estimated_clamped")
-    for j in range(n):
-        print(f"{j},{int(ones[j])},{estimate.raw_estimates[j]!r},{estimate.clamped_estimates[j]!r}")
+    for j, ones in enumerate(counts.ones_per_position):
+        print(f"{j},{int(ones)},{estimate.raw_estimates[j]!r},{estimate.clamped_estimates[j]!r}")
     return 0
 
 

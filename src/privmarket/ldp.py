@@ -132,6 +132,11 @@ def encode_one_hot(choice_index: int, n: int) -> ResponseVector:
     return ResponseVector(bits)
 
 
+def _play(u: np.ndarray, bits: np.ndarray, f: float) -> np.ndarray:
+    """The per-bit game on uniforms u: u < f/2 -> 1, f/2 <= u < f -> 0, u >= f -> copy."""
+    return np.where(u < f, u < f / 2.0, bits).astype(np.uint8, copy=False)
+
+
 def randomize_response(
     rv: ResponseVector, params: PrivacyParams, rng: np.random.Generator
 ) -> ResponseVector:
@@ -144,26 +149,39 @@ def randomize_response(
 
     The input vector is not modified.
     """
-    f = params.f
     u = rng.random(rv.n)
-    bits = np.asarray(rv.bits, dtype=np.uint8)
-    # u < f/2 -> 1, f/2 <= u < f -> 0, u >= f -> copy
-    out = np.where(u < f / 2.0, 1, np.where(u < f, 0, bits))
-    return ResponseVector(tuple(int(b) for b in out))
+    return ResponseVector(_play(u, np.asarray(rv.bits, dtype=np.uint8), params.f).tolist())
 
 
-def accumulate_counts(reports: Iterable[ResponseVector]) -> BitCounts:
-    """Sum reported bits per position. All reports must share one length."""
-    batch = list(reports)
-    if not batch:
-        raise ValueError("cannot accumulate an empty collection of reports")
-    n = batch[0].n
-    if any(rv.n != n for rv in batch):
-        raise ValueError("reports have mixed lengths")
-    totals = np.zeros(n, dtype=np.int64)
-    for rv in batch:
-        totals += np.asarray(rv.bits, dtype=np.int64)
-    return BitCounts(tuple(int(v) for v in totals), len(batch))
+def randomize_batch(
+    choices: Sequence[int] | np.ndarray, n: int, params: PrivacyParams, rng: np.random.Generator
+) -> np.ndarray:
+    """Encode and randomize a whole population as one (N, n) uint8 matrix.
+
+    Consumes one (N, n) uniform draw, filled row after row, so row i equals
+    randomize_response(encode_one_hot(choices[i], n), params, g) for g the
+    same generator advanced by i * n doubles.
+    """
+    index = np.asarray(choices, dtype=np.int64)
+    if n < 2 or index.ndim != 1 or ((index < 0) | (index >= n)).any():
+        raise ValueError(f"choices must be a flat sequence of indices in [0, {n}), n >= 2")
+    one_hot = index[:, None] == np.arange(n)
+    return _play(rng.random(one_hot.shape), one_hot, params.f)
+
+
+def accumulate_counts(reports: Iterable[ResponseVector] | np.ndarray) -> BitCounts:
+    """Sum reported bits per position: one column sum over ResponseVectors
+    of one length, or over an (N, n) 0/1 matrix from `randomize_batch`."""
+    if not isinstance(reports, np.ndarray):
+        batch = [rv.bits for rv in reports]
+        if len(set(map(len, batch))) > 1:
+            raise ValueError("reports have mixed lengths")
+        reports = np.array(batch, dtype=np.uint8)
+    if reports.ndim != 2 or not len(reports):
+        raise ValueError("need a non-empty (N, n) collection of reports")
+    if ((reports != 0) & (reports != 1)).any():
+        raise ValueError("response bits must be 0 or 1")
+    return BitCounts(reports.sum(axis=0, dtype=np.int64), len(reports))
 
 
 def estimate_frequencies(counts: BitCounts, params: PrivacyParams) -> FrequencyEstimate:

@@ -403,8 +403,8 @@ def operator_prepare_and_commit(
 ) -> tuple[Ciphertext, Digest]:
     """Verify the configuration, randomize, encrypt, and commit on-ledger.
 
-    Consumes from `rng`: first the randomization draw, then 12 bytes for
-    the cipher nonce.
+    Draws the randomization (one length-n uniform draw) from `rng`, then
+    the 12-byte cipher nonce from the operator's own generator.
     """
     if digest(config_bytes) != expected_digest:
         raise ConfigIntegrityError(
@@ -417,7 +417,7 @@ def operator_prepare_and_commit(
     s1 = hmac_derive(psk, n1)
     s2 = hmac_derive(psk, n2)
     sk = derive_session_key(s1, s2)
-    ciphertext = encrypt(sk, canonical_encode_response(response), rng.bytes(12))
+    ciphertext = encrypt(sk, canonical_encode_response(response), operator._rng.bytes(12))
     commitment = digest(ciphertext.serialize())
     assert operator.profile.active_address is not None
     ledger_mod.commit_response(contract, operator.profile.active_address, commitment)
@@ -600,8 +600,10 @@ def run_survey(
     """Drive one honest survey end to end, deterministically.
 
     Parties act in a fixed order; operators commit and deliver in profile
-    order, which is therefore the arrival order. Raises ProtocolError
-    (with the trace attached) if the survey cannot complete.
+    order, which is therefore the arrival order. operator_rngs[i] randomizes
+    operator i; entries may repeat, a shared generator being consumed in
+    arrival order. Cipher nonces come from infra_rng after setup. Raises
+    ProtocolError (with the trace attached) if the survey cannot complete.
     """
     if len(operator_rngs) != len(profiles):
         raise ValueError("need exactly one random stream per operator profile")
@@ -619,9 +621,9 @@ def run_survey(
         _t(trace, "sysop", "create-contract", f"id={contract.contract_id.hex[:16]} nr={config.required_responses} fee={config.fee}")
         _t(trace, "sysop", "distribute-psk", f"recipients={len(psk_record.recipients)}")
 
-        operators = [Operator(profile, rng) for profile, rng in zip(profiles, operator_rngs)]
+        operators = [Operator(profile, infra_rng) for profile in profiles]
         config_bytes = store.get(contract.config_uri)
-        for operator in operators:
+        for operator, rng in zip(operators, operator_rngs):
             psk = sysop.issue_psk(contract, operator.profile.operator_id)
             _, commitment = operator_prepare_and_commit(
                 operator,
@@ -631,7 +633,7 @@ def run_survey(
                 psk,
                 contract.n1,
                 contract.n2,
-                operator._rng,
+                rng,
             )
             _t(trace, "operator", "commit", f"{operator.profile.operator_id} commitment={commitment.hex[:16]}")
 

@@ -7,10 +7,12 @@ then aggregated and de-noised. Two modes share operator-level randomness:
 whole marketplace (ledger, escrow, delivery) and must land on the exact
 same estimate.
 
-Random stream discipline: one master seed, substreams keyed by
-(trial, slot) where slot 0 samples the true choices, slot i+1 belongs to
-operator i, and slot N+1 covers protocol infrastructure (addresses, key
-material). Both modes therefore consume identical randomness per operator.
+Random stream discipline: one master seed, substreams keyed by (trial,
+slot). Slot 0 samples the true choices. Slot 1 randomizes the reports, n
+uniforms per respondent in order: one (N, n) draw, or in the full protocol
+one generator shared by all operators in arrival order, so both modes see
+the same reports. Slot 2 covers protocol infrastructure: addresses, key
+material, then 12-byte cipher nonces, one per operator in arrival order.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .ldp import PrivacyParams, QuerySpec, accumulate_counts, encode_one_hot, estimate_frequencies, randomize_response
+from .ldp import FrequencyEstimate, PrivacyParams, QuerySpec, accumulate_counts, estimate_frequencies, randomize_batch
 from .ledger import Address, EventLog
-from .protocol import FilterCriteria, OperatorProfile, SurveyConfiguration, run_survey
+from .protocol import FilterCriteria, OperatorProfile, SurveyConfiguration, SurveyOutcome, run_survey
+
+CHOICES_SLOT, REPORTS_SLOT, INFRA_SLOT = 0, 1, 2
+REGIONS = ("NSW", "VIC", "QLD")
 
 
 class Mode(enum.Enum):
@@ -109,49 +114,76 @@ def compute_error_metrics(actual: Sequence[float], estimated_raw: Sequence[float
     )
 
 
-def run_ldp_experiment(config: ExperimentConfig, trial: int = 0) -> ExperimentResult:
-    """Sample, randomize and estimate, without any protocol machinery."""
-    started = time.perf_counter()
-    choices = sample_true_choices(
-        config.population, config.mean, config.sd, config.n_choices, substream(config.seed, trial, 0)
+def _true_choices(config: ExperimentConfig, trial: int) -> np.ndarray:
+    return sample_true_choices(
+        config.population, config.mean, config.sd, config.n_choices,
+        substream(config.seed, trial, CHOICES_SLOT),
     )
+
+
+def _result(
+    config: ExperimentConfig, trial: int, mode: Mode, choices: np.ndarray,
+    estimate: FrequencyEstimate, started: float,
+) -> ExperimentResult:
     actual = np.bincount(choices, minlength=config.n_choices)
-    reports = [
-        randomize_response(
-            encode_one_hot(int(choice), config.n_choices),
-            config.privacy,
-            substream(config.seed, trial, i + 1),
-        )
-        for i, choice in enumerate(choices)
-    ]
-    estimate = estimate_frequencies(accumulate_counts(reports), config.privacy)
-    metrics = compute_error_metrics(actual, estimate.raw_estimates)
     return ExperimentResult(
         population=config.population,
         trial=trial,
         seed=config.seed,
-        mode=Mode.LDP_ONLY,
+        mode=mode,
         actual_counts=tuple(int(c) for c in actual),
         estimated_raw=estimate.raw_estimates,
         estimated_clamped=estimate.clamped_estimates,
-        metrics=metrics,
+        metrics=compute_error_metrics(actual, estimate.raw_estimates),
         runtime_seconds=time.perf_counter() - started,
     )
+
+
+def run_ldp_experiment(config: ExperimentConfig, trial: int = 0) -> ExperimentResult:
+    """Sample, randomize and estimate, without any protocol machinery."""
+    started = time.perf_counter()
+    choices = _true_choices(config, trial)
+    reports = randomize_batch(
+        choices, config.n_choices, config.privacy, substream(config.seed, trial, REPORTS_SLOT)
+    )
+    estimate = estimate_frequencies(accumulate_counts(reports), config.privacy)
+    return _result(config, trial, Mode.LDP_ONLY, choices, estimate, started)
 
 
 def default_query(n_choices: int) -> QuerySpec:
     return QuerySpec(tuple(f"choice-{j:02d}" for j in range(n_choices)))
 
 
-def _distinct_addresses(count: int, rng: np.random.Generator) -> list[Address]:
-    seen: set[bytes] = set()
-    out: list[Address] = []
-    while len(out) < count:
-        raw = rng.bytes(20)
-        if raw not in seen:
-            seen.add(raw)
-            out.append(Address(raw))
-    return out
+def distinct_addresses(count: int, rng: np.random.Generator) -> list[Address]:
+    """Draw 20-byte addresses until `count` are distinct; repeats are skipped."""
+    raws: dict[bytes, None] = {}
+    while len(raws) < count:
+        raws.setdefault(rng.bytes(20))
+    return [Address(raw) for raw in raws]
+
+
+def run_seeded_survey(
+    config: SurveyConfiguration, choices: Sequence[int], seed: int, trial: int
+) -> SurveyOutcome:
+    """One honest survey on the (seed, trial) streams of the module docstring.
+
+    Operator i answers choices[i]; its "region" attribute cycles through REGIONS.
+    """
+    infra_rng = substream(seed, trial, INFRA_SLOT)
+    addresses = distinct_addresses(len(choices), infra_rng)
+    profiles = [
+        OperatorProfile(
+            operator_id=f"op-{i:05d}",
+            addresses=(address,),
+            attributes={"region": REGIONS[i % len(REGIONS)]},
+            true_choice=int(choice),
+        )
+        for i, (choice, address) in enumerate(zip(choices, addresses))
+    ]
+    report_rng = substream(seed, trial, REPORTS_SLOT)
+    return run_survey(
+        config, profiles, operator_rngs=[report_rng] * len(profiles), infra_rng=infra_rng
+    )
 
 
 def run_full_protocol_experiment(
@@ -160,47 +192,17 @@ def run_full_protocol_experiment(
     """End-to-end marketplace run; the estimate matches run_ldp_experiment
     for the same seed and trial bit for bit."""
     started = time.perf_counter()
-    population = config.population
-    choices = sample_true_choices(
-        population, config.mean, config.sd, config.n_choices, substream(config.seed, trial, 0)
-    )
-    actual = np.bincount(choices, minlength=config.n_choices)
-
-    infra_rng = substream(config.seed, trial, population + 1)
-    addresses = _distinct_addresses(population, infra_rng)
-    profiles = [
-        OperatorProfile(
-            operator_id=f"op-{i:05d}",
-            addresses=(addresses[i],),
-            attributes={},
-            true_choice=int(choices[i]),
-        )
-        for i in range(population)
-    ]
+    choices = _true_choices(config, trial)
     survey_config = SurveyConfiguration(
         query=default_query(config.n_choices),
         criteria=FilterCriteria.empty(),
-        required_responses=config.required_responses or population,
-        fee=config.fee if config.fee is not None else 10 * population,
+        required_responses=config.required_responses or config.population,
+        fee=config.fee if config.fee is not None else 10 * config.population,
         privacy=config.privacy,
     )
-    operator_rngs = [substream(config.seed, trial, i + 1) for i in range(population)]
-    outcome = run_survey(
-        survey_config, profiles, operator_rngs=operator_rngs, infra_rng=infra_rng
-    )
+    outcome = run_seeded_survey(survey_config, choices, config.seed, trial)
     estimate = outcome.aggregation.estimate
-    metrics = compute_error_metrics(actual, estimate.raw_estimates)
-    result = ExperimentResult(
-        population=population,
-        trial=trial,
-        seed=config.seed,
-        mode=Mode.FULL_PROTOCOL,
-        actual_counts=tuple(int(c) for c in actual),
-        estimated_raw=estimate.raw_estimates,
-        estimated_clamped=estimate.clamped_estimates,
-        metrics=metrics,
-        runtime_seconds=time.perf_counter() - started,
-    )
+    result = _result(config, trial, Mode.FULL_PROTOCOL, choices, estimate, started)
     return result, outcome.contract.log, outcome.trace
 
 
@@ -218,6 +220,17 @@ def run_trials(config: ExperimentConfig) -> list[ExperimentResult]:
 
 RESULT_HEADER = "choice_index,actual_count,estimated_raw,estimated_clamped"
 SUMMARY_HEADER = "N,trials,mean_l1_normalized,sd_l1_normalized,seed"
+
+
+def summarize(results: Sequence[ExperimentResult]) -> list[tuple[int, int, float, float, int]]:
+    """Per population, ascending: N, trials, mean and sd of l1_normalized, seed."""
+    rows = []
+    for population in sorted({r.population for r in results}):
+        group = [r for r in results if r.population == population]
+        values = [r.metrics.l1_normalized for r in group]
+        sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+        rows.append((population, len(group), float(np.mean(values)), sd, group[0].seed))
+    return rows
 
 
 def result_filename(result: ExperimentResult) -> str:
@@ -243,13 +256,7 @@ def export_results(
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
 
-    lines = [SUMMARY_HEADER]
-    for population in sorted({r.population for r in results}):
-        group = [r for r in results if r.population == population]
-        values = [r.metrics.l1_normalized for r in group]
-        mean = float(np.mean(values))
-        sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-        lines.append(f"{population},{len(group)},{mean!r},{sd!r},{group[0].seed}")
+    lines = [SUMMARY_HEADER, *(",".join(map(repr, row)) for row in summarize(results))]
     summary = out / "summary.csv"
     summary.write_text("\n".join(lines) + "\n")
     written.append(summary)

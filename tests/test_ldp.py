@@ -15,6 +15,7 @@ from privmarket.ldp import (
     encode_one_hot,
     epsilon_of,
     estimate_frequencies,
+    randomize_batch,
     randomize_response,
 )
 
@@ -106,6 +107,26 @@ class TestRandomize:
         assert ones[2] / trials == pytest.approx(0.25, abs=0.01)
 
 
+class TestRandomizeBatch:
+    @pytest.mark.parametrize("population,n,f", [(1, 2, 0.5), (500, 20, 0.5), (200, 7, 0.0), (200, 7, 0.95)])
+    def test_rows_equal_the_per_respondent_loop(self, population, n, f):
+        # reference: one randomize_response per respondent, all on one generator
+        params = PrivacyParams(f)
+        choices = np.random.default_rng(population + n).integers(0, n, size=population)
+        batch = randomize_batch(choices, n, params, np.random.default_rng(77))
+        shared = np.random.default_rng(77)
+        loop = [randomize_response(encode_one_hot(int(c), n), params, shared).bits for c in choices]
+        assert batch.dtype == np.uint8
+        assert batch.shape == (population, n)
+        assert [tuple(row) for row in batch.tolist()] == loop
+
+    def test_out_of_range_choices_rejected(self):
+        rng = np.random.default_rng(0)
+        for choices, n in (([0, 3], 3), ([-1], 3), ([0], 1), ([[0, 1]], 3)):
+            with pytest.raises(ValueError):
+                randomize_batch(choices, n, PrivacyParams(0.5), rng)
+
+
 class TestAccumulate:
     def test_counts(self):
         reports = [ResponseVector([1, 0, 1]), ResponseVector([0, 0, 1])]
@@ -130,6 +151,24 @@ class TestAccumulate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accumulate_counts([])
+        with pytest.raises(ValueError):
+            accumulate_counts(np.zeros((0, 3), dtype=np.uint8))
+
+    def test_column_sum_equals_per_vector_sum(self):
+        matrix = np.random.default_rng(11).integers(0, 2, size=(300, 9), dtype=np.uint8)
+        vectors = [ResponseVector(row) for row in matrix.tolist()]
+        totals = [0] * 9
+        for rv in vectors:
+            totals = [t + b for t, b in zip(totals, rv.bits)]
+        expected = BitCounts(totals, 300)
+        assert accumulate_counts(vectors) == expected
+        assert accumulate_counts(matrix) == expected
+
+    def test_malformed_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            accumulate_counts(np.array([[0, 2], [1, 0]]))
+        with pytest.raises(ValueError):
+            accumulate_counts(np.array([1, 0]))
 
 
 class TestEstimate:

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from privmarket import protocol
 from privmarket.ldp import PrivacyParams
-from privmarket.ledger import verify_event_chain
+from privmarket.ledger import Address, verify_event_chain
+from privmarket.protocol import FilterCriteria, OperatorProfile, SurveyConfiguration, run_survey
 from privmarket.simulate import (
+    CHOICES_SLOT,
+    REPORTS_SLOT,
     ExperimentConfig,
     compute_error_metrics,
+    default_query,
     export_results,
     result_filename,
     run_full_protocol_experiment,
@@ -108,6 +113,40 @@ class TestFullProtocolExperiment:
         assert full.actual_counts == ldp.actual_counts
         assert verify_event_chain(log) == (True, None)
         assert trace
+
+    def test_shared_operator_generator_matches_ldp_only(self):
+        # run_survey with one generator repeated for every operator consumes
+        # it in arrival order, so operator i gets row i of the batch draw
+        config = ExperimentConfig(population=200, seed=23)
+        choices = sample_true_choices(200, 10.0, 2.0, 20, substream(23, 0, CHOICES_SLOT))
+        rng = np.random.default_rng(1)
+        profiles = [
+            OperatorProfile(f"op-{i}", (Address(rng.bytes(20)),), {}, int(c))
+            for i, c in enumerate(choices)
+        ]
+        survey = SurveyConfiguration(
+            default_query(20), FilterCriteria.empty(), 200, 2000, config.privacy
+        )
+        report_rng = substream(23, 0, REPORTS_SLOT)
+        outcome = run_survey(
+            survey, profiles, operator_rngs=[report_rng] * 200, infra_rng=np.random.default_rng(2)
+        )
+        assert outcome.aggregation.estimate.raw_estimates == run_ldp_experiment(config).estimated_raw
+
+    def test_cipher_nonces_are_distinct(self, monkeypatch):
+        # every operator encrypts under the one session key, so a repeated
+        # AES-GCM nonce would break confidentiality
+        nonces = []
+        encrypt = protocol.encrypt
+
+        def recording_encrypt(sk, plaintext, cipher_nonce):
+            nonces.append(cipher_nonce)
+            return encrypt(sk, plaintext, cipher_nonce)
+
+        monkeypatch.setattr(protocol, "encrypt", recording_encrypt)
+        run_full_protocol_experiment(ExperimentConfig(population=1000, seed=31))
+        assert len(nonces) == 1000
+        assert len(set(nonces)) == 1000
 
     def test_no_noise_end_to_end(self):
         config = ExperimentConfig(population=50, seed=3, privacy=PrivacyParams(0.0))
