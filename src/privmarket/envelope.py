@@ -22,28 +22,33 @@ Digests render as lowercase hex everywhere (logs, CSV, CLI).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
+import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .ldp import ResponseVector
 
-PSK_LEN = 32
-NONCE_LEN = 16
-SECRET_LEN = 32
-KEY_LEN = 32
-DIGEST_LEN = 32
 CIPHER_NONCE_LEN = 12
 GCM_TAG_LEN = 16
 
 
 class DecryptionError(Exception):
     """Authentication failure: wrong key, wrong nonce, or tampered bytes."""
+
+
+class BitVectorError(ValueError):
+    """A malformed bit vector record, at position `record` of its input."""
+
+    def __init__(self, record: int, message: str):
+        super().__init__(f"record {record}: {message}")
+        self.record = record
 
 
 def _expect_len(name: str, value: bytes, expected: int) -> bytes:
@@ -55,43 +60,35 @@ def _expect_len(name: str, value: bytes, expected: int) -> bytes:
 
 
 @dataclass(frozen=True)
-class PreSharedKey:
+class FixedBytes:
+    """Exactly LENGTH bytes; subclasses differ only in LENGTH and LABEL."""
+
     value: bytes
+    LENGTH: ClassVar[int]
+    LABEL: ClassVar[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _expect_len("pre-shared key", self.value, PSK_LEN))
+        object.__setattr__(self, "value", _expect_len(self.LABEL, self.value, self.LENGTH))
 
 
-@dataclass(frozen=True)
-class Nonce:
-    value: bytes
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _expect_len("nonce", self.value, NONCE_LEN))
+class PreSharedKey(FixedBytes):
+    LENGTH, LABEL = 32, "pre-shared key"
 
 
-@dataclass(frozen=True)
-class Secret:
-    value: bytes
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _expect_len("secret", self.value, SECRET_LEN))
+class Nonce(FixedBytes):
+    LENGTH, LABEL = 16, "nonce"
 
 
-@dataclass(frozen=True)
-class SessionKey:
-    value: bytes
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _expect_len("session key", self.value, KEY_LEN))
+class Secret(FixedBytes):
+    LENGTH, LABEL = 32, "secret"
 
 
-@dataclass(frozen=True)
-class Digest:
-    value: bytes
+class SessionKey(FixedBytes):
+    LENGTH, LABEL = 32, "session key"
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", _expect_len("digest", self.value, DIGEST_LEN))
+
+class Digest(FixedBytes):
+    LENGTH, LABEL = 32, "digest"
 
     @property
     def hex(self) -> str:
@@ -147,31 +144,35 @@ def digest(data: bytes) -> Digest:
     return Digest(sha256(data))
 
 
+@functools.lru_cache(maxsize=8)
+def _aead(key: bytes) -> AESGCM:
+    """One AES-GCM object per key: a survey's parties all share one session key."""
+    return AESGCM(key)
+
+
 def encrypt(sk: SessionKey, plaintext: bytes, cipher_nonce: bytes) -> Ciphertext:
     """AES-256-GCM. The nonce must be unique per (key, message) pair."""
     nonce = _expect_len("cipher nonce", cipher_nonce, CIPHER_NONCE_LEN)
-    body = AESGCM(sk.value).encrypt(nonce, bytes(plaintext), None)
+    body = _aead(sk.value).encrypt(nonce, bytes(plaintext), None)
     return Ciphertext(nonce, body)
 
 
 def decrypt(sk: SessionKey, c: Ciphertext) -> bytes:
     """Recover the plaintext; raises DecryptionError on any authentication failure."""
     try:
-        return AESGCM(sk.value).decrypt(c.cipher_nonce, c.body, None)
+        return _aead(sk.value).decrypt(c.cipher_nonce, c.body, None)
     except InvalidTag as exc:
         raise DecryptionError("ciphertext failed authentication") from exc
 
 
-def encode_bit_vector(bits: Sequence[int]) -> bytes:
+def encode_bit_vector(bits: Sequence[int] | np.ndarray) -> bytes:
     """Pack bits into the normative layout (see module docstring)."""
-    n = len(bits)
-    packed = bytearray((n + 7) // 8)
-    for j, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        if b:
-            packed[j // 8] |= 0x80 >> (j % 8)
-    return struct.pack(">I", n) + bytes(packed)
+    values = np.asarray(bits)
+    ones = values == 1
+    # numbers only, and every nonzero entry must be a 1
+    if values.ndim != 1 or values.dtype.kind not in "biuf" or np.count_nonzero(values) != np.count_nonzero(ones):
+        raise ValueError("bits must be 0 or 1")
+    return struct.pack(">I", len(values)) + np.packbits(ones).tobytes()
 
 
 def decode_bit_vector(data: bytes) -> tuple[int, ...]:
@@ -194,17 +195,35 @@ def decode_bit_vector(data: bytes) -> tuple[int, ...]:
     return bits
 
 
+def decode_bit_matrix(records: Sequence[bytes], n: int) -> np.ndarray:
+    """Strictly decode records that each hold n bits into one (N, n) uint8 matrix.
+
+    Every record gets decode_bit_vector's checks (exact length, length
+    prefix n, zero padding); BitVectorError names the first bad record.
+    """
+    header, size = struct.pack(">I", n), 4 + (n + 7) // 8
+    for i, record in enumerate(records):
+        if len(record) != size or record[:4] != header:
+            raise BitVectorError(i, f"not an encoded {n}-bit vector")
+    packed = np.frombuffer(b"".join(records), dtype=np.uint8).reshape(len(records), size)[:, 4:]
+    if n % 8:
+        padded = np.flatnonzero(packed[:, -1] & ((1 << (8 - n % 8)) - 1))
+        if padded.size:
+            raise BitVectorError(int(padded[0]), "nonzero padding bits")
+    return np.unpackbits(packed, axis=1, count=n)
+
+
 def unpack_bit_vector_stream(data: bytes) -> list[tuple[int, ...]]:
     """Parse a concatenation of encoded bit vectors, strictly."""
     out: list[tuple[int, ...]] = []
     offset = 0
     while offset < len(data):
         if len(data) - offset < 4:
-            raise ValueError(f"record {len(out)}: truncated length prefix")
+            raise BitVectorError(len(out), "truncated length prefix")
         (n,) = struct.unpack(">I", data[offset : offset + 4])
         end = offset + 4 + (n + 7) // 8
         if end > len(data):
-            raise ValueError(f"record {len(out)}: truncated body")
+            raise BitVectorError(len(out), "truncated body")
         out.append(decode_bit_vector(data[offset:end]))
         offset = end
     return out

@@ -27,13 +27,12 @@ order).
 
 from __future__ import annotations
 
-import bisect
 import enum
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .envelope import Digest, Nonce, Secret, digest, encode_bit_vector
+from .envelope import Digest, FixedBytes, Nonce, Secret, digest, encode_bit_vector
 
 ADDRESS_LEN = 20
 GENESIS_PREV = b"\x00" * 32
@@ -54,14 +53,8 @@ class LogFormatError(Exception):
         self.record_index = record_index
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    value: bytes
-
-    def __post_init__(self):
-        if not isinstance(self.value, (bytes, bytearray)) or len(self.value) != ADDRESS_LEN:
-            raise ValueError(f"address must be exactly {ADDRESS_LEN} bytes")
-        object.__setattr__(self, "value", bytes(self.value))
+class Address(FixedBytes):
+    LENGTH, LABEL = ADDRESS_LEN, "address"
 
     def __str__(self) -> str:
         return "0x" + self.value.hex()
@@ -300,58 +293,61 @@ def check_transfer_safety(log: EventLog) -> bool:
 
 
 class CommitmentIndex:
-    """Sorted map address -> response commitment.
+    """Map address -> response commitment, kept in arrival order.
 
-    Iteration is strictly ascending by address bytes; an address's rank in
-    that order is its filter index. Insertion (arrival) order is retained
-    separately for eligibility screening.
+    An address's rank in ascending address-byte order is its filter index.
+    That sorted view is built on first use and rebuilt only after an add,
+    so a survey sorts its commitments once, after collection.
     """
 
     def __init__(self):
-        self._sorted: list[Address] = []
         self._digests: dict[Address, Digest] = {}
-        self._arrival: list[Address] = []
+        self._sorted: list[Address] | None = None
+        self._rank: dict[Address, int] = {}
         self._frozen = False
 
     def __len__(self) -> int:
-        return len(self._sorted)
+        return len(self._digests)
 
     def __contains__(self, address: Address) -> bool:
         return address in self._digests
 
     def __iter__(self) -> Iterator[tuple[Address, Digest]]:
-        return ((a, self._digests[a]) for a in self._sorted)
+        return ((a, self._digests[a]) for a in self._ascending())
+
+    def _ascending(self) -> list[Address]:
+        if self._sorted is None:
+            self._sorted = sorted(self._digests, key=lambda a: a.value)
+            self._rank = {a: i for i, a in enumerate(self._sorted)}
+        return self._sorted
 
     def add(self, address: Address, commitment: Digest) -> None:
         if self._frozen:
             raise LedgerError("commitments are frozen; no more responses are accepted")
         if address in self._digests:
             raise LedgerError(f"address {address} already committed (first commitment wins)")
-        bisect.insort(self._sorted, address)
         self._digests[address] = commitment
-        self._arrival.append(address)
+        self._sorted = None
 
     def freeze(self) -> None:
         self._frozen = True
 
     def index_of(self, address: Address) -> int:
-        i = bisect.bisect_left(self._sorted, address)
-        if i == len(self._sorted) or self._sorted[i] != address:
-            raise KeyError(f"address {address} not present")
-        return i
+        self._ascending()
+        return self._rank[address]
 
     def at(self, index: int) -> tuple[Address, Digest]:
-        address = self._sorted[index]
+        address = self._ascending()[index]
         return address, self._digests[address]
 
     def digest_of(self, address: Address) -> Digest:
         return self._digests[address]
 
     def addresses_sorted(self) -> tuple[Address, ...]:
-        return tuple(self._sorted)
+        return tuple(self._ascending())
 
     def arrival_order(self) -> tuple[Address, ...]:
-        return tuple(self._arrival)
+        return tuple(self._digests)
 
 
 @dataclass
@@ -402,13 +398,9 @@ def create_contract(
     authority: Address,
     sysop: Address,
 ) -> SurveyContract:
-    """Record a new survey; the contract starts collecting commitments."""
+    """Record a new survey; a negative fee or deadline fails the payload's u64 check."""
     if required_responses < 1:
         raise ValueError("required response count must be at least 1")
-    if fee < 0:
-        raise ValueError("fee must be non-negative")
-    if deadline < 0:
-        raise ValueError("deadline must be non-negative")
     payload: Payload = {
         "config_uri": config_uri,
         "config_digest": config_digest.value,
@@ -510,7 +502,7 @@ def reveal_secret(contract: SurveyContract, s2_candidate: Secret) -> SurveyContr
 
 def _pack_distribution(distribution: Mapping[Address, int]) -> bytes:
     out = bytearray()
-    for address in sorted(distribution):
+    for address in sorted(distribution, key=lambda a: a.value):
         amount = distribution[address]
         if amount < 0:
             raise ValueError("payout amounts must be non-negative")

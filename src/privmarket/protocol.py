@@ -19,6 +19,7 @@ percent-encoded so labels may contain arbitrary characters.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 from urllib.parse import quote, unquote
@@ -27,13 +28,14 @@ import numpy as np
 
 from . import ledger as ledger_mod
 from .envelope import (
+    BitVectorError,
     Ciphertext,
     Digest,
     Nonce,
     PreSharedKey,
     Secret,
-    canonical_encode_response,
-    decode_response,
+    SessionKey,
+    decode_bit_matrix,
     decrypt,
     derive_session_key,
     digest,
@@ -46,11 +48,9 @@ from .ldp import (
     FrequencyEstimate,
     PrivacyParams,
     QuerySpec,
-    ResponseVector,
     accumulate_counts,
-    encode_one_hot,
     estimate_frequencies,
-    randomize_response,
+    randomize_batch,
 )
 from .ledger import Address, ContractPhase, LedgerError, SurveyContract
 
@@ -157,21 +157,18 @@ class DeliveryMessage:
     index: int
     ciphertext: Ciphertext
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("delivery index must be non-negative")
-
 
 class DeliveryVerdict(enum.Enum):
     ACCEPTED = "accepted"
     HASH_MISMATCH = "hash_mismatch"
     INELIGIBLE = "ineligible"
     DUPLICATE = "duplicate"
+    OUT_OF_RANGE = "out_of_range"
 
 
 @dataclass
 class AggregationOutcome:
-    decrypted_vectors: list[ResponseVector]
+    decrypted_vectors: np.ndarray  # (required responses, n) uint8, ascending delivery index
     estimate: FrequencyEstimate
 
 
@@ -222,55 +219,40 @@ def render_config_file(config: SurveyConfiguration) -> bytes:
 
 
 def parse_config_file(data: bytes) -> SurveyConfiguration:
-    """Strict inverse of render_config_file."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError("configuration file is not valid UTF-8") from exc
-    lines = text.split("\n")
-    if not lines or lines[-1] != "":
-        raise ValueError("configuration file must end with a newline")
-    lines = lines[:-1]
+    """Strict inverse of render_config_file: accepts exactly the bytes it renders.
 
-    def expect(prefix: str, line: str) -> str:
-        if not line.startswith(prefix + " "):
-            raise ValueError(f"expected '{prefix} ...', got {line!r}")
-        return line[len(prefix) + 1 :]
+    Fields are read by position; the final re-render rejects any other
+    spelling (`+5`, `05`, `5_0`, `0.50`, `%63`), so equal surveys have equal digests.
+    """
+    lines = iter(data.decode("utf-8").split("\n")[1:])
+
+    def field() -> str:
+        return next(lines).partition(" ")[2]
 
     try:
-        pos = 0
-        if lines[pos] != CONFIG_HEADER:
-            raise ValueError("missing or unsupported configuration header")
-        pos += 1
-        n = int(expect("choices", lines[pos])); pos += 1
-        labels = []
-        for i in range(n):
-            rest = expect("choice", lines[pos]); pos += 1
-            idx_text, _, encoded = rest.partition(" ")
-            if int(idx_text) != i:
-                raise ValueError(f"choice index out of order at line {pos}")
-            labels.append(unquote(encoded))
-        k = int(expect("criteria", lines[pos])); pos += 1
+        labels = [unquote(field().partition(" ")[2]) for _ in range(int(field()))]
         predicates = []
-        for _ in range(k):
-            rest = expect("require", lines[pos]); pos += 1
-            attr_text, _, values_text = rest.partition(" ")
-            values = [unquote(v) for v in values_text.split(",")] if values_text else []
-            predicates.append((unquote(attr_text), values))
-        required = int(expect("required-responses", lines[pos])); pos += 1
-        fee = int(expect("fee", lines[pos])); pos += 1
-        f = float(expect("flip-probability", lines[pos])); pos += 1
-    except IndexError as exc:
+        for _ in range(int(field())):
+            attr, _, values = field().partition(" ")
+            predicates.append((unquote(attr), [unquote(v) for v in values.split(",")] if values else []))
+        config = SurveyConfiguration(
+            query=QuerySpec(labels),
+            criteria=FilterCriteria(predicates),
+            required_responses=int(field()),
+            fee=int(field()),
+            privacy=PrivacyParams(float(field())),
+        )
+    except StopIteration as exc:
         raise ValueError("configuration file truncated") from exc
-    if pos != len(lines):
-        raise ValueError("trailing content in configuration file")
-    return SurveyConfiguration(
-        query=QuerySpec(labels),
-        criteria=FilterCriteria(predicates),
-        required_responses=required,
-        fee=fee,
-        privacy=PrivacyParams(f),
-    )
+    if render_config_file(config) != data:
+        raise ValueError("configuration file is not in canonical form")
+    return config
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_verified_config(data: bytes) -> SurveyConfiguration:
+    """parse_config_file once per distinct file; call only on digest-checked bytes."""
+    return parse_config_file(data)
 
 
 def build_survey_config(
@@ -331,9 +313,7 @@ class Operator:
     def __init__(self, profile: OperatorProfile, rng: np.random.Generator):
         self.profile = profile
         self._rng = rng
-        self.psk: PreSharedKey | None = None
         self.ciphertext: Ciphertext | None = None
-        self.commitment: Digest | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +363,12 @@ def setup_survey(
     return contract, record
 
 
+@functools.lru_cache(maxsize=8)
+def _operator_session_key(psk: PreSharedKey, n1: Nonce, n2: Nonce) -> SessionKey:
+    """s1, s2 and the session key, derived once per survey's (psk, n1, n2)."""
+    return derive_session_key(hmac_derive(psk, n1), hmac_derive(psk, n2))
+
+
 def evaluate_criteria(profile: OperatorProfile, criteria: FilterCriteria) -> bool:
     """True iff every predicate's attribute is present with an allowed value."""
     for attr, allowed in criteria.predicates:
@@ -403,27 +389,23 @@ def operator_prepare_and_commit(
 ) -> tuple[Ciphertext, Digest]:
     """Verify the configuration, randomize, encrypt, and commit on-ledger.
 
-    Draws the randomization (one length-n uniform draw) from `rng`, then
-    the 12-byte cipher nonce from the operator's own generator.
+    Every call checks the digest; the parse and the session key are shared
+    by a survey's operators. Draws the randomization (one length-n uniform
+    draw) from `rng`, then the 12-byte cipher nonce from the operator's own
+    generator.
     """
     if digest(config_bytes) != expected_digest:
         raise ConfigIntegrityError(
             "configuration bytes do not match the on-ledger digest; refusing to participate"
         )
-    config = parse_config_file(config_bytes)
-    response = randomize_response(
-        encode_one_hot(operator.profile.true_choice, config.query.n), config.privacy, rng
-    )
-    s1 = hmac_derive(psk, n1)
-    s2 = hmac_derive(psk, n2)
-    sk = derive_session_key(s1, s2)
-    ciphertext = encrypt(sk, canonical_encode_response(response), operator._rng.bytes(12))
+    config = _parse_verified_config(bytes(config_bytes))
+    report = randomize_batch([operator.profile.true_choice], config.query.n, config.privacy, rng)[0]
+    sk = _operator_session_key(psk, n1, n2)
+    ciphertext = encrypt(sk, encode_bit_vector(report), operator._rng.bytes(12))
     commitment = digest(ciphertext.serialize())
     assert operator.profile.active_address is not None
     ledger_mod.commit_response(contract, operator.profile.active_address, commitment)
-    operator.psk = psk
     operator.ciphertext = ciphertext
-    operator.commitment = commitment
     return ciphertext, commitment
 
 
@@ -490,8 +472,8 @@ def authority_verify_delivery(
     filter_vector: FilterVector,
 ) -> DeliveryVerdict:
     """Check eligibility and the on-ledger commitment before accepting."""
-    if msg.index >= len(commitments):
-        raise ValueError(f"delivery index {msg.index} out of range")
+    if not 0 <= msg.index < len(commitments):
+        return DeliveryVerdict.OUT_OF_RANGE
     if filter_vector.bits[msg.index] != 1:
         return DeliveryVerdict.INELIGIBLE
     _, expected = commitments.at(msg.index)
@@ -532,12 +514,8 @@ def sysop_payout(
 ) -> dict[Address, int]:
     """Equal shares to every filter-eligible operator; remainder retained."""
     share = equal_split(contract.fee, contract.required_responses, operator_share_pct)
-    eligible = [
-        contract.commitments.at(i)[0]
-        for i, bit in enumerate(filter_vector.bits)
-        if bit == 1
-    ]
-    distribution = {address: share for address in eligible}
+    ranked = zip(contract.commitments.addresses_sorted(), filter_vector.bits)
+    distribution = {address: share for address, bit in ranked if bit == 1}
     ledger_mod.payout(contract, distribution, filter_vector.bits)
     return distribution
 
@@ -547,7 +525,10 @@ def settle_and_decrypt(
     contract: SurveyContract,
     accepted: Mapping[int, Ciphertext],
 ) -> AggregationOutcome:
-    """Reconstruct the session key from the reveal and aggregate responses."""
+    """Reconstruct the session key from the reveal and aggregate responses.
+
+    Each delivery is authenticated on its own, then all decode as one matrix.
+    """
     if contract.phase not in (ContractPhase.REVEALED, ContractPhase.SETTLED):
         raise ProtocolError(
             f"cannot decrypt in phase {contract.phase.name}: second secret not on ledger"
@@ -560,12 +541,17 @@ def settle_and_decrypt(
         raise ProtocolError("authority has no survey configuration")
     assert contract.revealed_s2 is not None
     sk = derive_session_key(contract.s1, contract.revealed_s2)
-    vectors: list[ResponseVector] = []
-    for index in sorted(accepted):
+    indices = sorted(accepted)
+    plaintexts = []
+    for index in indices:
         try:
-            vectors.append(decode_response(decrypt(sk, accepted[index])))
-        except (DecryptionError, ValueError) as exc:
+            plaintexts.append(decrypt(sk, accepted[index]))
+        except DecryptionError as exc:
             raise ProtocolError(f"delivery at index {index} failed to open: {exc}") from exc
+    try:
+        vectors = decode_bit_matrix(plaintexts, authority.config.query.n)
+    except BitVectorError as exc:
+        raise ProtocolError(f"delivery at index {indices[exc.record]} failed to open: {exc}") from exc
     estimate = estimate_frequencies(accumulate_counts(vectors), authority.config.privacy)
     return AggregationOutcome(vectors, estimate)
 
@@ -658,7 +644,7 @@ def run_survey(
         sysop_reveal_secret(sysop, contract)
         _t(trace, "sysop", "reveal-secret", f"h_s2={contract.h_s2.hex[:16]}")
         payouts = sysop_payout(sysop, contract, filter_vector, operator_share_pct)
-        for address, amount in sorted(payouts.items()):
+        for address, amount in sorted(payouts.items(), key=lambda item: item[0].value):
             _t(trace, "sysop", "pay-operator", f"{address} amount={amount}")
         aggregation = settle_and_decrypt(authority, contract, authority.accepted)
         _t(trace, "authority", "decrypt-aggregate", f"responses={len(aggregation.decrypted_vectors)}")

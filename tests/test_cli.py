@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 
 from privmarket.cli import main
@@ -60,6 +62,19 @@ class TestDemoCommand:
         assert main(flags + ["--trace-out", str(tmp_path / "a")]) == 0
         assert main(flags + ["--trace-out", str(tmp_path / "b")]) == 0
         assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
+
+    def test_demo_bytes_match_pinned_digests(self, tmp_path):
+        # ledger bytes and event hashes stay fixed across versions, not only across reruns
+        assert main([
+            "demo", "--operators", "5", "--nr", "3", "--fee", "100",
+            "--f", "0.5", "--seed", "7", "--trace-out", str(tmp_path / "d"),
+        ]) == 0
+        pinned = {
+            "events.bin": "a49630fb0974f6b4e4661381bfe7cdfd0c61f687fbc03ab2a89804ef9b531b57",
+            "trace.txt": "31b1d10c7aa4a4390382c1205724318726d321fc3a38c6e722a92aaa06667a3d",
+        }
+        for name, want in pinned.items():
+            assert hashlib.sha256((tmp_path / "d" / name).read_bytes()).hexdigest() == want
 
     def test_too_few_operators_fails(self, capsys):
         assert main(["demo", "--operators", "2", "--nr", "3"]) == 1

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privmarket.envelope import (
+    BitVectorError,
     Ciphertext,
     DecryptionError,
     Digest,
@@ -12,6 +13,7 @@ from privmarket.envelope import (
     Secret,
     SessionKey,
     canonical_encode_response,
+    decode_bit_matrix,
     decode_bit_vector,
     decode_response,
     decrypt,
@@ -195,6 +197,25 @@ class TestBitVectorCodec:
     def test_response_round_trip(self):
         rv = ResponseVector([0, 1, 1, 0, 1, 0, 0, 0, 1])
         assert decode_response(canonical_encode_response(rv)) == rv
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=30), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_matrix_decode_matches_per_record_decode(self, n, count, data):
+        rows = [data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(count)]
+        matrix = decode_bit_matrix([encode_bit_vector(r) for r in rows], n)
+        assert matrix.shape == (count, n) and matrix.dtype == np.uint8
+        assert [tuple(r) for r in matrix.tolist()] == [decode_bit_vector(encode_bit_vector(r)) for r in rows]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [bytes.fromhex("00000003a1"), bytes.fromhex("00000002a0"), bytes.fromhex("00000003a000"), b"\x00\x00"],
+    )
+    def test_matrix_decode_names_the_bad_record(self, bad):
+        # nonzero padding, wrong length prefix, trailing byte, truncation
+        good = encode_bit_vector([1, 0, 1])
+        with pytest.raises(BitVectorError, match="record 2") as excinfo:
+            decode_bit_matrix([good, good, bad, good], 3)
+        assert excinfo.value.record == 2
 
     def test_stream_parses_concatenation(self):
         blob = encode_bit_vector([1, 0]) + encode_bit_vector([0, 1]) + encode_bit_vector([1, 1])

@@ -65,6 +65,11 @@ class TestCreate:
         with pytest.raises(ValueError):
             make_contract(nr=0)
 
+    @pytest.mark.parametrize("fee,deadline", [(-1, 1000), (100, -1)])
+    def test_rejects_negative_fee_or_deadline(self, fee, deadline):
+        with pytest.raises(ValueError):
+            make_contract(fee=fee, deadline=deadline)
+
     def test_fresh_contract_is_collecting_with_one_event(self):
         contract, _ = make_contract()
         assert contract.phase == ContractPhase.COLLECTING
@@ -352,3 +357,22 @@ class TestCommitmentIndex:
         index = CommitmentIndex()
         with pytest.raises(KeyError):
             index.index_of(addr(3))
+
+    def test_interleaved_reads_keep_byte_order_and_arrival(self):
+        # reads before freeze must see every add so far, in ascending byte order
+        index = CommitmentIndex()
+        rng = np.random.default_rng(31)
+        arrived = []
+        for _ in range(40):
+            address = Address(rng.bytes(20))
+            index.add(address, digest(address.value))
+            arrived.append(address)
+            ranked = sorted(arrived, key=lambda a: a.value)
+            probe = arrived[int(rng.integers(len(arrived)))]
+            assert index.index_of(probe) == ranked.index(probe)
+            assert index.at(ranked.index(probe)) == (probe, digest(probe.value))
+            assert index.addresses_sorted() == tuple(ranked)
+            assert [a for a, _ in index] == ranked
+            assert index.arrival_order() == tuple(arrived)
+        index.freeze()
+        assert index.addresses_sorted() == tuple(sorted(arrived, key=lambda a: a.value))

@@ -102,6 +102,26 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             parse_config_file(good + b"extra\n")
 
+    @pytest.mark.parametrize(
+        "canonical,variant",
+        [
+            (b"fee 50\n", b"fee +50\n"),
+            (b"fee 50\n", b"fee 050\n"),
+            (b"fee 50\n", b"fee 5_0\n"),
+            (b"flip-probability 0.5\n", b"flip-probability 0.50\n"),
+            (b"choice 0 choice-00\n", b"choice 0 %63hoice-00\n"),
+        ],
+    )
+    def test_parse_rejects_non_canonical_spelling(self, canonical, variant):
+        # each variant parses to the same configuration under another digest
+        query = QuerySpec([f"choice-{j:02d}" for j in range(3)])
+        good = render_config_file(
+            SurveyConfiguration(query, FilterCriteria.empty(), 2, 50, PrivacyParams(0.5))
+        )
+        assert good.count(canonical) == 1
+        with pytest.raises(ValueError):
+            parse_config_file(good.replace(canonical, variant))
+
     def test_parse_rejects_truncation(self):
         good = render_config_file(small_config())
         truncated = b"\n".join(good.split(b"\n")[:3]) + b"\n"
@@ -178,6 +198,28 @@ class TestPrepareAndCommit:
                 np.random.default_rng(0),
             )
         assert len(contract.log) == 1  # no Committed event
+
+    def test_warm_memo_still_refuses_tampered_config(self):
+        config = small_config()
+        store, _, sysop, contract, _ = setup_small_survey(config, [profile(1), profile(2)])
+        config_bytes = store.get(contract.config_uri)
+        psk = sysop.issue_psk(contract, "op-01")
+        operator_prepare_and_commit(
+            Operator(profile(1), np.random.default_rng(0)), contract, config_bytes,
+            contract.config_digest, psk, contract.n1, contract.n2, np.random.default_rng(0),
+        )
+        # another survey's genuine bytes are parsed and memoized too
+        other = render_config_file(small_config(f=0.5))
+        parse_config_file(other)
+        events = len(contract.log)
+        for tampered in (config_bytes + b" ", other):
+            with pytest.raises(ConfigIntegrityError):
+                operator_prepare_and_commit(
+                    Operator(profile(2), np.random.default_rng(1)), contract, tampered,
+                    contract.config_digest, psk, contract.n1, contract.n2,
+                    np.random.default_rng(1),
+                )
+        assert len(contract.log) == events  # no Committed event
 
     def test_honest_commit_lands_on_ledger(self):
         config = small_config()
@@ -315,6 +357,16 @@ class TestDelivery:
         assert authority_verify_delivery(authority, msg, contract.commitments, fv) \
             == DeliveryVerdict.INELIGIBLE
 
+    def test_verify_gives_verdict_for_out_of_range_index(self):
+        _, authority, _, contract, operators, fv = run_to_filter()
+        from privmarket.protocol import DeliveryMessage
+
+        for index in (len(contract.commitments), -1):
+            msg = DeliveryMessage(index, operators[0].ciphertext)
+            assert authority_verify_delivery(authority, msg, contract.commitments, fv) \
+                == DeliveryVerdict.OUT_OF_RANGE
+        assert authority.accepted == {}
+
     def test_verify_rejects_duplicates_and_accepts_valid(self):
         _, authority, _, contract, operators, fv = run_to_filter()
         msg = next(m for m in (operator_deliver(o, fv, contract.commitments) for o in operators) if m)
@@ -361,12 +413,31 @@ class TestDepositAndSettle:
         sysop_reveal_secret(sysop, contract)
         outcome = settle_and_decrypt(authority, contract, authority.accepted)
         assert len(outcome.decrypted_vectors) == 3
-        assert all(v.n == 4 for v in outcome.decrypted_vectors)
+        assert outcome.decrypted_vectors.shape == (3, 4)
         # composition: the estimate is exactly the ldp pipeline on the vectors
         recomputed = estimate_frequencies(
             accumulate_counts(outcome.decrypted_vectors), authority.config.privacy
         )
         assert outcome.estimate == recomputed
+
+    @pytest.mark.parametrize(
+        "plaintext",
+        [bytes.fromhex("000000049f"), bytes.fromhex("0000000380"), bytes.fromhex("000000049000")],
+    )
+    def test_settle_names_the_delivery_that_fails_to_decode(self, plaintext):
+        # nonzero padding, wrong length prefix, trailing byte: each under the right key
+        from privmarket.envelope import derive_session_key, encrypt
+
+        _, authority, sysop, contract, operators, fv = run_to_filter(nr=3, count=5)
+        self._deliver_all(authority, contract, operators, fv)
+        authority_deposit_and_await_reveal(authority, contract)
+        sysop_reveal_secret(sysop, contract)
+        bad_index = sorted(authority.accepted)[1]
+        sk = derive_session_key(contract.s1, contract.revealed_s2)
+        accepted = dict(authority.accepted)
+        accepted[bad_index] = encrypt(sk, plaintext, b"\x05" * 12)
+        with pytest.raises(ProtocolError, match=f"index {bad_index} failed to open"):
+            settle_and_decrypt(authority, contract, accepted)
 
 
 class TestEqualSplit:

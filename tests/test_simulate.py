@@ -133,6 +133,16 @@ class TestFullProtocolExperiment:
         )
         assert outcome.aggregation.estimate.raw_estimates == run_ldp_experiment(config).estimated_raw
 
+    def test_surveys_in_one_process_keep_their_own_config_and_key(self):
+        # operators share a parsed config and a session key per survey, never across surveys
+        configs = [
+            ExperimentConfig(population=150, seed=41, privacy=PrivacyParams(0.5)),
+            ExperimentConfig(population=150, seed=42, privacy=PrivacyParams(0.25)),
+        ]
+        for config in configs + configs[::-1]:
+            full, _, _ = run_full_protocol_experiment(config)
+            assert full.estimated_raw == run_ldp_experiment(config).estimated_raw
+
     def test_cipher_nonces_are_distinct(self, monkeypatch):
         # every operator encrypts under the one session key, so a repeated
         # AES-GCM nonce would break confidentiality
