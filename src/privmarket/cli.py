@@ -11,9 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .envelope import unpack_bit_vector_stream
+from .envelope import MixedLengthsError, decode_bit_stream
 from .ldp import PrivacyParams, accumulate_counts, estimate_frequencies
 from .ledger import ContractPhase, EventLog, LogFormatError, verify_event_chain
 from .protocol import FilterCriteria, ProtocolError, SurveyConfiguration
@@ -195,23 +193,20 @@ def cmd_inspect_ledger(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     try:
-        data = Path(args.reports_file).read_bytes()
-        vectors = unpack_bit_vector_stream(data)
+        bits = decode_bit_stream(Path(args.reports_file).read_bytes())
     except OSError as exc:
         print(f"cannot read reports file: {exc}", file=sys.stderr)
+        return 1
+    except MixedLengthsError:
+        print("reports file mixes vector lengths", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"corrupt reports file: {exc}", file=sys.stderr)
         return 1
-    if not vectors:
+    if not len(bits):
         print("reports file holds no vectors", file=sys.stderr)
         return 1
-    n = len(vectors[0])
-    if any(len(v) != n for v in vectors):
-        print("reports file mixes vector lengths", file=sys.stderr)
-        return 1
-    bits = np.frombuffer(b"".join(map(bytes, vectors)), dtype=np.uint8)
-    counts = accumulate_counts(bits.reshape(len(vectors), n))
+    counts = accumulate_counts(bits)
     estimate = estimate_frequencies(counts, PrivacyParams(args.f))
     print("choice_index,ones,estimated_raw,estimated_clamped")
     for j, ones in enumerate(counts.ones_per_position):

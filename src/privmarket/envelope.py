@@ -51,6 +51,10 @@ class BitVectorError(ValueError):
         self.record = record
 
 
+class MixedLengthsError(BitVectorError):
+    """A whole record of a bit-vector stream holds another number of bits than record 0."""
+
+
 def _expect_len(name: str, value: bytes, expected: int) -> bytes:
     if not isinstance(value, (bytes, bytearray)):
         raise ValueError(f"{name} must be bytes")
@@ -195,22 +199,57 @@ def decode_bit_vector(data: bytes) -> tuple[int, ...]:
     return bits
 
 
+def _unpack_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Bits of the leading rows (one encoded record each) whose length prefix is n, and their count.
+
+    BitVectorError names the first of those rows with nonzero padding bits.
+    """
+    other = np.flatnonzero((rows[:, :4] != np.frombuffer(struct.pack(">I", n), dtype=np.uint8)).any(axis=1))
+    rows = rows[: other[0]] if other.size else rows
+    if n % 8:
+        padded = np.flatnonzero(rows[:, -1] & ((1 << (8 - n % 8)) - 1))
+        if padded.size:
+            raise BitVectorError(int(padded[0]), "nonzero padding bits")
+    return np.unpackbits(rows[:, 4:], axis=1, count=n), len(rows)
+
+
 def decode_bit_matrix(records: Sequence[bytes], n: int) -> np.ndarray:
     """Strictly decode records that each hold n bits into one (N, n) uint8 matrix.
 
     Every record gets decode_bit_vector's checks (exact length, length
     prefix n, zero padding); BitVectorError names the first bad record.
     """
-    header, size = struct.pack(">I", n), 4 + (n + 7) // 8
+    size = 4 + (n + 7) // 8
     for i, record in enumerate(records):
-        if len(record) != size or record[:4] != header:
+        if len(record) != size:
             raise BitVectorError(i, f"not an encoded {n}-bit vector")
-    packed = np.frombuffer(b"".join(records), dtype=np.uint8).reshape(len(records), size)[:, 4:]
-    if n % 8:
-        padded = np.flatnonzero(packed[:, -1] & ((1 << (8 - n % 8)) - 1))
-        if padded.size:
-            raise BitVectorError(int(padded[0]), "nonzero padding bits")
-    return np.unpackbits(packed, axis=1, count=n)
+    bits, good = _unpack_rows(np.frombuffer(b"".join(records), dtype=np.uint8).reshape(len(records), size), n)
+    if good < len(records):
+        raise BitVectorError(good, f"not an encoded {n}-bit vector")
+    return bits
+
+
+def decode_bit_stream(data: bytes) -> np.ndarray:
+    """Strictly decode a concatenation of equal-length bit vectors into one (N, n) uint8 matrix.
+
+    n is the first record's length prefix; empty input is a (0, 0) matrix.
+    Rows equal decode_bit_vector of each record. BitVectorError names the
+    first bad record: truncated, nonzero padding, or (MixedLengthsError) a
+    whole record holding another number of bits.
+    """
+    n = int.from_bytes(data[:4], "big")  # input shorter than a prefix holds no whole record
+    size = 4 + (n + 7) // 8
+    count = len(data) // size
+    bits, good = _unpack_rows(np.frombuffer(data, dtype=np.uint8, count=count * size).reshape(count, size), n)
+    rest = data[good * size :]
+    if not rest:
+        return bits
+    if len(rest) < 4:
+        raise BitVectorError(good, "truncated length prefix")
+    m = int.from_bytes(rest[:4], "big")
+    if len(rest) < 4 + (m + 7) // 8:
+        raise BitVectorError(good, "truncated body")
+    raise MixedLengthsError(good, f"holds {m} bits, record 0 holds {n}")
 
 
 def unpack_bit_vector_stream(data: bytes) -> list[tuple[int, ...]]:

@@ -18,7 +18,10 @@ Canonical wire format, normative so event hashes reproduce anywhere:
                tag 0x03 str   -> u32 len | utf8 bytes
 
 The genesis event uses 32 zero bytes as prev_hash. All integers are
-non-negative and big-endian. Digests render as lowercase hex.
+non-negative and big-endian. Digests render as lowercase hex. Parsing is
+strict: keys must be strictly ascending (no repeats), strings valid UTF-8,
+and nothing may trail a record, so every accepted log re-serializes to
+exactly its input bytes.
 
 All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
@@ -96,79 +99,70 @@ _INT_TAG = 0x01
 _BYTES_TAG = 0x02
 _STR_TAG = 0x03
 
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_EVENT_HEAD = struct.Struct(">IB")  # sequence_no, kind
+_BODY_HEAD = struct.Struct(">IBH")  # sequence_no, kind, field_count
+_INT_FIELD = struct.Struct(">BQ")  # tag, value
+_BLOB_FIELD = struct.Struct(">BI")  # tag, length
+_KINDS = {kind.value: kind for kind in EventKind}
+
 
 def _encode_payload(payload: Mapping[str, PayloadValue]) -> bytes:
-    out = bytearray(struct.pack(">H", len(payload)))
+    parts = [_U16.pack(len(payload))]
     for key in sorted(payload):
         kb = key.encode("utf-8")
-        out += struct.pack(">H", len(kb)) + kb
         value = payload[key]
         if isinstance(value, bool):
             raise TypeError("payload values must be int, bytes or str")
         if isinstance(value, int):
             if value < 0 or value >= 1 << 64:
                 raise ValueError(f"payload int out of u64 range: {value}")
-            out += bytes([_INT_TAG]) + struct.pack(">Q", value)
+            parts += (_U16.pack(len(kb)), kb, _INT_FIELD.pack(_INT_TAG, value))
         elif isinstance(value, (bytes, bytearray)):
-            out += bytes([_BYTES_TAG]) + struct.pack(">I", len(value)) + bytes(value)
+            parts += (_U16.pack(len(kb)), kb, _BLOB_FIELD.pack(_BYTES_TAG, len(value)), value)
         elif isinstance(value, str):
             sb = value.encode("utf-8")
-            out += bytes([_STR_TAG]) + struct.pack(">I", len(sb)) + sb
+            parts += (_U16.pack(len(kb)), kb, _BLOB_FIELD.pack(_STR_TAG, len(sb)), sb)
         else:
             raise TypeError(f"unsupported payload value type: {type(value)!r}")
-    return bytes(out)
+    return b"".join(parts)
 
 
-class _Reader:
-    """Bounds-checked cursor over one body slice."""
-
-    def __init__(self, data: bytes, record_index: int):
-        self.data = data
-        self.offset = 0
-        self.record_index = record_index
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.offset + n > len(self.data):
-            raise LogFormatError(self.record_index, "truncated field")
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-
-def _decode_payload(reader: _Reader) -> Payload:
-    count = reader.u16()
+def _decode_body(body: bytes, index: int) -> LedgerEvent:
+    """Parse one record body; a field running past its end raises struct.error or
+    IndexError, and a key or string that is not UTF-8 raises UnicodeDecodeError."""
+    sequence_no, kind_code, count = _BODY_HEAD.unpack_from(body)
+    kind = _KINDS.get(kind_code)
+    if kind is None:
+        raise LogFormatError(index, f"unknown event kind {kind_code}")
+    pos = _BODY_HEAD.size
     payload: Payload = {}
     for _ in range(count):
-        key_len = reader.u16()
-        try:
-            key = reader.take(key_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise LogFormatError(reader.record_index, "payload key is not valid UTF-8")
-        tag = reader.u8()
+        (key_len,) = _U16.unpack_from(body, pos)
+        key = body[pos + 2 : pos + 2 + key_len]
+        pos += 2 + key_len
+        tag = body[pos]
         if tag == _INT_TAG:
-            payload[key] = reader.u64()
-        elif tag == _BYTES_TAG:
-            payload[key] = reader.take(reader.u32())
-        elif tag == _STR_TAG:
-            try:
-                payload[key] = reader.take(reader.u32()).decode("utf-8")
-            except UnicodeDecodeError:
-                raise LogFormatError(reader.record_index, "payload string is not valid UTF-8")
+            value = _INT_FIELD.unpack_from(body, pos)[1]
+            pos += _INT_FIELD.size
+        elif tag in (_BYTES_TAG, _STR_TAG):
+            start = pos + _BLOB_FIELD.size
+            pos = start + _BLOB_FIELD.unpack_from(body, pos)[1]
+            value = body[start:pos]
+            if pos > len(body):
+                raise LogFormatError(index, "truncated field")
+            if tag == _STR_TAG:
+                value = value.decode("utf-8")
         else:
-            raise LogFormatError(reader.record_index, f"unknown payload tag 0x{tag:02x}")
-    return payload
+            raise LogFormatError(index, f"unknown payload tag 0x{tag:02x}")
+        payload[key.decode("utf-8")] = value
+    # ascending and distinct keys: the only order _encode_payload writes
+    if len(payload) != count or list(payload) != sorted(payload):
+        raise LogFormatError(index, "payload keys not in strictly ascending order")
+    if len(body) - pos != 64:
+        raise LogFormatError(index, "truncated field" if len(body) - pos < 64 else "trailing bytes inside record")
+    return LedgerEvent(sequence_no, kind, payload, body[pos : pos + 32], body[pos + 32 :])
 
 
 @dataclass(frozen=True)
@@ -181,12 +175,7 @@ class LedgerEvent:
 
     def canonical_bytes(self) -> bytes:
         """Everything the event hash covers (all fields except the hash itself)."""
-        return (
-            struct.pack(">I", self.sequence_no)
-            + bytes([self.kind])
-            + _encode_payload(self.payload)
-            + self.prev_hash
-        )
+        return _EVENT_HEAD.pack(self.sequence_no, self.kind) + _encode_payload(self.payload) + self.prev_hash
 
     def compute_hash(self) -> bytes:
         return digest(self.canonical_bytes()).value
@@ -225,39 +214,30 @@ class EventLog:
         return event
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
+        parts = []
         for event in self.events:
             body = event.canonical_bytes() + event.event_hash
-            out += struct.pack(">I", len(body)) + body
-        return bytes(out)
+            parts += (_U32.pack(len(body)), body)
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
         log = cls()
         offset = 0
-        index = 0
         while offset < len(data):
+            index = len(log.events)
             if len(data) - offset < 4:
                 raise LogFormatError(index, "truncated record length prefix")
-            (body_len,) = struct.unpack(">I", data[offset : offset + 4])
-            offset += 4
-            if offset + body_len > len(data):
+            end = offset + 4 + _U32.unpack_from(data, offset)[0]
+            if end > len(data):
                 raise LogFormatError(index, "record extends past end of data")
-            reader = _Reader(data[offset : offset + body_len], index)
-            sequence_no = reader.u32()
-            kind_code = reader.u8()
             try:
-                kind = EventKind(kind_code)
-            except ValueError:
-                raise LogFormatError(index, f"unknown event kind {kind_code}")
-            payload = _decode_payload(reader)
-            prev_hash = reader.take(32)
-            event_hash = reader.take(32)
-            if reader.offset != body_len:
-                raise LogFormatError(index, "trailing bytes inside record")
-            log.events.append(LedgerEvent(sequence_no, kind, payload, prev_hash, event_hash))
-            offset += body_len
-            index += 1
+                log.events.append(_decode_body(data[offset + 4 : end], index))
+            except (struct.error, IndexError):
+                raise LogFormatError(index, "truncated field") from None
+            except UnicodeDecodeError:
+                raise LogFormatError(index, "payload key or string is not valid UTF-8") from None
+            offset = end
         return log
 
     def text_dump(self) -> str:

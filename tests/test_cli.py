@@ -1,9 +1,13 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from privmarket.cli import main
 from privmarket.envelope import encode_bit_vector
+from privmarket.ldp import PrivacyParams
+from privmarket.ledger import EventLog
+from privmarket.simulate import ExperimentConfig, Mode, run_full_protocol_experiment
 
 
 def read_all(directory):
@@ -159,10 +163,90 @@ class TestEstimateCommand:
         assert main(["estimate", "--reports-file", str(reports), "--f", "0.5"]) == 1
         assert "corrupt" in capsys.readouterr().err
 
+    TWO = encode_bit_vector((1, 0))
+
+    @pytest.mark.parametrize(
+        "blob,stderr",
+        [
+            (b"", "reports file holds no vectors"),
+            (TWO + b"\x00\x00", "corrupt reports file: record 1: truncated length prefix"),
+            (TWO + b"\x00\x00\x00\x09\xff", "corrupt reports file: record 1: truncated body"),
+            (TWO + b"\x00\x00\x00\x02\xa1", "corrupt reports file: record 1: nonzero padding bits"),
+            (TWO + encode_bit_vector((1,) * 9), "reports file mixes vector lengths"),
+            (TWO + encode_bit_vector((1, 0, 1)), "reports file mixes vector lengths"),
+            (TWO + TWO + b"\x00", "corrupt reports file: record 2: truncated length prefix"),
+            (b"\xff\xff\xff\xff", "corrupt reports file: record 0: truncated body"),
+        ],
+        ids=["empty", "truncated-prefix", "truncated-body", "nonzero-padding", "mixed-lengths",
+             "mixed-lengths-same-size", "trailing-partial-record", "oversized-prefix"],
+    )
+    def test_error_paths(self, tmp_path, capsys, blob, stderr):
+        reports = tmp_path / "reports.bin"
+        reports.write_bytes(blob)
+        assert main(["estimate", "--reports-file", str(reports), "--f", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", stderr + "\n")
+
+    def test_zero_bit_records_give_an_empty_table(self, tmp_path, capsys):
+        reports = tmp_path / "reports.bin"
+        reports.write_bytes(encode_bit_vector(()) * 3)
+        assert main(["estimate", "--reports-file", str(reports), "--f", "0.5"]) == 0
+        assert capsys.readouterr().out == "choice_index,ones,estimated_raw,estimated_clamped\n"
+
     def test_requires_f(self, tmp_path):
         reports = tmp_path / "reports.bin"
         reports.write_bytes(encode_bit_vector((1, 0)))
         assert main(["estimate", "--reports-file", str(reports)]) == 2
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def survey_log_file(tmp_path_factory):
+    """The event log of a seeded N = 2,000 full-protocol survey."""
+    config = ExperimentConfig(
+        population=2000, n_choices=20, mean=10.0, sd=2.0,
+        privacy=PrivacyParams(0.5), seed=11, mode=Mode.FULL_PROTOCOL,
+    )
+    _, log, _ = run_full_protocol_experiment(config, 0)
+    path = tmp_path_factory.mktemp("survey") / "events.bin"
+    path.write_bytes(log.to_bytes())
+    return path
+
+
+class TestReadPathPins:
+    # output bytes stay fixed across versions, not only across reruns
+    def test_log_bytes_and_parse_round_trip(self, survey_log_file):
+        data = survey_log_file.read_bytes()
+        assert sha256(data) == "5122edd71c8065c691282488c18063a459328332c118341d19ba06cfb1be310e"
+        assert EventLog.from_bytes(data).to_bytes() == data
+
+    def test_inspect_intact_log(self, survey_log_file, capsys):
+        assert main(["inspect-ledger", "--log-file", str(survey_log_file)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\nchain OK\n")
+        assert sha256(out.encode()) == "73382734261ecc2732ff61f99e018be06ee36ee17aea7d70c063d96a90d85eff"
+
+    def test_inspect_tampered_log(self, survey_log_file, tmp_path, capsys):
+        data = bytearray(survey_log_file.read_bytes())
+        data[-65] ^= 0x01  # last payload byte of the final record
+        bad = tmp_path / "tampered.bin"
+        bad.write_bytes(bytes(data))
+        assert main(["inspect-ledger", "--log-file", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("\nchain BROKEN at 2005\n")
+        assert sha256(out.encode()) == "bfdfd70e3e5713bfb4320b59f59718039331e3d71053bf9becd71cd7c5ab7ac2"
+
+    def test_estimate_seeded_reports(self, tmp_path, capsys):
+        bits = np.random.default_rng(20240).integers(0, 2, size=(12_000, 20), dtype=np.uint8)
+        reports = tmp_path / "reports.bin"
+        reports.write_bytes(b"".join(encode_bit_vector(row) for row in bits))
+        assert sha256(reports.read_bytes()) == "60d2b93eaf654655a809874ad908f8a9a3f26f7d8754bea236806340a7929eaa"
+        assert main(["estimate", "--reports-file", str(reports), "--f", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert sha256(out.encode()) == "825294a2f538430a3e9e9b68ca7baf3bc6a07642fad5eba029e4d977a118b080"
 
 
 def test_help_exits_zero():

@@ -8,12 +8,14 @@ from privmarket.envelope import (
     Ciphertext,
     DecryptionError,
     Digest,
+    MixedLengthsError,
     Nonce,
     PreSharedKey,
     Secret,
     SessionKey,
     canonical_encode_response,
     decode_bit_matrix,
+    decode_bit_stream,
     decode_bit_vector,
     decode_response,
     decrypt,
@@ -225,3 +227,78 @@ class TestBitVectorCodec:
         blob = encode_bit_vector([1, 0]) + b"\x00\x00"
         with pytest.raises(ValueError, match="record 1"):
             unpack_bit_vector_stream(blob)
+
+
+def stream_reference(data: bytes) -> list[tuple[int, ...]] | None:
+    """Per-record decode of a report stream, or None where decode_bit_stream must refuse it."""
+    try:
+        rows = unpack_bit_vector_stream(data)
+    except ValueError:
+        return None
+    return rows if len({len(r) for r in rows}) <= 1 else None
+
+
+class TestBitStream:
+    def test_equal_length_records_become_one_matrix(self):
+        blob = encode_bit_vector([1, 0, 1]) + encode_bit_vector([0, 0, 1])
+        matrix = decode_bit_stream(blob)
+        assert matrix.dtype == np.uint8
+        assert matrix.tolist() == [[1, 0, 1], [0, 0, 1]]
+
+    def test_empty_stream_is_an_empty_matrix(self):
+        assert decode_bit_stream(b"").shape == (0, 0)
+
+    @pytest.mark.parametrize(
+        "tail,message",
+        [
+            (b"\x00\x00", "record 2: truncated length prefix"),
+            (b"\x00\x00\x00\x03", "record 2: truncated body"),
+            (bytes.fromhex("00000009ff"), "record 2: truncated body"),
+            # a 2**32 - 1 bit claim must fail on length, not allocate
+            (b"\xff\xff\xff\xff\x00", "record 2: truncated body"),
+            (bytes.fromhex("00000003a1"), "record 2: nonzero padding bits"),
+            # the first bad record wins over a later one
+            (bytes.fromhex("00000003a1") + encode_bit_vector([1] * 9), "record 2: nonzero padding bits"),
+        ],
+    )
+    def test_names_the_first_bad_record(self, tail, message):
+        good = encode_bit_vector([1, 0, 1])
+        with pytest.raises(BitVectorError, match=message) as excinfo:
+            decode_bit_stream(good + good + tail)
+        assert excinfo.value.record == 2
+
+    @pytest.mark.parametrize("other", [[1, 1], [1] * 9])
+    def test_mixed_lengths_are_their_own_error(self, other):
+        good = encode_bit_vector([1, 0, 1])
+        with pytest.raises(MixedLengthsError, match="record 1") as excinfo:
+            decode_bit_stream(good + encode_bit_vector(other) + good)
+        assert excinfo.value.record == 1
+
+    @given(st.binary(max_size=64))
+    @settings(deadline=None, max_examples=300)
+    def test_fuzz_random_bytes(self, data):
+        self._agrees_with_reference(data)
+
+    @given(
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=0, max_value=6),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_fuzz_mutated_streams(self, n, count, data):
+        rows = [data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(count)]
+        blob = bytearray(b"".join(encode_bit_vector(r) for r in rows))
+        if blob:
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        self._agrees_with_reference(bytes(blob[: data.draw(st.integers(0, len(blob)))]))
+
+    @staticmethod
+    def _agrees_with_reference(data: bytes):
+        want = stream_reference(data)
+        try:
+            matrix = decode_bit_stream(data)
+        except BitVectorError:
+            assert want is None
+            return
+        assert want is not None
+        assert [tuple(r) for r in matrix.tolist()] == want

@@ -1,5 +1,10 @@
+import functools
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privmarket.envelope import Nonce, Secret, digest, encode_bit_vector
 from privmarket.ledger import (
@@ -343,6 +348,86 @@ class TestEventChain:
         ok, bad = verify_event_chain(swapped)
         assert not ok
         assert bad == 2
+
+
+def wire_record(event) -> bytes:
+    body = event.canonical_bytes() + event.event_hash
+    return struct.pack(">I", len(body)) + body
+
+
+def committed_record(event, fields) -> bytes:
+    """A Committed event's wire record with its bytes fields in the given order.
+
+    The stored hashes are the event's own, so a parser that re-sorted keys
+    or let a repeated key overwrite the first would accept the record and
+    verify the chain.
+    """
+    payload = struct.pack(">H", len(fields)) + b"".join(
+        struct.pack(">H", len(key)) + key + b"\x02" + struct.pack(">I", len(value)) + value
+        for key, value in fields
+    )
+    body = struct.pack(">IB", event.sequence_no, event.kind) + payload + event.prev_hash + event.event_hash
+    return struct.pack(">I", len(body)) + body
+
+
+def log_with_committed_fields(fields_of) -> bytes:
+    """An honest log's bytes with record 1, a Committed event, rewritten by fields_of(payload)."""
+    log = full_honest_log().log
+    assert log.events[1].kind == EventKind.COMMITTED
+    return b"".join(
+        committed_record(event, fields_of(event.payload)) if i == 1 else wire_record(event)
+        for i, event in enumerate(log)
+    )
+
+
+@functools.cache
+def honest_log_bytes() -> bytes:
+    return full_honest_log().log.to_bytes()
+
+
+class TestCanonicalParse:
+    def test_wire_record_helper_matches_to_bytes(self):
+        log = full_honest_log().log
+        assert b"".join(map(wire_record, log)) == log.to_bytes()
+        assert log_with_committed_fields(
+            lambda p: [(b"address", p["address"]), (b"commitment", p["commitment"])]
+        ) == log.to_bytes()
+
+    def test_keys_out_of_order_rejected(self):
+        data = log_with_committed_fields(
+            lambda p: [(b"commitment", p["commitment"]), (b"address", p["address"])]
+        )
+        with pytest.raises(LogFormatError, match="record 1: payload keys not in strictly ascending order") as excinfo:
+            EventLog.from_bytes(data)
+        assert excinfo.value.record_index == 1
+
+    def test_duplicate_key_hiding_a_value_rejected(self):
+        data = log_with_committed_fields(
+            lambda p: [(b"address", b"\xee" * 20), (b"address", p["address"]), (b"commitment", p["commitment"])]
+        )
+        with pytest.raises(LogFormatError, match="record 1: payload keys not in strictly ascending order") as excinfo:
+            EventLog.from_bytes(data)
+        assert excinfo.value.record_index == 1
+
+    @given(st.binary(max_size=300))
+    @settings(deadline=None, max_examples=300)
+    def test_fuzz_random_bytes(self, data):
+        self._rejected_or_round_trips(data)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_fuzz_single_byte_mutations(self, data):
+        mutated = bytearray(honest_log_bytes())
+        mutated[data.draw(st.integers(0, len(mutated) - 1))] ^= data.draw(st.integers(1, 255))
+        self._rejected_or_round_trips(bytes(mutated))
+
+    @staticmethod
+    def _rejected_or_round_trips(data: bytes):
+        try:
+            log = EventLog.from_bytes(data)
+        except LogFormatError:
+            return
+        assert log.to_bytes() == data
 
 
 class TestCommitmentIndex:
