@@ -74,6 +74,9 @@ class FixedBytes:
     def __post_init__(self):
         object.__setattr__(self, "value", _expect_len(self.LABEL, self.value, self.LENGTH))
 
+    def __hash__(self) -> int:
+        return hash(self.value)
+
 
 class PreSharedKey(FixedBytes):
     LENGTH, LABEL = 32, "pre-shared key"
@@ -169,14 +172,22 @@ def decrypt(sk: SessionKey, c: Ciphertext) -> bytes:
         raise DecryptionError("ciphertext failed authentication") from exc
 
 
-def encode_bit_vector(bits: Sequence[int] | np.ndarray) -> bytes:
-    """Pack bits into the normative layout (see module docstring)."""
+def encode_bit_matrix(bits: np.ndarray) -> list[bytes]:
+    """Pack each row of an (N, n) 0/1 matrix into the normative layout; inverse of decode_bit_matrix."""
     values = np.asarray(bits)
     ones = values == 1
     # numbers only, and every nonzero entry must be a 1
-    if values.ndim != 1 or values.dtype.kind not in "biuf" or np.count_nonzero(values) != np.count_nonzero(ones):
+    if values.ndim != 2 or values.dtype.kind not in "biuf" or np.count_nonzero(values) != np.count_nonzero(ones):
         raise ValueError("bits must be 0 or 1")
-    return struct.pack(">I", len(values)) + np.packbits(ones).tobytes()
+    prefix = np.frombuffer(struct.pack(">I", values.shape[1]), dtype=np.uint8)
+    rows = np.hstack([np.broadcast_to(prefix, (len(values), 4)), np.packbits(ones, axis=1)])
+    blob, size = rows.tobytes(), rows.shape[1]
+    return [blob[i : i + size] for i in range(0, len(blob), size)]
+
+
+def encode_bit_vector(bits: Sequence[int] | np.ndarray) -> bytes:
+    """Pack bits into the normative layout (see module docstring)."""
+    return encode_bit_matrix(np.asarray(bits)[None])[0]  # only a 1-D input passes the 2-D check
 
 
 def decode_bit_vector(data: bytes) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 from urllib.parse import quote, unquote
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import ledger as ledger_mod
 from .envelope import (
+    CIPHER_NONCE_LEN,
     BitVectorError,
     Ciphertext,
     Digest,
@@ -39,6 +41,7 @@ from .envelope import (
     decrypt,
     derive_session_key,
     digest,
+    encode_bit_matrix,
     encode_bit_vector,
     encrypt,
     hmac_derive,
@@ -168,8 +171,9 @@ class DeliveryVerdict(enum.Enum):
 
 @dataclass
 class AggregationOutcome:
-    decrypted_vectors: np.ndarray  # (required responses, n) uint8, ascending delivery index
+    decrypted_vectors: np.ndarray  # (opened deliveries, n) uint8, ascending delivery index
     estimate: FrequencyEstimate
+    failed_indices: tuple[int, ...]  # accepted deliveries that did not decrypt or decode
 
 
 @dataclass(frozen=True)
@@ -377,6 +381,41 @@ def evaluate_criteria(profile: OperatorProfile, criteria: FilterCriteria) -> boo
     return True
 
 
+def commit_population(
+    operators: Sequence[Operator], contract: SurveyContract, config_bytes: bytes, expected_digest: Digest,
+    psks: Sequence[PreSharedKey], n1: Nonce, n2: Nonce, rng: np.random.Generator,
+) -> list[tuple[Ciphertext, Digest]]:
+    """Operators, in arrival order, each verify the configuration, encrypt and commit.
+
+    They share the report generator `rng` and one own generator. Each is drawn
+    from once, with the bytes of one draw per operator (see simulate): report i
+    is row i of one (N, n) draw, nonce i bytes [12i, 12i + 12) of one own draw.
+    """
+    if any(operator._rng is not operators[0]._rng for operator in operators):
+        raise ValueError("a population's operators must share one own generator")
+    if len(operators) > 1 and operators[0]._rng is rng:
+        raise ValueError("the own generator doubles as the report generator for more than one operator")
+    committed = []
+    for i, (operator, psk) in enumerate(list(zip(operators, psks, strict=True))):  # one psk each
+        if digest(config_bytes) != expected_digest:
+            raise ConfigIntegrityError(
+                "configuration bytes do not match the on-ledger digest; refusing to participate"
+            )
+        if i == 0:  # verified bytes: draw for the whole population, before anyone commits
+            config = _parse_verified_config(bytes(config_bytes))
+            choices = [other.profile.true_choice for other in operators]
+            plaintexts = encode_bit_matrix(randomize_batch(choices, config.query.n, config.privacy, rng))
+            nonces = operator._rng.bytes(CIPHER_NONCE_LEN * len(operators))
+        nonce = nonces[i * CIPHER_NONCE_LEN : (i + 1) * CIPHER_NONCE_LEN]
+        ciphertext = encrypt(_operator_session_key(psk, n1, n2), plaintexts[i], nonce)
+        commitment = digest(ciphertext.serialize())
+        assert operator.profile.active_address is not None
+        ledger_mod.commit_response(contract, operator.profile.active_address, commitment)
+        operator.ciphertext = ciphertext
+        committed.append((ciphertext, commitment))
+    return committed
+
+
 def operator_prepare_and_commit(
     operator: Operator,
     contract: SurveyContract,
@@ -387,26 +426,12 @@ def operator_prepare_and_commit(
     n2: Nonce,
     rng: np.random.Generator,
 ) -> tuple[Ciphertext, Digest]:
-    """Verify the configuration, randomize, encrypt, and commit on-ledger.
+    """Verify the configuration, randomize, encrypt, and commit on-ledger: the population of one.
 
-    Every call checks the digest; the parse and the session key are shared
-    by a survey's operators. Draws the randomization (one length-n uniform
-    draw) from `rng`, then the 12-byte cipher nonce from the operator's own
-    generator.
+    Draws the report from `rng`, then the cipher nonce from the operator's own
+    generator, which may be `rng` itself.
     """
-    if digest(config_bytes) != expected_digest:
-        raise ConfigIntegrityError(
-            "configuration bytes do not match the on-ledger digest; refusing to participate"
-        )
-    config = _parse_verified_config(bytes(config_bytes))
-    report = randomize_batch([operator.profile.true_choice], config.query.n, config.privacy, rng)[0]
-    sk = _operator_session_key(psk, n1, n2)
-    ciphertext = encrypt(sk, encode_bit_vector(report), operator._rng.bytes(12))
-    commitment = digest(ciphertext.serialize())
-    assert operator.profile.active_address is not None
-    ledger_mod.commit_response(contract, operator.profile.active_address, commitment)
-    operator.ciphertext = ciphertext
-    return ciphertext, commitment
+    return commit_population([operator], contract, config_bytes, expected_digest, [psk], n1, n2, rng)[0]
 
 
 def build_and_finalize_filter(
@@ -525,9 +550,11 @@ def settle_and_decrypt(
     contract: SurveyContract,
     accepted: Mapping[int, Ciphertext],
 ) -> AggregationOutcome:
-    """Reconstruct the session key from the reveal and aggregate responses.
+    """Reconstruct the session key from the reveal and aggregate the deliveries that open.
 
     Each delivery is authenticated on its own, then all decode as one matrix.
+    The fee is paid by now, so one that fails to decrypt or decode is only
+    listed in failed_indices; ProtocolError means that none opened.
     """
     if contract.phase not in (ContractPhase.REVEALED, ContractPhase.SETTLED):
         raise ProtocolError(
@@ -541,19 +568,27 @@ def settle_and_decrypt(
         raise ProtocolError("authority has no survey configuration")
     assert contract.revealed_s2 is not None
     sk = derive_session_key(contract.s1, contract.revealed_s2)
-    indices = sorted(accepted)
-    plaintexts = []
-    for index in indices:
+    n = authority.config.query.n
+    opened: dict[int, bytes] = {}
+    for index in sorted(accepted):
         try:
-            plaintexts.append(decrypt(sk, accepted[index]))
-        except DecryptionError as exc:
-            raise ProtocolError(f"delivery at index {index} failed to open: {exc}") from exc
+            opened[index] = decrypt(sk, accepted[index])
+        except DecryptionError:
+            continue  # listed in failed_indices
     try:
-        vectors = decode_bit_matrix(plaintexts, authority.config.query.n)
-    except BitVectorError as exc:
-        raise ProtocolError(f"delivery at index {indices[exc.record]} failed to open: {exc}") from exc
+        vectors = decode_bit_matrix(list(opened.values()), n)
+    except BitVectorError:  # leave out each record that does not decode on its own
+        for index, plaintext in list(opened.items()):
+            try:
+                decode_bit_matrix([plaintext], n)
+            except BitVectorError:
+                del opened[index]
+        vectors = decode_bit_matrix(list(opened.values()), n)
+    if not opened:
+        raise ProtocolError(f"none of the {len(accepted)} deliveries decrypted and decoded")
     estimate = estimate_frequencies(accumulate_counts(vectors), authority.config.privacy)
-    return AggregationOutcome(vectors, estimate)
+    failed = tuple(sorted(accepted.keys() - opened.keys()))
+    return AggregationOutcome(vectors, estimate, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +623,15 @@ def run_survey(
     Parties act in a fixed order; operators commit and deliver in profile
     order, which is therefore the arrival order. operator_rngs[i] randomizes
     operator i; entries may repeat, a shared generator being consumed in
-    arrival order. Cipher nonces come from infra_rng after setup. Raises
+    arrival order, and each run of consecutive operators sharing one commits
+    as one population (commit_population). Cipher nonces come from
+    infra_rng after setup, so no entry may be infra_rng. Raises
     ProtocolError (with the trace attached) if the survey cannot complete.
     """
     if len(operator_rngs) != len(profiles):
         raise ValueError("need exactly one random stream per operator profile")
+    if any(rng is infra_rng for rng in operator_rngs):
+        raise ValueError("operator_rngs must not include infra_rng, which draws the cipher nonces")
     trace: list[str] = []
     store = ArtifactStore()
     authority = Authority(random_address(infra_rng), config)
@@ -609,19 +648,18 @@ def run_survey(
 
         operators = [Operator(profile, infra_rng) for profile in profiles]
         config_bytes = store.get(contract.config_uri)
-        for operator, rng in zip(operators, operator_rngs):
-            psk = sysop.issue_psk(contract, operator.profile.operator_id)
-            _, commitment = operator_prepare_and_commit(
-                operator,
-                contract,
-                config_bytes,
-                contract.config_digest,
-                psk,
-                contract.n1,
-                contract.n2,
-                rng,
-            )
-            _t(trace, "operator", "commit", f"{operator.profile.operator_id} commitment={commitment.hex[:16]}")
+        for _, run in itertools.groupby(zip(operators, operator_rngs), key=lambda pair: id(pair[1])):
+            population, rngs = zip(*run)
+            psks = [sysop.issue_psk(contract, operator.profile.operator_id) for operator in population]
+            try:
+                commit_population(
+                    population, contract, config_bytes, contract.config_digest, psks,
+                    contract.n1, contract.n2, rngs[0],
+                )
+            finally:  # a line per operator that committed, also when a later one failed
+                for operator in (op for op in population if op.ciphertext is not None):
+                    commitment = contract.commitments.digest_of(operator.profile.active_address)
+                    _t(trace, "operator", "commit", f"{operator.profile.operator_id} commitment={commitment.hex[:16]}")
 
         filter_vector = build_and_finalize_filter(
             sysop, contract, list(profiles), config.criteria, store=store

@@ -8,11 +8,12 @@ whole marketplace (ledger, escrow, delivery) and must land on the exact
 same estimate.
 
 Random stream discipline: one master seed, substreams keyed by (trial,
-slot). Slot 0 samples the true choices. Slot 1 randomizes the reports, n
-uniforms per respondent in order: one (N, n) draw, or in the full protocol
-one generator shared by all operators in arrival order, so both modes see
-the same reports. Slot 2 covers protocol infrastructure: addresses, key
-material, then 12-byte cipher nonces, one per operator in arrival order.
+slot). Slot 0 samples the true choices. Slot 1 randomizes the reports: one
+(N, n) uniform draw, row i for respondent i, in both modes. Slot 2 covers
+protocol infrastructure: one 20N-byte block of addresses, key material,
+then one 12N-byte block of cipher nonces, 12 bytes per operator in arrival
+order. Generator.bytes of a multiple of 4 bytes consumes whole 32-bit
+words of one buffered stream, so each block equals one draw per operator.
 """
 
 from __future__ import annotations
@@ -155,8 +156,9 @@ def default_query(n_choices: int) -> QuerySpec:
 
 
 def distinct_addresses(count: int, rng: np.random.Generator) -> list[Address]:
-    """Draw 20-byte addresses until `count` are distinct; repeats are skipped."""
-    raws: dict[bytes, None] = {}
+    """Draw 20-byte addresses until `count` are distinct: one block of `count`, then one per repeat."""
+    block = rng.bytes(20 * count) if count > 0 else b""  # bytes(0) still consumes a 32-bit word
+    raws = dict.fromkeys(block[i : i + 20] for i in range(0, len(block), 20))
     while len(raws) < count:
         raws.setdefault(rng.bytes(20))
     return [Address(raw) for raw in raws]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privmarket.envelope import digest
 from privmarket.ldp import PrivacyParams, QuerySpec, accumulate_counts, estimate_frequencies
@@ -20,6 +22,7 @@ from privmarket.protocol import (
     authority_verify_delivery,
     build_and_finalize_filter,
     build_survey_config,
+    commit_population,
     equal_split,
     evaluate_criteria,
     operator_deliver,
@@ -129,6 +132,40 @@ class TestConfigFile:
             parse_config_file(truncated)
 
 
+FUZZ_CONFIG = render_config_file(SurveyConfiguration(
+    QuerySpec(["a b", "c,d", "e%"]), FilterCriteria([("region", ["NSW", "VIC"]), ("x", [])]),
+    2, 7, PrivacyParams(0.25),
+))
+
+
+def parses_canonically_or_refuses(data: bytes) -> None:
+    """Only ValueError may escape parse_config_file, and what it accepts re-renders to itself."""
+    try:
+        config = parse_config_file(data)
+    except ValueError:
+        return
+    assert render_config_file(config) == data
+
+
+class TestConfigFileFuzz:
+    @given(st.binary(max_size=300))
+    @settings(deadline=None, max_examples=300)
+    def test_fuzz_random_bytes(self, data):
+        parses_canonically_or_refuses(data)
+
+    @given(st.sampled_from(["flip", "insert", "truncate"]), st.integers(0, len(FUZZ_CONFIG)), st.data())
+    @settings(deadline=None, max_examples=600)
+    def test_fuzz_mutated_config(self, kind, position, data):
+        blob = bytearray(FUZZ_CONFIG)
+        if kind == "flip" and position < len(blob):
+            blob[position] ^= data.draw(st.integers(1, 255))
+        elif kind == "insert":
+            blob.insert(position, data.draw(st.sampled_from(b"0123456789 +-_.,%\nein") | st.integers(0, 255)))
+        else:
+            del blob[position:]
+        parses_canonically_or_refuses(bytes(blob))
+
+
 class TestCriteria:
     def test_empty_accepts_everyone(self):
         assert evaluate_criteria(profile(1), FilterCriteria.empty())
@@ -235,6 +272,68 @@ class TestPrepareAndCommit:
         assert committed[0].payload["commitment"] == commitment.value
         # anyone holding the ciphertext can recompute the on-ledger commitment
         assert digest(ciphertext.serialize()) == commitment
+
+
+class TestCommitPopulation:
+    def _survey(self, count):
+        profiles = [profile(i + 1, choice=i % 4) for i in range(count)]
+        store, _, sysop, contract, _ = setup_small_survey(small_config(nr=count, f=0.5), profiles)
+        config_bytes = store.get(contract.config_uri)
+        psks = [sysop.issue_psk(contract, p.operator_id) for p in profiles]
+        return profiles, contract, config_bytes, psks
+
+    def test_one_draw_each_equals_one_operator_at_a_time(self):
+        reports, own = np.random.default_rng(1), np.random.default_rng(2)
+        profiles, contract, config_bytes, psks = self._survey(7)
+        batch = commit_population(
+            [Operator(p, own) for p in profiles], contract, config_bytes,
+            contract.config_digest, psks, contract.n1, contract.n2, reports,
+        )
+        ref_reports, ref_own = np.random.default_rng(1), np.random.default_rng(2)
+        ref_profiles, ref_contract, _, ref_psks = self._survey(7)
+        one_by_one = [
+            operator_prepare_and_commit(
+                Operator(p, ref_own), ref_contract, config_bytes, ref_contract.config_digest,
+                psk, ref_contract.n1, ref_contract.n2, ref_reports,
+            )
+            for p, psk in zip(ref_profiles, ref_psks)
+        ]
+        assert batch == one_by_one
+        assert contract.log.to_bytes() == ref_contract.log.to_bytes()
+        assert reports.bit_generator.state == ref_reports.bit_generator.state
+        assert own.bit_generator.state == ref_own.bit_generator.state
+
+    def test_tampered_config_draws_and_commits_nothing(self):
+        reports, own = np.random.default_rng(1), np.random.default_rng(2)
+        states = (reports.bit_generator.state, own.bit_generator.state)
+        profiles, contract, config_bytes, psks = self._survey(3)
+        with pytest.raises(ConfigIntegrityError):
+            commit_population(
+                [Operator(p, own) for p in profiles], contract, config_bytes + b" ",
+                contract.config_digest, psks, contract.n1, contract.n2, reports,
+            )
+        assert (reports.bit_generator.state, own.bit_generator.state) == states
+        assert len(contract.log) == 1  # no Committed event
+
+    def test_generators_must_not_interleave(self):
+        profiles, contract, config_bytes, psks = self._survey(2)
+        shared = np.random.default_rng(0)
+        populations = {
+            "share one own generator": [Operator(profiles[0], shared), Operator(profiles[1], np.random.default_rng(1))],
+            "doubles as the report generator": [Operator(p, shared) for p in profiles],
+        }
+        for message, operators in populations.items():
+            with pytest.raises(ValueError, match=message):
+                commit_population(
+                    operators, contract, config_bytes, contract.config_digest, psks,
+                    contract.n1, contract.n2, shared,
+                )
+        with pytest.raises(ValueError):  # one psk short
+            commit_population(
+                [Operator(p, shared) for p in profiles], contract, config_bytes,
+                contract.config_digest, psks[:1], contract.n1, contract.n2, np.random.default_rng(1),
+            )
+        assert len(contract.log) == 1
 
 
 def commit_all(store, sysop, contract, profiles, seed=0):
@@ -436,8 +535,48 @@ class TestDepositAndSettle:
         sk = derive_session_key(contract.s1, contract.revealed_s2)
         accepted = dict(authority.accepted)
         accepted[bad_index] = encrypt(sk, plaintext, b"\x05" * 12)
-        with pytest.raises(ProtocolError, match=f"index {bad_index} failed to open"):
-            settle_and_decrypt(authority, contract, accepted)
+        outcome = settle_and_decrypt(authority, contract, accepted)
+        assert outcome.failed_indices == (bad_index,)
+        assert outcome.estimate.report_count == 2
+        honest = settle_and_decrypt(authority, contract, authority.accepted)
+        assert honest.failed_indices == ()
+        assert (outcome.decrypted_vectors == honest.decrypted_vectors[[0, 2]]).all()
+
+    def _settle_with(self, replace):
+        """Settle an honest 3-of-5 survey; replace maps a delivery's rank to make(sk, ciphertext)."""
+        from privmarket.envelope import derive_session_key
+
+        _, authority, sysop, contract, operators, fv = run_to_filter(nr=3, count=5)
+        self._deliver_all(authority, contract, operators, fv)
+        authority_deposit_and_await_reveal(authority, contract)
+        sysop_reveal_secret(sysop, contract)
+        sk = derive_session_key(contract.s1, contract.revealed_s2)
+        indices = sorted(authority.accepted)
+        accepted = dict(authority.accepted)
+        for rank, make in replace.items():
+            accepted[indices[rank]] = make(sk, accepted[indices[rank]])
+        return indices, settle_and_decrypt(authority, contract, accepted)
+
+    @staticmethod
+    def _wrong_nonce(sk, c):
+        from privmarket.envelope import Ciphertext
+
+        return Ciphertext(b"\x07" * 12, c.body)
+
+    def test_settle_keeps_what_opens_after_a_decryption_failure(self):
+        from privmarket.envelope import encrypt
+
+        def undecodable(sk, c):
+            return encrypt(sk, b"\x00\x00\x00\x09\xff", b"\x08" * 12)
+
+        indices, outcome = self._settle_with({2: self._wrong_nonce, 0: undecodable})
+        assert outcome.failed_indices == (indices[0], indices[2])
+        assert outcome.decrypted_vectors.shape == (1, 4)
+        assert outcome.estimate.report_count == 1
+
+    def test_settle_raises_only_when_nothing_opens(self):
+        with pytest.raises(ProtocolError, match="none of the 3 deliveries decrypted and decoded"):
+            self._settle_with(dict.fromkeys(range(3), self._wrong_nonce))
 
 
 class TestEqualSplit:
@@ -495,6 +634,22 @@ class TestRunSurvey:
                 infra_rng=np.random.default_rng(0),
             )
         assert excinfo.value.trace  # trace attached for post-mortem
+
+    def test_trace_keeps_the_commits_before_a_failed_one(self):
+        # op-02 reuses op-01's address, so the ledger refuses its commitment
+        twin = OperatorProfile("op-02", (addr(1),), {"region": "NSW"}, 0)
+        with pytest.raises(ProtocolError, match="already committed") as excinfo:
+            run_survey(
+                small_config(nr=2), [profile(1), twin], operator_rngs=[np.random.default_rng(1)] * 2,
+                infra_rng=np.random.default_rng(0),
+            )
+        commits = [line for line in excinfo.value.trace if " commit " in line]
+        assert len(commits) == 1 and "op-01" in commits[0]
+
+    def test_infra_rng_may_not_randomize_operators(self):
+        infra = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="infra_rng"):
+            run_survey(small_config(nr=2), [profile(1), profile(2)], operator_rngs=[infra] * 2, infra_rng=infra)
 
     def test_fair_exchange_ordering_on_trace(self):
         profiles = [profile(i + 1) for i in range(3)]

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from privmarket.simulate import (
     ExperimentConfig,
     compute_error_metrics,
     default_query,
+    distinct_addresses,
     export_results,
     result_filename,
     run_full_protocol_experiment,
@@ -158,6 +161,21 @@ class TestFullProtocolExperiment:
         assert len(nonces) == 1000
         assert len(set(nonces)) == 1000
 
+    def test_10k_run_matches_ldp_only_and_its_pinned_log(self):
+        # the paper-scale run, pinned to the event log of the version that
+        # drew every operator's report, nonce and address one by one
+        started = time.perf_counter()
+        config = ExperimentConfig(population=10_000, seed=104729)
+        full, log, _ = run_full_protocol_experiment(config)
+        assert time.perf_counter() - started < 10.0
+        ldp = run_ldp_experiment(config)
+        assert full.estimated_raw == ldp.estimated_raw
+        assert full.actual_counts == ldp.actual_counts
+        assert verify_event_chain(log) == (True, None)
+        assert hashlib.sha256(log.to_bytes()).hexdigest() == (
+            "064d8f126d4866929f93f326a1669eaa3ffa9d778c5b922f9cf6158788c3be91"
+        )
+
     def test_no_noise_end_to_end(self):
         config = ExperimentConfig(population=50, seed=3, privacy=PrivacyParams(0.0))
         result, log, _ = run_full_protocol_experiment(config)
@@ -209,3 +227,38 @@ def test_substreams_are_independent_and_reproducible():
     b = substream(42, 0, 2).random(4)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+@pytest.mark.parametrize("length", [12, 20])
+@pytest.mark.parametrize("count", [1, 3, 7, 1001])
+def test_one_bytes_call_equals_many(length, count):
+    # Generator.bytes of a multiple of 4 bytes consumes whole 32-bit words,
+    # so one block of cipher nonces or addresses equals one draw per operator
+    g, h = np.random.default_rng(9), np.random.default_rng(9)
+    assert b"".join(g.bytes(length) for _ in range(count)) == h.bytes(length * count)
+    assert g.bit_generator.state == h.bit_generator.state
+    assert (g.bytes(4), g.bytes(12), g.random()) == (h.bytes(4), h.bytes(12), h.random())
+
+
+class ReplayBytes:
+    """A generator stand-in whose bytes() hands out a fixed stream in order."""
+
+    def __init__(self, stream: bytes):
+        self.stream = stream
+
+    def bytes(self, length: int) -> bytes:
+        head, self.stream = self.stream[:length], self.stream[length:]
+        return head
+
+
+def test_distinct_addresses_replaces_each_repeat_with_a_further_draw():
+    a, b, c, d = (bytes([k]) * 20 for k in range(4))
+    assert distinct_addresses(3, ReplayBytes(a + b + a + a + c + d)) == [Address(a), Address(b), Address(c)]
+    # equal to drawing one 20-byte address at a time
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    raws: dict[bytes, None] = {}
+    while len(raws) < 500:
+        raws.setdefault(ref.bytes(20))
+    assert distinct_addresses(500, rng) == [Address(raw) for raw in raws]
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert distinct_addresses(0, rng) == [] and rng.bit_generator.state == ref.bit_generator.state
