@@ -18,6 +18,11 @@ Normative byte layouts (inputs to hashing and commitments, bit-exact):
   jointly.
 
 Digests render as lowercase hex everywhere (logs, CSV, CLI).
+
+Lengths and types are checked where bytes come from outside: the public
+constructors of FixedBytes (and ledger.Address) and Ciphertext,
+Ciphertext.deserialize and encrypt's nonce. What digest, hmac_derive,
+derive_session_key and encrypt return is built unchecked (`_made`).
 """
 
 from __future__ import annotations
@@ -74,6 +79,12 @@ class FixedBytes:
     def __post_init__(self):
         object.__setattr__(self, "value", _expect_len(self.LABEL, self.value, self.LENGTH))
 
+    @classmethod
+    def _made(cls, value: bytes):
+        made = object.__new__(cls)
+        object.__setattr__(made, "value", value)
+        return made
+
     def __hash__(self) -> int:
         return hash(self.value)
 
@@ -117,13 +128,20 @@ class Ciphertext:
             raise ValueError("ciphertext body must hold at least the authentication tag")
         object.__setattr__(self, "body", bytes(self.body))
 
+    @classmethod
+    def _made(cls, cipher_nonce: bytes, body: bytes) -> "Ciphertext":
+        made = object.__new__(cls)
+        object.__setattr__(made, "cipher_nonce", cipher_nonce)
+        object.__setattr__(made, "body", body)
+        return made
+
     def serialize(self) -> bytes:
         return self.cipher_nonce + self.body
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Ciphertext":
-        if len(data) < CIPHER_NONCE_LEN + GCM_TAG_LEN:
-            raise ValueError("serialized ciphertext too short")
+        if not isinstance(data, (bytes, bytearray)) or len(data) < CIPHER_NONCE_LEN + GCM_TAG_LEN:
+            raise ValueError("serialized ciphertext must be bytes holding a nonce and a tag")
         return cls(data[:CIPHER_NONCE_LEN], data[CIPHER_NONCE_LEN:])
 
 
@@ -138,17 +156,17 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
 
 def hmac_derive(psk: PreSharedKey, nonce: Nonce) -> Secret:
     """Derive a 32-byte secret: HMAC-SHA-256(key=psk, message=nonce)."""
-    return Secret(hmac_sha256(psk.value, nonce.value))
+    return Secret._made(hmac_sha256(psk.value, nonce.value))
 
 
 def derive_session_key(s1: Secret, s2: Secret) -> SessionKey:
     """SHA-256 over the 64-byte concatenation s1 || s2, in that order."""
-    return SessionKey(sha256(s1.value + s2.value))
+    return SessionKey._made(sha256(s1.value + s2.value))
 
 
 def digest(data: bytes) -> Digest:
     """SHA-256 of the exact input bytes."""
-    return Digest(sha256(data))
+    return Digest._made(sha256(data))
 
 
 @functools.lru_cache(maxsize=8)
@@ -160,8 +178,7 @@ def _aead(key: bytes) -> AESGCM:
 def encrypt(sk: SessionKey, plaintext: bytes, cipher_nonce: bytes) -> Ciphertext:
     """AES-256-GCM. The nonce must be unique per (key, message) pair."""
     nonce = _expect_len("cipher nonce", cipher_nonce, CIPHER_NONCE_LEN)
-    body = _aead(sk.value).encrypt(nonce, bytes(plaintext), None)
-    return Ciphertext(nonce, body)
+    return Ciphertext._made(nonce, _aead(sk.value).encrypt(nonce, bytes(plaintext), None))
 
 
 def decrypt(sk: SessionKey, c: Ciphertext) -> bytes:

@@ -23,6 +23,10 @@ strict: keys must be strictly ascending (no repeats), strings valid UTF-8,
 and nothing may trail a record, so every accepted log re-serializes to
 exactly its input bytes.
 
+An event keeps its event_bytes, encoded once by `append` or sliced from a
+canonical input by `from_bytes`, and a read-only payload, so the two cannot
+drift apart; `to_bytes` joins and `verify_event_chain` hashes those bytes.
+
 All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
 order).
@@ -33,6 +37,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .envelope import Digest, FixedBytes, Nonce, Secret, digest, encode_bit_vector
@@ -119,7 +124,7 @@ def _encode_payload(payload: Mapping[str, PayloadValue]) -> bytes:
             if value < 0 or value >= 1 << 64:
                 raise ValueError(f"payload int out of u64 range: {value}")
             parts += (_U16.pack(len(kb)), kb, _INT_FIELD.pack(_INT_TAG, value))
-        elif isinstance(value, (bytes, bytearray)):
+        elif isinstance(value, bytes):  # immutable, like every payload value
             parts += (_U16.pack(len(kb)), kb, _BLOB_FIELD.pack(_BYTES_TAG, len(value)), value)
         elif isinstance(value, str):
             sb = value.encode("utf-8")
@@ -162,30 +167,32 @@ def _decode_body(body: bytes, index: int) -> LedgerEvent:
         raise LogFormatError(index, "payload keys not in strictly ascending order")
     if len(body) - pos != 64:
         raise LogFormatError(index, "truncated field" if len(body) - pos < 64 else "trailing bytes inside record")
-    return LedgerEvent(sequence_no, kind, payload, body[pos : pos + 32], body[pos + 32 :])
+    prev_hash, event_hash, event_bytes = body[pos : pos + 32], body[pos + 32 :], body[: pos + 32]
+    return LedgerEvent(sequence_no, kind, MappingProxyType(payload), prev_hash, event_hash, event_bytes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEvent:
     sequence_no: int
     kind: EventKind
-    payload: Payload
+    payload: Mapping[str, PayloadValue]  # read-only
     prev_hash: bytes
     event_hash: bytes
+    event_bytes: bytes = field(repr=False)  # the canonical encoding of the fields above but event_hash
 
     def canonical_bytes(self) -> bytes:
         """Everything the event hash covers (all fields except the hash itself)."""
-        return _EVENT_HEAD.pack(self.sequence_no, self.kind) + _encode_payload(self.payload) + self.prev_hash
+        return self.event_bytes
 
     def compute_hash(self) -> bytes:
-        return digest(self.canonical_bytes()).value
+        return digest(self.event_bytes).value
 
     def describe(self) -> str:
         parts = []
         for key in sorted(self.payload):
             value = self.payload[key]
-            if isinstance(value, (bytes, bytearray)):
-                parts.append(f"{key}={bytes(value).hex()}")
+            if isinstance(value, bytes):
+                parts.append(f"{key}={value.hex()}")
             else:
                 parts.append(f"{key}={value}")
         return (
@@ -208,16 +215,16 @@ class EventLog:
 
     def append(self, kind: EventKind, payload: Payload) -> LedgerEvent:
         prev = self.events[-1].event_hash if self.events else GENESIS_PREV
-        event = LedgerEvent(len(self.events), kind, dict(payload), prev, b"\x00" * 32)
-        object.__setattr__(event, "event_hash", event.compute_hash())
+        payload = MappingProxyType(dict(payload))  # a copy: the caller's dict may change later
+        event_bytes = _EVENT_HEAD.pack(len(self.events), kind) + _encode_payload(payload) + prev
+        event = LedgerEvent(len(self.events), kind, payload, prev, digest(event_bytes).value, event_bytes)
         self.events.append(event)
         return event
 
     def to_bytes(self) -> bytes:
         parts = []
         for event in self.events:
-            body = event.canonical_bytes() + event.event_hash
-            parts += (_U32.pack(len(body)), body)
+            parts += (_U32.pack(len(event.event_bytes) + 32), event.event_bytes, event.event_hash)
         return b"".join(parts)
 
     @classmethod
@@ -480,40 +487,33 @@ def reveal_secret(contract: SurveyContract, s2_candidate: Secret) -> SurveyContr
     return contract
 
 
-def _pack_distribution(distribution: Mapping[Address, int]) -> bytes:
-    out = bytearray()
-    for address in sorted(distribution, key=lambda a: a.value):
-        amount = distribution[address]
-        if amount < 0:
-            raise ValueError("payout amounts must be non-negative")
-        out += address.value + struct.pack(">Q", amount)
-    return bytes(out)
-
-
 def payout(
     contract: SurveyContract,
     distribution: Mapping[Address, int],
     filter_bits: Sequence[int],
 ) -> SurveyContract:
-    """Distribute operator compensation out of the released fee.
+    """Pay each of exactly `required_responses` filter-eligible commitments one equal share of the fee.
 
     The contract stores only the filter's hash, so the caller supplies the
     filter bits; they are checked against the recorded digest before any
-    eligibility decision.
+    eligibility decision. The share is the caller's (no percentage is on the
+    ledger); any other distribution changes nothing.
     """
     if contract.phase != ContractPhase.REVEALED:
         raise LedgerError(f"cannot pay out in phase {contract.phase.name}")
     if contract.filter_digest is None or digest(encode_bit_vector(filter_bits)) != contract.filter_digest:
         raise LedgerError("supplied filter does not match the recorded filter hash")
+    if len(filter_bits) != len(contract.commitments) or sum(filter_bits) != contract.required_responses:
+        raise LedgerError(f"filter must mark exactly {contract.required_responses} of the commitments")
+    eligible = [a for a, bit in zip(contract.commitments.addresses_sorted(), filter_bits) if bit]  # PAID_OUT order
+    if distribution.keys() != set(eligible):
+        raise LedgerError("distribution must pay exactly the filter-eligible committed addresses")
+    if len(set(distribution.values())) != 1 or min(distribution.values()) < 0:
+        raise LedgerError(f"shares must be one equal, non-negative amount, got {sorted(set(distribution.values()))}")
     total = sum(distribution.values())
     if total > contract.fee:
         raise LedgerError(f"distribution {total} exceeds the fee {contract.fee}")
-    for address in distribution:
-        if address not in contract.commitments:
-            raise LedgerError(f"payout to unknown address {address}")
-        if filter_bits[contract.commitments.index_of(address)] != 1:
-            raise LedgerError(f"payout to filter-ineligible address {address}")
-    packed = _pack_distribution(distribution)
+    packed = b"".join(address.value + struct.pack(">Q", distribution[address]) for address in eligible)
     contract._credit(contract.sysop, -total)
     for address, amount in distribution.items():
         contract._credit(address, amount)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from privmarket.cli import main
-from privmarket.envelope import encode_bit_vector
+from privmarket.envelope import digest, encode_bit_vector
 from privmarket.ldp import PrivacyParams
-from privmarket.ledger import EventLog
+from privmarket.ledger import EventLog, _encode_payload
 from privmarket.simulate import ExperimentConfig, Mode, run_full_protocol_experiment
 
 
@@ -221,7 +221,12 @@ class TestReadPathPins:
     def test_log_bytes_and_parse_round_trip(self, survey_log_file):
         data = survey_log_file.read_bytes()
         assert sha256(data) == "5122edd71c8065c691282488c18063a459328332c118341d19ba06cfb1be310e"
-        assert EventLog.from_bytes(data).to_bytes() == data
+        log = EventLog.from_bytes(data)
+        assert log.to_bytes() == data
+        for event in log:  # the stored bytes re-encode from the parsed fields and hash to the event hash
+            fields = event.sequence_no.to_bytes(4, "big") + bytes([event.kind]) + _encode_payload(event.payload)
+            assert fields + event.prev_hash == event.canonical_bytes()
+            assert digest(fields + event.prev_hash).value == event.event_hash
 
     def test_inspect_intact_log(self, survey_log_file, capsys):
         assert main(["inspect-ledger", "--log-file", str(survey_log_file)]) == 0

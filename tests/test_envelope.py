@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,12 +30,13 @@ from privmarket.envelope import (
     unpack_bit_vector_stream,
 )
 from privmarket.ldp import ResponseVector
+from privmarket.ledger import Address
 
 
 class TestNewtypes:
     @pytest.mark.parametrize(
         "cls,length",
-        [(PreSharedKey, 32), (Nonce, 16), (Secret, 32), (SessionKey, 32), (Digest, 32)],
+        [(PreSharedKey, 32), (Nonce, 16), (Secret, 32), (SessionKey, 32), (Digest, 32), (Address, 20)],
     )
     def test_length_enforced(self, cls, length):
         cls(b"\x00" * length)
@@ -41,6 +44,9 @@ class TestNewtypes:
             cls(b"\x00" * (length - 1))
         with pytest.raises(ValueError):
             cls(b"\x00" * (length + 1))
+        for not_bytes in ("\x00" * length, [0] * length, None):
+            with pytest.raises(ValueError):
+                cls(not_bytes)
 
     def test_ciphertext_needs_tag(self):
         Ciphertext(b"\x00" * 12, b"\x00" * 16)
@@ -48,6 +54,36 @@ class TestNewtypes:
             Ciphertext(b"\x00" * 12, b"\x00" * 15)
         with pytest.raises(ValueError):
             Ciphertext(b"\x00" * 11, b"\x00" * 16)
+        with pytest.raises(ValueError):
+            Ciphertext(b"\x00" * 13, b"\x00" * 16)
+        with pytest.raises(ValueError):
+            Ciphertext("\x00" * 12, b"\x00" * 16)
+        with pytest.raises(ValueError):
+            Ciphertext(b"\x00" * 12, "\x00" * 16)
+
+    @pytest.mark.parametrize("data", [b"\x00" * 27, b"", "\x00" * 28, [0] * 28, None])
+    def test_deserialize_checks_length_and_type(self, data):
+        with pytest.raises(ValueError):
+            Ciphertext.deserialize(data)
+
+    @pytest.mark.parametrize("nonce", [b"\x00" * 11, b"\x00" * 13, "\x00" * 12, None])
+    def test_encrypt_checks_nonce(self, nonce):
+        with pytest.raises(ValueError):
+            encrypt(SessionKey(b"\x00" * 32), b"x", nonce)
+
+    def test_made_values_equal_checked_ones(self):
+        # digest, hmac_derive, derive_session_key and encrypt skip the constructor's checks
+        secret = hmac_derive(PreSharedKey(b"\x07" * 32), Nonce(b"\x01" * 16))
+        key = derive_session_key(secret, secret)
+        c = encrypt(key, b"payload", b"\x02" * 12)
+        made = [secret, key, digest(b"abc"), c]
+        checked = [Secret(secret.value), SessionKey(key.value), Digest(hashlib.sha256(b"abc").digest())]
+        checked.append(Ciphertext(c.cipher_nonce, c.body))
+        for m, k in zip(made, checked):
+            assert type(m) is type(k)
+            assert m == k
+            assert hash(m) == hash(k)
+        assert Ciphertext.deserialize(c.serialize()) == c
 
 
 class TestHmacDerive:

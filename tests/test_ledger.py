@@ -1,3 +1,4 @@
+import copy
 import functools
 import struct
 
@@ -15,6 +16,7 @@ from privmarket.ledger import (
     EventLog,
     LedgerError,
     LogFormatError,
+    _encode_payload,
     abort,
     check_transfer_safety,
     commit_response,
@@ -63,6 +65,17 @@ def settle_to_deposit(contract, commitments):
     finalize_filter(contract, digest(encode_bit_vector(bits)))
     deposit(contract, AUTHORITY, contract.fee)
     return bits
+
+
+def contract_state(contract):
+    """Every field of a contract by value, its commitments, and its log's bytes."""
+    fields = {k: v for k, v in vars(contract).items() if k not in ("commitments", "log")}
+    return copy.deepcopy(fields), list(contract.commitments), contract.log.to_bytes()
+
+
+def reencoded(event) -> bytes:
+    """The canonical encoding of an event's fields, made afresh (the hash covers these bytes)."""
+    return struct.pack(">IB", event.sequence_no, event.kind) + _encode_payload(event.payload) + event.prev_hash
 
 
 class TestCreate:
@@ -197,9 +210,10 @@ class TestReveal:
 
 
 class TestPayout:
-    def _revealed_contract(self, nr=2, fee=100):
+    def _revealed_contract(self, nr=2, fee=100, committed=None):
+        """A revealed contract whose filter marks every one of `committed` (default nr) commitments."""
         contract, s2 = make_contract(nr=nr, fee=fee)
-        pairs = [(addr(i + 1), digest(bytes([i]))) for i in range(nr)]
+        pairs = [(addr(i + 1), digest(bytes([i]))) for i in range(committed or nr)]
         bits = settle_to_deposit(contract, pairs)
         reveal_secret(contract, s2)
         return contract, bits, [a for a, _ in pairs]
@@ -232,6 +246,27 @@ class TestPayout:
         contract, bits, addresses = self._revealed_contract()
         with pytest.raises(LedgerError):
             payout(contract, {addresses[0]: 10}, [1, 0])
+
+    @pytest.mark.parametrize(
+        "nr,shares",
+        [
+            (2, {0: 1}),  # the other eligible operator gets nothing and the sysop keeps 99
+            (2, {}),
+            (2, {0: 70, 1: 10}),
+            (1, {0: 40, 1: 40}),  # the filter marks two commitments for NR = 1
+            (2, {0: 60, 1: 60}),
+            (2, {0: -10, 1: -10}),
+        ],
+        ids=["subset", "empty", "unequal", "popcount", "over-the-fee", "negative"],
+    )
+    def test_unfair_payout_rejected_and_changes_nothing(self, nr, shares):
+        contract, bits, addresses = self._revealed_contract(nr=nr, committed=2)
+        assert bits == [1, 1]
+        before = contract_state(contract)
+        with pytest.raises(LedgerError):
+            payout(contract, {addresses[i]: amount for i, amount in shares.items()}, bits)
+        assert contract_state(contract) == before
+        assert contract.phase == ContractPhase.REVEALED
 
     def test_payout_before_reveal_rejected(self):
         contract, _ = make_contract(nr=1, fee=100)
@@ -350,6 +385,33 @@ class TestEventChain:
         assert bad == 2
 
 
+class TestReadOnlyEvents:
+    def test_payload_cannot_be_assigned(self):
+        log = full_honest_log().log
+        for event in (log.events[1], EventLog.from_bytes(log.to_bytes()).events[1]):
+            with pytest.raises(TypeError):
+                event.payload["address"] = b"\xee" * 20
+            assert event.payload["address"] == addr(5).value
+
+    def test_appended_payload_is_a_copy(self):
+        log = EventLog()
+        payload = {"amount": 5, "from": AUTHORITY.value}
+        event = log.append(EventKind.DEPOSITED, payload)
+        before = (dict(event.payload), event.canonical_bytes(), event.event_hash)
+        payload["amount"] = 6
+        payload["to_role"] = "sysop"
+        del payload["from"]
+        assert (dict(event.payload), event.canonical_bytes(), event.event_hash) == before
+        assert reencoded(event) == event.canonical_bytes()
+        assert verify_event_chain(log) == (True, None)
+
+    def test_mutable_payload_values_rejected(self):
+        log = EventLog()
+        with pytest.raises(TypeError):
+            log.append(EventKind.DEPOSITED, {"amount": 5, "from": bytearray(AUTHORITY.value)})
+        assert len(log) == 0
+
+
 def wire_record(event) -> bytes:
     body = event.canonical_bytes() + event.event_hash
     return struct.pack(">I", len(body)) + body
@@ -428,6 +490,9 @@ class TestCanonicalParse:
         except LogFormatError:
             return
         assert log.to_bytes() == data
+        for event in log:  # the stored bytes are those of the parsed fields, and they are what gets hashed
+            assert reencoded(event) == event.canonical_bytes()
+            assert event.compute_hash() == digest(reencoded(event)).value
 
 
 class TestCommitmentIndex:
