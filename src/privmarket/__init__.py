@@ -10,13 +10,10 @@ from .ldp import (
     FrequencyEstimate,
     PrivacyParams,
     QuerySpec,
-    ResponseVector,
     accumulate_counts,
-    encode_one_hot,
     epsilon_of,
     estimate_frequencies,
     randomize_batch,
-    randomize_response,
 )
 from .envelope import (
     Ciphertext,
@@ -26,8 +23,6 @@ from .envelope import (
     PreSharedKey,
     Secret,
     SessionKey,
-    canonical_encode_response,
-    decode_response,
     decrypt,
     derive_session_key,
     digest,

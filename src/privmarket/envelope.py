@@ -38,8 +38,6 @@ import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .ldp import ResponseVector
-
 CIPHER_NONCE_LEN = 12
 GCM_TAG_LEN = 16
 
@@ -207,26 +205,6 @@ def encode_bit_vector(bits: Sequence[int] | np.ndarray) -> bytes:
     return encode_bit_matrix(np.asarray(bits)[None])[0]  # only a 1-D input passes the 2-D check
 
 
-def decode_bit_vector(data: bytes) -> tuple[int, ...]:
-    """Strict inverse of encode_bit_vector.
-
-    Rejects truncated input, trailing bytes and nonzero padding bits;
-    every byte string decodes to at most one bit sequence.
-    """
-    if len(data) < 4:
-        raise ValueError("bit vector record truncated before length prefix")
-    (n,) = struct.unpack(">I", data[:4])
-    expected = 4 + (n + 7) // 8
-    if len(data) != expected:
-        raise ValueError(f"bit vector record length mismatch: want {expected} bytes, got {len(data)}")
-    packed = data[4:]
-    bits = tuple((packed[j // 8] >> (7 - j % 8)) & 1 for j in range(n))
-    # padding bits beyond n must be zero or decoding would be ambiguous
-    if n % 8 and packed and packed[-1] & ((1 << (8 - n % 8)) - 1):
-        raise ValueError("nonzero padding bits in bit vector record")
-    return bits
-
-
 def _unpack_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """Bits of the leading rows (one encoded record each) whose length prefix is n, and their count.
 
@@ -244,8 +222,8 @@ def _unpack_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, int]:
 def decode_bit_matrix(records: Sequence[bytes], n: int) -> np.ndarray:
     """Strictly decode records that each hold n bits into one (N, n) uint8 matrix.
 
-    Every record gets decode_bit_vector's checks (exact length, length
-    prefix n, zero padding); BitVectorError names the first bad record.
+    Every record must have the exact length, the length prefix n and zero
+    padding bits; BitVectorError names the first bad record.
     """
     size = 4 + (n + 7) // 8
     for i, record in enumerate(records):
@@ -261,9 +239,9 @@ def decode_bit_stream(data: bytes) -> np.ndarray:
     """Strictly decode a concatenation of equal-length bit vectors into one (N, n) uint8 matrix.
 
     n is the first record's length prefix; empty input is a (0, 0) matrix.
-    Rows equal decode_bit_vector of each record. BitVectorError names the
-    first bad record: truncated, nonzero padding, or (MixedLengthsError) a
-    whole record holding another number of bits.
+    Row i holds the bits of record i. BitVectorError names the first bad
+    record: truncated, nonzero padding, or (MixedLengthsError) a whole
+    record holding another number of bits.
     """
     n = int.from_bytes(data[:4], "big")  # input shorter than a prefix holds no whole record
     size = 4 + (n + 7) // 8
@@ -278,29 +256,3 @@ def decode_bit_stream(data: bytes) -> np.ndarray:
     if len(rest) < 4 + (m + 7) // 8:
         raise BitVectorError(good, "truncated body")
     raise MixedLengthsError(good, f"holds {m} bits, record 0 holds {n}")
-
-
-def unpack_bit_vector_stream(data: bytes) -> list[tuple[int, ...]]:
-    """Parse a concatenation of encoded bit vectors, strictly."""
-    out: list[tuple[int, ...]] = []
-    offset = 0
-    while offset < len(data):
-        if len(data) - offset < 4:
-            raise BitVectorError(len(out), "truncated length prefix")
-        (n,) = struct.unpack(">I", data[offset : offset + 4])
-        end = offset + 4 + (n + 7) // 8
-        if end > len(data):
-            raise BitVectorError(len(out), "truncated body")
-        out.append(decode_bit_vector(data[offset:end]))
-        offset = end
-    return out
-
-
-def canonical_encode_response(rv: ResponseVector) -> bytes:
-    """Stable bytes of a response vector for encryption and hashing."""
-    return encode_bit_vector(rv.bits)
-
-
-def decode_response(data: bytes) -> ResponseVector:
-    """Inverse of canonical_encode_response; rejects malformed input."""
-    return ResponseVector(decode_bit_vector(data))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,29 +61,6 @@ class PrivacyParams:
 
 
 @dataclass(frozen=True)
-class ResponseVector:
-    """A bit vector over the query's choices.
-
-    Freshly encoded vectors are one-hot; randomized vectors generally are
-    not. Instances are immutable and safe to share across threads.
-    """
-
-    bits: tuple[int, ...]
-
-    def __init__(self, bits: Sequence[int]):
-        vals = tuple(int(b) for b in bits)
-        if not vals:
-            raise ValueError("response vector must not be empty")
-        if any(b not in (0, 1) for b in vals):
-            raise ValueError("response bits must be 0 or 1")
-        object.__setattr__(self, "bits", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-
-@dataclass(frozen=True)
 class BitCounts:
     """Per-position counts of set bits over a batch of reports.
 
@@ -121,64 +98,29 @@ class FrequencyEstimate:
     report_count: int
 
 
-def encode_one_hot(choice_index: int, n: int) -> ResponseVector:
-    """Build the pre-randomization vector for a single choice."""
-    if n < 2:
-        raise ValueError(f"need at least 2 choices, got n={n}")
-    if not (0 <= choice_index < n):
-        raise ValueError(f"choice index {choice_index} out of range for n={n}")
-    bits = [0] * n
-    bits[choice_index] = 1
-    return ResponseVector(bits)
-
-
-def _play(u: np.ndarray, bits: np.ndarray, f: float) -> np.ndarray:
-    """The per-bit game on uniforms u: u < f/2 -> 1, f/2 <= u < f -> 0, u >= f -> copy."""
-    return np.where(u < f, u < f / 2.0, bits).astype(np.uint8, copy=False)
-
-
-def randomize_response(
-    rv: ResponseVector, params: PrivacyParams, rng: np.random.Generator
-) -> ResponseVector:
-    """Apply the per-bit randomized-response game to a vector.
-
-    Each output bit independently copies the input with probability 1 - f
-    and is otherwise a fair coin. Consumes exactly one length-n uniform
-    draw from `rng` (callers relying on stream alignment can count on
-    that), so identical (rv, f, seed) always yields identical output.
-
-    The input vector is not modified.
-    """
-    u = rng.random(rv.n)
-    return ResponseVector(_play(u, np.asarray(rv.bits, dtype=np.uint8), params.f).tolist())
-
-
 def randomize_batch(
     choices: Sequence[int] | np.ndarray, n: int, params: PrivacyParams, rng: np.random.Generator
 ) -> np.ndarray:
     """Encode and randomize a whole population as one (N, n) uint8 matrix.
 
-    Consumes one (N, n) uniform draw, filled row after row, so row i equals
-    randomize_response(encode_one_hot(choices[i], n), params, g) for g the
-    same generator advanced by i * n doubles.
+    Consumes one (N, n) uniform draw u, filled row after row, and plays the
+    per-bit game on it: u < f/2 -> 1, f/2 <= u < f -> 0, u >= f -> the
+    one-hot bit. Row i thus depends only on choices[i] and the n doubles
+    the generator yields after i * n of them.
     """
     index = np.asarray(choices, dtype=np.int64)
     if n < 2 or index.ndim != 1 or ((index < 0) | (index >= n)).any():
         raise ValueError(f"choices must be a flat sequence of indices in [0, {n}), n >= 2")
     one_hot = index[:, None] == np.arange(n)
-    return _play(rng.random(one_hot.shape), one_hot, params.f)
+    u = rng.random(one_hot.shape)
+    return np.where(u < params.f, u < params.f / 2.0, one_hot).astype(np.uint8, copy=False)
 
 
-def accumulate_counts(reports: Iterable[ResponseVector] | np.ndarray) -> BitCounts:
-    """Sum reported bits per position: one column sum over ResponseVectors
-    of one length, or over an (N, n) 0/1 matrix from `randomize_batch`."""
-    if not isinstance(reports, np.ndarray):
-        batch = [rv.bits for rv in reports]
-        if len(set(map(len, batch))) > 1:
-            raise ValueError("reports have mixed lengths")
-        reports = np.array(batch, dtype=np.uint8)
+def accumulate_counts(reports: np.ndarray) -> BitCounts:
+    """Sum reported bits per position: one column sum over an (N, n) 0/1 matrix."""
+    reports = np.asarray(reports)
     if reports.ndim != 2 or not len(reports):
-        raise ValueError("need a non-empty (N, n) collection of reports")
+        raise ValueError("need a non-empty (N, n) matrix of reports")
     if ((reports != 0) & (reports != 1)).any():
         raise ValueError("response bits must be 0 or 1")
     return BitCounts(reports.sum(axis=0, dtype=np.int64), len(reports))

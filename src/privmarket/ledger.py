@@ -167,8 +167,7 @@ def _decode_body(body: bytes, index: int) -> LedgerEvent:
         raise LogFormatError(index, "payload keys not in strictly ascending order")
     if len(body) - pos != 64:
         raise LogFormatError(index, "truncated field" if len(body) - pos < 64 else "trailing bytes inside record")
-    prev_hash, event_hash, event_bytes = body[pos : pos + 32], body[pos + 32 :], body[: pos + 32]
-    return LedgerEvent(sequence_no, kind, MappingProxyType(payload), prev_hash, event_hash, event_bytes)
+    return LedgerEvent(sequence_no, kind, MappingProxyType(payload), body[pos + 32 :], body[: pos + 32])
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,9 +175,12 @@ class LedgerEvent:
     sequence_no: int
     kind: EventKind
     payload: Mapping[str, PayloadValue]  # read-only
-    prev_hash: bytes
     event_hash: bytes
-    event_bytes: bytes = field(repr=False)  # the canonical encoding of the fields above but event_hash
+    event_bytes: bytes = field(repr=False)  # the canonical encoding: sequence_no, kind, payload, prev_hash
+
+    @property
+    def prev_hash(self) -> bytes:
+        return self.event_bytes[-32:]
 
     def canonical_bytes(self) -> bytes:
         """Everything the event hash covers (all fields except the hash itself)."""
@@ -217,7 +219,7 @@ class EventLog:
         prev = self.events[-1].event_hash if self.events else GENESIS_PREV
         payload = MappingProxyType(dict(payload))  # a copy: the caller's dict may change later
         event_bytes = _EVENT_HEAD.pack(len(self.events), kind) + _encode_payload(payload) + prev
-        event = LedgerEvent(len(self.events), kind, payload, prev, digest(event_bytes).value, event_bytes)
+        event = LedgerEvent(len(self.events), kind, payload, digest(event_bytes).value, event_bytes)
         self.events.append(event)
         return event
 

@@ -58,8 +58,8 @@ from .ldp import (
 from .ledger import Address, ContractPhase, LedgerError, SurveyContract
 
 CONFIG_HEADER = "survey-config/1"
-DEFAULT_DEADLINE = 1 << 32
-DEFAULT_OPERATOR_SHARE_PCT = 80
+DEADLINE = 1 << 32
+OPERATOR_SHARE_PCT = 80
 
 
 class ProtocolError(Exception):
@@ -325,13 +325,7 @@ class Operator:
 
 
 def setup_survey(
-    authority: Authority,
-    sysop: SystemOperator,
-    config: SurveyConfiguration,
-    *,
-    store: ArtifactStore,
-    deadline: int = DEFAULT_DEADLINE,
-    config_uri: str | None = None,
+    authority: Authority, sysop: SystemOperator, config: SurveyConfiguration, *, store: ArtifactStore
 ) -> tuple[SurveyContract, PskDistribution]:
     """Create the on-ledger contract and stage key material.
 
@@ -340,7 +334,7 @@ def setup_survey(
     """
     file_bytes = render_config_file(config)
     config_digest = digest(file_bytes)
-    uri = config_uri or f"survey://{config_digest.hex}/config"
+    uri = f"survey://{config_digest.hex}/config"
     store.put(uri, file_bytes)
 
     psk = PreSharedKey(sysop._rng.bytes(32))
@@ -357,7 +351,7 @@ def setup_survey(
         n2,
         s1,
         digest(s2.value),
-        deadline,
+        DEADLINE,
         authority=authority.address,
         sysop=sysop.address,
     )
@@ -524,21 +518,14 @@ def sysop_reveal_secret(sysop: SystemOperator, contract: SurveyContract) -> None
     ledger_mod.reveal_secret(contract, sysop.secret_for(contract))
 
 
-def equal_split(fee: int, required_responses: int, operator_share_pct: int = DEFAULT_OPERATOR_SHARE_PCT) -> int:
-    """Per-operator compensation: operators share operator_share_pct of the fee."""
-    if not (0 <= operator_share_pct <= 100):
-        raise ValueError("operator share must be a percentage")
-    return fee * operator_share_pct // (100 * required_responses)
+def equal_split(fee: int, required_responses: int) -> int:
+    """Per-operator compensation: operators share OPERATOR_SHARE_PCT of the fee."""
+    return fee * OPERATOR_SHARE_PCT // (100 * required_responses)
 
 
-def sysop_payout(
-    sysop: SystemOperator,
-    contract: SurveyContract,
-    filter_vector: FilterVector,
-    operator_share_pct: int = DEFAULT_OPERATOR_SHARE_PCT,
-) -> dict[Address, int]:
+def sysop_payout(sysop: SystemOperator, contract: SurveyContract, filter_vector: FilterVector) -> dict[Address, int]:
     """Equal shares to every filter-eligible operator; remainder retained."""
-    share = equal_split(contract.fee, contract.required_responses, operator_share_pct)
+    share = equal_split(contract.fee, contract.required_responses)
     ranked = zip(contract.commitments.addresses_sorted(), filter_vector.bits)
     distribution = {address: share for address, bit in ranked if bit == 1}
     ledger_mod.payout(contract, distribution, filter_vector.bits)
@@ -615,8 +602,6 @@ def run_survey(
     *,
     operator_rngs: Sequence[np.random.Generator],
     infra_rng: np.random.Generator,
-    deadline: int = DEFAULT_DEADLINE,
-    operator_share_pct: int = DEFAULT_OPERATOR_SHARE_PCT,
 ) -> SurveyOutcome:
     """Drive one honest survey end to end, deterministically.
 
@@ -640,9 +625,7 @@ def run_survey(
         sysop.register_operator(profile)
 
     try:
-        contract, psk_record = setup_survey(
-            authority, sysop, config, store=store, deadline=deadline
-        )
+        contract, psk_record = setup_survey(authority, sysop, config, store=store)
         _t(trace, "sysop", "create-contract", f"id={contract.contract_id.hex[:16]} nr={config.required_responses} fee={config.fee}")
         _t(trace, "sysop", "distribute-psk", f"recipients={len(psk_record.recipients)}")
 
@@ -681,7 +664,7 @@ def run_survey(
         _t(trace, "authority", "deposit", f"amount={contract.fee}")
         sysop_reveal_secret(sysop, contract)
         _t(trace, "sysop", "reveal-secret", f"h_s2={contract.h_s2.hex[:16]}")
-        payouts = sysop_payout(sysop, contract, filter_vector, operator_share_pct)
+        payouts = sysop_payout(sysop, contract, filter_vector)
         for address, amount in sorted(payouts.items(), key=lambda item: item[0].value):
             _t(trace, "sysop", "pay-operator", f"{address} amount={amount}")
         aggregation = settle_and_decrypt(authority, contract, authority.accepted)

@@ -19,7 +19,6 @@ words of one buffered stream, so each block equals one draw per operator.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -49,8 +48,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 1
     mode: Mode = Mode.LDP_ONLY
-    required_responses: int | None = None  # full protocol; defaults to population
-    fee: int | None = None  # full protocol; defaults to 10 * population
 
     def __post_init__(self):
         if self.population < 1:
@@ -83,7 +80,6 @@ class ExperimentResult:
     estimated_raw: tuple[float, ...]
     estimated_clamped: tuple[float, ...]
     metrics: ErrorMetrics
-    runtime_seconds: float
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -123,8 +119,7 @@ def _true_choices(config: ExperimentConfig, trial: int) -> np.ndarray:
 
 
 def _result(
-    config: ExperimentConfig, trial: int, mode: Mode, choices: np.ndarray,
-    estimate: FrequencyEstimate, started: float,
+    config: ExperimentConfig, trial: int, mode: Mode, choices: np.ndarray, estimate: FrequencyEstimate
 ) -> ExperimentResult:
     actual = np.bincount(choices, minlength=config.n_choices)
     return ExperimentResult(
@@ -136,19 +131,17 @@ def _result(
         estimated_raw=estimate.raw_estimates,
         estimated_clamped=estimate.clamped_estimates,
         metrics=compute_error_metrics(actual, estimate.raw_estimates),
-        runtime_seconds=time.perf_counter() - started,
     )
 
 
 def run_ldp_experiment(config: ExperimentConfig, trial: int = 0) -> ExperimentResult:
     """Sample, randomize and estimate, without any protocol machinery."""
-    started = time.perf_counter()
     choices = _true_choices(config, trial)
     reports = randomize_batch(
         choices, config.n_choices, config.privacy, substream(config.seed, trial, REPORTS_SLOT)
     )
     estimate = estimate_frequencies(accumulate_counts(reports), config.privacy)
-    return _result(config, trial, Mode.LDP_ONLY, choices, estimate, started)
+    return _result(config, trial, Mode.LDP_ONLY, choices, estimate)
 
 
 def default_query(n_choices: int) -> QuerySpec:
@@ -193,18 +186,17 @@ def run_full_protocol_experiment(
 ) -> tuple[ExperimentResult, EventLog, list[str]]:
     """End-to-end marketplace run; the estimate matches run_ldp_experiment
     for the same seed and trial bit for bit."""
-    started = time.perf_counter()
     choices = _true_choices(config, trial)
     survey_config = SurveyConfiguration(
         query=default_query(config.n_choices),
         criteria=FilterCriteria.empty(),
-        required_responses=config.required_responses or config.population,
-        fee=config.fee if config.fee is not None else 10 * config.population,
+        required_responses=config.population,
+        fee=10 * config.population,
         privacy=config.privacy,
     )
     outcome = run_seeded_survey(survey_config, choices, config.seed, trial)
     estimate = outcome.aggregation.estimate
-    result = _result(config, trial, Mode.FULL_PROTOCOL, choices, estimate, started)
+    result = _result(config, trial, Mode.FULL_PROTOCOL, choices, estimate)
     return result, outcome.contract.log, outcome.trace
 
 
@@ -239,12 +231,8 @@ def result_filename(result: ExperimentResult) -> str:
     return f"N{result.population}_trial{result.trial:03d}.csv"
 
 
-def export_results(
-    results: Sequence[ExperimentResult], out_dir: str | Path, format: str = "csv"
-) -> list[Path]:
+def export_results(results: Sequence[ExperimentResult], out_dir: str | Path) -> list[Path]:
     """One CSV per (population, trial) plus a per-population summary."""
-    if format != "csv":
-        raise ValueError(f"unsupported export format: {format}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -15,11 +15,8 @@ from privmarket.envelope import (
     PreSharedKey,
     Secret,
     SessionKey,
-    canonical_encode_response,
     decode_bit_matrix,
     decode_bit_stream,
-    decode_bit_vector,
-    decode_response,
     decrypt,
     derive_session_key,
     digest,
@@ -27,10 +24,15 @@ from privmarket.envelope import (
     encrypt,
     hmac_derive,
     hmac_sha256,
+)
+from privmarket.ledger import Address
+from reference import (
+    ResponseVector,
+    canonical_encode_response,
+    decode_bit_vector,
+    decode_response,
     unpack_bit_vector_stream,
 )
-from privmarket.ldp import ResponseVector
-from privmarket.ledger import Address
 
 
 class TestNewtypes:

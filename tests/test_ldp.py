@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import privmarket
+from privmarket import envelope, ldp
 from privmarket.ldp import (
     BitCounts,
     PrivacyParams,
     QuerySpec,
-    ResponseVector,
     accumulate_counts,
-    encode_one_hot,
     epsilon_of,
     estimate_frequencies,
     randomize_batch,
-    randomize_response,
 )
+from reference import ResponseVector, encode_one_hot, randomize_response
 
 
 class TestTypes:
@@ -96,12 +96,9 @@ class TestRandomize:
     def test_per_bit_probabilities_monte_carlo(self):
         # P(out=1 | in=1) = 1 - f/2 = 0.75, P(out=1 | in=0) = f/2 = 0.25 at f=0.5
         params = PrivacyParams(0.5)
-        rv = ResponseVector([1, 0, 0])
         rng = np.random.default_rng(2024)
         trials = 100_000
-        ones = np.zeros(3)
-        for _ in range(trials):
-            ones += randomize_response(rv, params, rng).bits
+        ones = randomize_batch(np.zeros(trials, int), 3, params, rng).sum(axis=0)
         assert ones[0] / trials == pytest.approx(0.75, abs=0.01)
         assert ones[1] / trials == pytest.approx(0.25, abs=0.01)
         assert ones[2] / trials == pytest.approx(0.25, abs=0.01)
@@ -129,24 +126,23 @@ class TestRandomizeBatch:
 
 class TestAccumulate:
     def test_counts(self):
-        reports = [ResponseVector([1, 0, 1]), ResponseVector([0, 0, 1])]
-        counts = accumulate_counts(reports)
+        counts = accumulate_counts([[1, 0, 1], [0, 0, 1]])
         assert counts.ones_per_position == (1.0, 0.0, 2.0)
         assert counts.report_count == 2
 
     def test_all_zero(self):
-        counts = accumulate_counts([ResponseVector([0, 0, 0])])
+        counts = accumulate_counts([[0, 0, 0]])
         assert counts.ones_per_position == (0.0, 0.0, 0.0)
         assert counts.report_count == 1
 
     def test_many_identical(self):
-        counts = accumulate_counts([ResponseVector([1, 0])] * 1000)
+        counts = accumulate_counts([[1, 0]] * 1000)
         assert counts.ones_per_position == (1000.0, 0.0)
         assert counts.report_count == 1000
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
-            accumulate_counts([ResponseVector([1, 0]), ResponseVector([1, 0, 0])])
+            accumulate_counts([[1, 0], [1, 0, 0]])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -161,7 +157,7 @@ class TestAccumulate:
         for rv in vectors:
             totals = [t + b for t, b in zip(totals, rv.bits)]
         expected = BitCounts(totals, 300)
-        assert accumulate_counts(vectors) == expected
+        assert accumulate_counts([rv.bits for rv in vectors]) == expected
         assert accumulate_counts(matrix) == expected
 
     def test_malformed_matrix_rejected(self):
@@ -254,12 +250,17 @@ def test_mean_estimate_tracks_true_counts_within_three_se():
         rng = np.random.default_rng(9_000 + trial)
         weights = rng.dirichlet(np.ones(n))
         true = rng.multinomial(n_reports, weights)
-        reports = []
-        for j, t in enumerate(true):
-            rv = encode_one_hot(j, n)
-            reports.extend(randomize_response(rv, params, rng) for _ in range(t))
+        reports = randomize_batch(np.repeat(np.arange(n), true), n, params, rng)
         est = estimate_frequencies(accumulate_counts(reports), params)
         diffs[trial] = np.asarray(est.raw_estimates) - true
         var_ones = true * (1 - f / 2) * (f / 2) + (n_reports - true) * (f / 2) * (1 - f / 2)
         ses[trial] = np.sqrt(var_ones) / (1 - f)
     assert np.all(np.abs(diffs.mean(axis=0)) <= 3 * ses.mean(axis=0))
+
+
+def test_per_respondent_reference_is_not_part_of_the_package():
+    # the product handles a population as one matrix; tests/reference.py holds the per-respondent oracle
+    moved = ("ResponseVector", "encode_one_hot", "randomize_response", "decode_bit_vector",
+             "unpack_bit_vector_stream", "canonical_encode_response", "decode_response")
+    assert [(module.__name__, name) for module in (privmarket, ldp, envelope) for name in moved
+            if hasattr(module, name)] == []

@@ -215,11 +215,6 @@ class TestExport:
         assert lines[1].startswith("100,2,")
         assert lines[2].startswith("200,2,")
 
-    def test_unknown_format_rejected(self, tmp_path):
-        config = ExperimentConfig(population=100, seed=4)
-        with pytest.raises(ValueError):
-            export_results([run_ldp_experiment(config)], tmp_path, format="json")
-
 
 def test_substreams_are_independent_and_reproducible():
     a1 = substream(42, 0, 1).random(4)
