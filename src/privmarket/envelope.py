@@ -102,6 +102,11 @@ class Secret(FixedBytes):
 class SessionKey(FixedBytes):
     LENGTH, LABEL = 32, "session key"
 
+    @functools.cached_property
+    def _aead(self) -> AESGCM:
+        """This key's AES-GCM object, built on first use and kept with the key."""
+        return AESGCM(self.value)
+
 
 class Digest(FixedBytes):
     LENGTH, LABEL = 32, "digest"
@@ -167,22 +172,16 @@ def digest(data: bytes) -> Digest:
     return Digest._made(sha256(data))
 
 
-@functools.lru_cache(maxsize=8)
-def _aead(key: bytes) -> AESGCM:
-    """One AES-GCM object per key: a survey's parties all share one session key."""
-    return AESGCM(key)
-
-
 def encrypt(sk: SessionKey, plaintext: bytes, cipher_nonce: bytes) -> Ciphertext:
     """AES-256-GCM. The nonce must be unique per (key, message) pair."""
     nonce = _expect_len("cipher nonce", cipher_nonce, CIPHER_NONCE_LEN)
-    return Ciphertext._made(nonce, _aead(sk.value).encrypt(nonce, bytes(plaintext), None))
+    return Ciphertext._made(nonce, sk._aead.encrypt(nonce, bytes(plaintext), None))
 
 
 def decrypt(sk: SessionKey, c: Ciphertext) -> bytes:
     """Recover the plaintext; raises DecryptionError on any authentication failure."""
     try:
-        return _aead(sk.value).decrypt(c.cipher_nonce, c.body, None)
+        return sk._aead.decrypt(c.cipher_nonce, c.body, None)
     except InvalidTag as exc:
         raise DecryptionError("ciphertext failed authentication") from exc
 

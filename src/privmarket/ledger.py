@@ -293,7 +293,6 @@ class CommitmentIndex:
         self._digests: dict[Address, Digest] = {}
         self._sorted: list[Address] | None = None
         self._rank: dict[Address, int] = {}
-        self._frozen = False
 
     def __len__(self) -> int:
         return len(self._digests)
@@ -311,15 +310,10 @@ class CommitmentIndex:
         return self._sorted
 
     def add(self, address: Address, commitment: Digest) -> None:
-        if self._frozen:
-            raise LedgerError("commitments are frozen; no more responses are accepted")
         if address in self._digests:
             raise LedgerError(f"address {address} already committed (first commitment wins)")
         self._digests[address] = commitment
         self._sorted = None
-
-    def freeze(self) -> None:
-        self._frozen = True
 
     def index_of(self, address: Address) -> int:
         self._ascending()
@@ -358,7 +352,6 @@ class SurveyContract:
     phase: ContractPhase = ContractPhase.COLLECTING
     commitments: CommitmentIndex = field(default_factory=CommitmentIndex)
     filter_digest: Digest | None = None
-    deposit_amount: int = 0
     revealed_s2: Secret | None = None
     log: EventLog = field(default_factory=EventLog)
     escrow_balance: int = 0
@@ -440,7 +433,6 @@ def finalize_filter(contract: SurveyContract, filter_digest: Digest) -> SurveyCo
     if contract.phase != ContractPhase.COLLECTING:
         raise LedgerError(f"cannot finalize filter in phase {contract.phase.name}")
     contract.filter_digest = filter_digest
-    contract.commitments.freeze()
     contract.phase = ContractPhase.FILTERED
     contract.log.append(EventKind.FILTER_RECORDED, {"filter_digest": filter_digest.value})
     return contract
@@ -454,7 +446,6 @@ def deposit(contract: SurveyContract, from_address: Address, amount: int) -> Sur
         raise LedgerError("only the contract's authority may deposit")
     if amount != contract.fee:
         raise LedgerError(f"deposit must equal the agreed fee {contract.fee}, got {amount}")
-    contract.deposit_amount = amount
     contract.escrow_balance += amount
     contract._credit(from_address, -amount)
     contract.phase = ContractPhase.DEPOSITED
@@ -533,10 +524,9 @@ def abort(contract: SurveyContract, now: int) -> SurveyContract:
     phase_before = contract.phase
     refund = 0
     if phase_before == ContractPhase.DEPOSITED:
-        refund = contract.deposit_amount
-        contract.escrow_balance -= refund
+        refund = contract.escrow_balance
+        contract.escrow_balance = 0
         contract._credit(contract.authority, refund)
-        contract.deposit_amount = 0
         contract.log.append(
             EventKind.TRANSFERRED,
             {

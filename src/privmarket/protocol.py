@@ -19,7 +19,6 @@ percent-encoded so labels may contain arbitrary characters.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -253,12 +252,6 @@ def parse_config_file(data: bytes) -> SurveyConfiguration:
     return config
 
 
-@functools.lru_cache(maxsize=8)
-def _parse_verified_config(data: bytes) -> SurveyConfiguration:
-    """parse_config_file once per distinct file; call only on digest-checked bytes."""
-    return parse_config_file(data)
-
-
 def build_survey_config(
     query: QuerySpec,
     criteria: FilterCriteria,
@@ -283,7 +276,7 @@ def random_address(rng: np.random.Generator) -> Address:
 class Authority:
     """Data consumer: verifies deliveries, deposits, decrypts after reveal."""
 
-    def __init__(self, address: Address, config: SurveyConfiguration | None = None):
+    def __init__(self, address: Address, config: SurveyConfiguration):
         self.address = address
         self.config = config
         self.accepted: dict[int, Ciphertext] = {}
@@ -356,15 +349,8 @@ def setup_survey(
         sysop=sysop.address,
     )
     sysop._survey_keys[contract.contract_id.hex] = (psk, s2)
-    authority.config = config
     record = PskDistribution(contract.contract_id, tuple(sorted(sysop.registry)))
     return contract, record
-
-
-@functools.lru_cache(maxsize=8)
-def _operator_session_key(psk: PreSharedKey, n1: Nonce, n2: Nonce) -> SessionKey:
-    """s1, s2 and the session key, derived once per survey's (psk, n1, n2)."""
-    return derive_session_key(hmac_derive(psk, n1), hmac_derive(psk, n2))
 
 
 def evaluate_criteria(profile: OperatorProfile, criteria: FilterCriteria) -> bool:
@@ -384,24 +370,31 @@ def commit_population(
     They share the report generator `rng` and one own generator. Each is drawn
     from once, with the bytes of one draw per operator (see simulate): report i
     is row i of one (N, n) draw, nonce i bytes [12i, 12i + 12) of one own draw.
+    Operator 0 parses the configuration once for the population, after its
+    digest check; s1, s2 and sk are derived once per distinct psk, and each
+    SessionKey builds its AES-GCM object once.
     """
     if any(operator._rng is not operators[0]._rng for operator in operators):
         raise ValueError("a population's operators must share one own generator")
     if len(operators) > 1 and operators[0]._rng is rng:
         raise ValueError("the own generator doubles as the report generator for more than one operator")
     committed = []
+    keys: dict[bytes, SessionKey] = {}  # by psk bytes: their hash is built in, FixedBytes' is Python
     for i, (operator, psk) in enumerate(list(zip(operators, psks, strict=True))):  # one psk each
         if digest(config_bytes) != expected_digest:
             raise ConfigIntegrityError(
                 "configuration bytes do not match the on-ledger digest; refusing to participate"
             )
         if i == 0:  # verified bytes: draw for the whole population, before anyone commits
-            config = _parse_verified_config(bytes(config_bytes))
+            config = parse_config_file(config_bytes)
             choices = [other.profile.true_choice for other in operators]
             plaintexts = encode_bit_matrix(randomize_batch(choices, config.query.n, config.privacy, rng))
             nonces = operator._rng.bytes(CIPHER_NONCE_LEN * len(operators))
+        sk = keys.get(psk.value)
+        if sk is None:
+            sk = keys[psk.value] = derive_session_key(hmac_derive(psk, n1), hmac_derive(psk, n2))
         nonce = nonces[i * CIPHER_NONCE_LEN : (i + 1) * CIPHER_NONCE_LEN]
-        ciphertext = encrypt(_operator_session_key(psk, n1, n2), plaintexts[i], nonce)
+        ciphertext = encrypt(sk, plaintexts[i], nonce)
         commitment = digest(ciphertext.serialize())
         assert operator.profile.active_address is not None
         ledger_mod.commit_response(contract, operator.profile.active_address, commitment)
@@ -491,7 +484,7 @@ def authority_verify_delivery(
     filter_vector: FilterVector,
 ) -> DeliveryVerdict:
     """Check eligibility and the on-ledger commitment before accepting."""
-    if not 0 <= msg.index < len(commitments):
+    if type(msg.index) is not int or not 0 <= msg.index < len(commitments):  # a bool is an int, yet no index
         return DeliveryVerdict.OUT_OF_RANGE
     if filter_vector.bits[msg.index] != 1:
         return DeliveryVerdict.INELIGIBLE
@@ -551,8 +544,6 @@ def settle_and_decrypt(
         raise ProtocolError(
             f"have {len(accepted)} deliveries, need exactly {contract.required_responses}"
         )
-    if authority.config is None:
-        raise ProtocolError("authority has no survey configuration")
     assert contract.revealed_s2 is not None
     sk = derive_session_key(contract.s1, contract.revealed_s2)
     n = authority.config.query.n

@@ -154,7 +154,7 @@ def distinct_addresses(count: int, rng: np.random.Generator) -> list[Address]:
     raws = dict.fromkeys(block[i : i + 20] for i in range(0, len(block), 20))
     while len(raws) < count:
         raws.setdefault(rng.bytes(20))
-    return [Address(raw) for raw in raws]
+    return [Address._made(raw) for raw in raws]  # 20-byte slices of our own draw
 
 
 def run_seeded_survey(

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privmarket.envelope import digest
+from privmarket.envelope import (
+    DecryptionError,
+    PreSharedKey,
+    decrypt,
+    derive_session_key,
+    digest,
+    hmac_derive,
+)
 from privmarket.ldp import PrivacyParams, QuerySpec, accumulate_counts, estimate_frequencies
 from privmarket.ledger import Address, ContractPhase, EventKind, LedgerError, verify_event_chain
 from privmarket.protocol import (
@@ -236,7 +243,7 @@ class TestPrepareAndCommit:
             )
         assert len(contract.log) == 1  # no Committed event
 
-    def test_warm_memo_still_refuses_tampered_config(self):
+    def test_tampered_config_refused_after_commit_and_other_parse(self):
         config = small_config()
         store, _, sysop, contract, _ = setup_small_survey(config, [profile(1), profile(2)])
         config_bytes = store.get(contract.config_uri)
@@ -245,7 +252,7 @@ class TestPrepareAndCommit:
             Operator(profile(1), np.random.default_rng(0)), contract, config_bytes,
             contract.config_digest, psk, contract.n1, contract.n2, np.random.default_rng(0),
         )
-        # another survey's genuine bytes are parsed and memoized too
+        # another survey's genuine bytes are parsed too
         other = render_config_file(small_config(f=0.5))
         parse_config_file(other)
         events = len(contract.log)
@@ -314,6 +321,25 @@ class TestCommitPopulation:
             )
         assert (reports.bit_generator.state, own.bit_generator.state) == states
         assert len(contract.log) == 1  # no Committed event
+
+    def test_mixed_psks_each_encrypt_under_their_own_session_key(self):
+        profiles, contract, config_bytes, psks = self._survey(6)
+        other = PreSharedKey(b"\x07" * 32)
+        mixed = [psk if i % 2 else other for i, psk in enumerate(psks)]
+        own = np.random.default_rng(2)
+        committed = commit_population(
+            [Operator(p, own) for p in profiles], contract, config_bytes,
+            contract.config_digest, mixed, contract.n1, contract.n2, np.random.default_rng(1),
+        )
+        keys = {
+            psk.value: derive_session_key(hmac_derive(psk, contract.n1), hmac_derive(psk, contract.n2))
+            for psk in (psks[0], other)
+        }
+        for psk, (ciphertext, _) in zip(mixed, committed):
+            (wrong,) = (key for key in keys.values() if key != keys[psk.value])
+            assert len(decrypt(keys[psk.value], ciphertext)) == 5  # one encoded 4-bit vector
+            with pytest.raises(DecryptionError):
+                decrypt(wrong, ciphertext)
 
     def test_generators_must_not_interleave(self):
         profiles, contract, config_bytes, psks = self._survey(2)
@@ -464,6 +490,17 @@ class TestDelivery:
             msg = DeliveryMessage(index, operators[0].ciphertext)
             assert authority_verify_delivery(authority, msg, contract.commitments, fv) \
                 == DeliveryVerdict.OUT_OF_RANGE
+        assert authority.accepted == {}
+
+    @pytest.mark.parametrize("index", [1.0, "1", None, True])
+    def test_verify_gives_verdict_for_an_index_that_is_not_an_int(self, index):
+        _, authority, _, contract, operators, fv = run_to_filter()
+        from privmarket.protocol import DeliveryMessage
+
+        at_one = next(o for o in operators if contract.commitments.index_of(o.profile.active_address) == 1)
+        msg = DeliveryMessage(index, at_one.ciphertext)
+        assert authority_verify_delivery(authority, msg, contract.commitments, fv) \
+            == DeliveryVerdict.OUT_OF_RANGE
         assert authority.accepted == {}
 
     def test_verify_rejects_duplicates_and_accepts_valid(self):
