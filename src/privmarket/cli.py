@@ -133,7 +133,10 @@ def _load_criteria(path: str | None) -> FilterCriteria:
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError("criteria file must hold a JSON object")
-    return FilterCriteria([(attr, list(values)) for attr, values in raw.items()])
+    for attr, values in raw.items():
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise ValueError(f"criteria for {attr!r} must be a list of strings")
+    return FilterCriteria(raw.items())
 
 
 def cmd_demo(args: argparse.Namespace) -> int:

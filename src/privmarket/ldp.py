@@ -106,14 +106,20 @@ def randomize_batch(
     Consumes one (N, n) uniform draw u, filled row after row, and plays the
     per-bit game on it: u < f/2 -> 1, f/2 <= u < f -> 0, u >= f -> the
     one-hot bit. Row i thus depends only on choices[i] and the n doubles
-    the generator yields after i * n of them.
+    the generator yields after i * n of them. Computed as one comparison
+    over the matrix and a second only at the N one-hot entries, with no
+    (N, n) one-hot matrix.
     """
     index = np.asarray(choices, dtype=np.int64)
     if n < 2 or index.ndim != 1 or ((index < 0) | (index >= n)).any():
         raise ValueError(f"choices must be a flat sequence of indices in [0, {n}), n >= 2")
-    one_hot = index[:, None] == np.arange(n)
-    u = rng.random(one_hot.shape)
-    return np.where(u < params.f, u < params.f / 2.0, one_hot).astype(np.uint8, copy=False)
+    u = rng.random((len(index), n))
+    half = params.f / 2.0
+    bits = u < half
+    rows = np.arange(len(index))
+    truth = u[rows, index]
+    bits[rows, index] = (truth < half) | (truth >= params.f)
+    return bits.view(np.uint8)
 
 
 def accumulate_counts(reports: np.ndarray) -> BitCounts:

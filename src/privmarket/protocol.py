@@ -489,7 +489,7 @@ def authority_verify_delivery(
     if filter_vector.bits[msg.index] != 1:
         return DeliveryVerdict.INELIGIBLE
     _, expected = commitments.at(msg.index)
-    if digest(msg.ciphertext.serialize()) != expected:
+    if not isinstance(msg.ciphertext, Ciphertext) or digest(msg.ciphertext.serialize()) != expected:
         return DeliveryVerdict.HASH_MISMATCH
     if msg.index in authority.accepted:
         return DeliveryVerdict.DUPLICATE

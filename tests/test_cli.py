@@ -36,6 +36,40 @@ class TestSimulateCommand:
         assert main(flags + ["--out", str(tmp_path / "b")]) == 0
         assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
 
+    # SHA-256 of every file `simulate --populations 500,1000,5000,10000 --trials 2
+    # --seed 104729` writes, at the default f = 0.5 and at f = 0.25
+    SIMULATE_PINS = {
+        (): {
+            "N10000_trial000.csv": "97dbb86aea55c05988e928b4f486ed7e8d33e9ace7d771cb3feeaae3983bb444",
+            "N10000_trial001.csv": "a5c06489a0fdaa15f9145c72af1699d9c40e0256b35b78278db576e9943eda2e",
+            "N1000_trial000.csv": "64e6ab50ee59e650eb7d1a19bd5fb5c2e509254854125b11878be959245e9f54",
+            "N1000_trial001.csv": "f0bbf0f0d92808d0f80732ba131e26750c85ee1cfa2caa49c651e4b700e772e7",
+            "N5000_trial000.csv": "fe557c98c6e19617dc8846460a009f92122c3dee8f04a1e79a1220d92f3dd1e6",
+            "N5000_trial001.csv": "911def2069ae02654bb59c7aa489fdaf254c72743cac7cd1bc2a7bb2c2ccc1f0",
+            "N500_trial000.csv": "235c0f8acf05ad4a369254cbb289ecbf2cfd699d5f43e532e7aaf50fbdd9a450",
+            "N500_trial001.csv": "e164acee2a458314f582a9ca1cf2f0fe625968461704cdcb133988241326a1e5",
+            "summary.csv": "9856839904dff51ae35d1f7e3e4744fba5620c5a251b0dcbdf404c60685431ca",
+        },
+        ("--f", "0.25"): {
+            "N10000_trial000.csv": "abb29b52d60b57b47b42e5c73c00f41f9cd359ce05eccf9d52249ba152359df5",
+            "N10000_trial001.csv": "5b99469f6c0f6a8a110efebcea03a260b10eb3b37dfa3cdd5510a3b4e877c3df",
+            "N1000_trial000.csv": "572139019bffad5306bb8aa8341849d5a4ff8d7976346985c24304d9f3c55e0f",
+            "N1000_trial001.csv": "fa4c8f3e511f98695c8d7b06e8240f14c9796a54dd1e7e92851e4ae1e966c757",
+            "N5000_trial000.csv": "91cbb8ed8582bf33fc82b8ba3554e3bc9163d1b12e72c7d97612aec9d75cf7d0",
+            "N5000_trial001.csv": "8d697601d9d7946e1c5b75433c6d479437ac93038be536408d8c5eff48d04903",
+            "N500_trial000.csv": "4b927ba7ae4b2170c01168f3f144281173d8613c1ab101d3e6cbae83fa10df8c",
+            "N500_trial001.csv": "823a3b9f9f5584b3a651a38c7e7ee43511873f51ec79cdeb829656596bca1352",
+            "summary.csv": "73247e8af020860c45e2f0f3c79f06984ecc6f6da155bac5feec2a9193a4b5e6",
+        },
+    }
+
+    @pytest.mark.parametrize("f_flags", sorted(SIMULATE_PINS), ids=lambda flags: "-".join(flags) or "default-f")
+    def test_simulate_bytes_match_pinned_digests(self, tmp_path, f_flags):
+        flags = ["simulate", "--populations", "500,1000,5000,10000", "--trials", "2", "--seed", "104729"]
+        assert main(flags + list(f_flags) + ["--out", str(tmp_path / "out")]) == 0
+        written = {name: hashlib.sha256(data).hexdigest() for name, data in read_all(tmp_path / "out").items()}
+        assert written == self.SIMULATE_PINS[f_flags]
+
     def test_invalid_flip_probability_is_usage_error(self, tmp_path):
         assert main(["simulate", "--f", "1.5", "--out", str(tmp_path)]) == 2
 
@@ -91,6 +125,15 @@ class TestDemoCommand:
             "demo", "--operators", "5", "--nr", "2", "--criteria-file", str(criteria),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("text", ['{"region": 5}', '{"region": ["NSW", 3]}', '{"region": "NSW"}'])
+    def test_criteria_value_that_is_not_a_list_of_strings_is_an_error(self, tmp_path, capsys, text):
+        criteria = tmp_path / "criteria.json"
+        criteria.write_text(text)
+        assert main(["demo", "--criteria-file", str(criteria)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: criteria for 'region' must be a list of strings\n"
 
     def test_criteria_filtering_works(self, tmp_path, capsys):
         criteria = tmp_path / "criteria.json"

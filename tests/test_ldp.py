@@ -105,17 +105,39 @@ class TestRandomize:
 
 
 class TestRandomizeBatch:
-    @pytest.mark.parametrize("population,n,f", [(1, 2, 0.5), (500, 20, 0.5), (200, 7, 0.0), (200, 7, 0.95)])
+    @pytest.mark.parametrize("population,n,f", [
+        (1, 2, 0.5), (500, 20, 0.5), (200, 7, 0.0), (200, 7, 0.95), (0, 5, 0.5), (300, 20, 0.25),
+    ])
     def test_rows_equal_the_per_respondent_loop(self, population, n, f):
         # reference: one randomize_response per respondent, all on one generator
         params = PrivacyParams(f)
         choices = np.random.default_rng(population + n).integers(0, n, size=population)
-        batch = randomize_batch(choices, n, params, np.random.default_rng(77))
+        rng = np.random.default_rng(77)
+        batch = randomize_batch(choices, n, params, rng)
         shared = np.random.default_rng(77)
         loop = [randomize_response(encode_one_hot(int(c), n), params, shared).bits for c in choices]
         assert batch.dtype == np.uint8
         assert batch.shape == (population, n)
         assert [tuple(row) for row in batch.tolist()] == loop
+        assert rng.random() == shared.random()  # both consumed exactly N * n doubles
+
+    def test_ties_at_half_f_and_at_f_follow_the_game(self):
+        # u < f/2 -> 1, f/2 <= u < f -> 0, u >= f -> the one-hot bit; f = 0.5
+        below_half, below_f = np.nextafter(0.25, 0.0), np.nextafter(0.5, 0.0)
+        draw = np.array([
+            [0.25, 0.25, 0.5, below_half],  # choice 0
+            [0.5, below_f, 0.5, 0.25],  # choice 2
+            [0.5, below_half, below_f, 0.0],  # choice 1
+        ])
+
+        class Scripted:
+            def random(self, shape):
+                assert shape == draw.shape
+                return draw.copy()
+
+        bits = randomize_batch([0, 2, 1], 4, PrivacyParams(0.5), Scripted())
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 1]]
 
     def test_out_of_range_choices_rejected(self):
         rng = np.random.default_rng(0)

@@ -503,6 +503,17 @@ class TestDelivery:
             == DeliveryVerdict.OUT_OF_RANGE
         assert authority.accepted == {}
 
+    def test_verify_gives_verdict_for_a_ciphertext_that_is_not_a_ciphertext(self):
+        _, authority, _, contract, operators, fv = run_to_filter()
+        from privmarket.protocol import DeliveryMessage
+
+        msg = next(m for m in (operator_deliver(o, fv, contract.commitments) for o in operators) if m)
+        for body in (None, b"", msg.ciphertext.serialize(), bytearray(msg.ciphertext.serialize())):
+            bad = DeliveryMessage(msg.index, body)
+            assert authority_verify_delivery(authority, bad, contract.commitments, fv) \
+                == DeliveryVerdict.HASH_MISMATCH
+        assert authority.accepted == {}
+
     def test_verify_rejects_duplicates_and_accepts_valid(self):
         _, authority, _, contract, operators, fv = run_to_filter()
         msg = next(m for m in (operator_deliver(o, fv, contract.commitments) for o in operators) if m)
