@@ -49,7 +49,6 @@ from .protocol import (
     OperatorProfile,
     ProtocolError,
     SurveyConfiguration,
-    build_survey_config,
     evaluate_criteria,
     run_survey,
 )

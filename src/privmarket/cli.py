@@ -59,6 +59,8 @@ def _populations(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("populations must be positive integers")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"populations must not repeat, got {text!r}")
     return values
 
 
@@ -103,22 +105,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.sd <= 0:
-        print("error: --sd must be positive", file=sys.stderr)
+    try:  # every configuration is checked before any trial runs
+        configs = [
+            ExperimentConfig(
+                population=population,
+                n_choices=args.choices,
+                mean=args.mean,
+                sd=args.sd,
+                privacy=PrivacyParams(args.f),
+                seed=args.seed,
+                trials=args.trials,
+                mode=Mode(args.mode),
+            )
+            for population in args.populations
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    results = []
-    for population in args.populations:
-        config = ExperimentConfig(
-            population=population,
-            n_choices=args.choices,
-            mean=args.mean,
-            sd=args.sd,
-            privacy=PrivacyParams(args.f),
-            seed=args.seed,
-            trials=args.trials,
-            mode=Mode(args.mode),
-        )
-        results.extend(run_trials(config))
+    results = [result for config in configs for result in run_trials(config)]
     export_results(results, args.out)
 
     print(f"{'N':>8} {'trials':>7} {'mean_l1_norm':>14} {'sd_l1_norm':>12} {'seed':>10}")

@@ -77,7 +77,7 @@ class BitCounts:
         count = int(report_count)
         if count < 0:
             raise ValueError("report count must be non-negative")
-        if any(v < 0 or v > count for v in ones):
+        if any(not 0 <= v <= count for v in ones):  # also true for NaN
             raise ValueError("per-position counts must lie in [0, report_count]")
         object.__setattr__(self, "ones_per_position", ones)
         object.__setattr__(self, "report_count", count)

@@ -182,10 +182,6 @@ class LedgerEvent:
     def prev_hash(self) -> bytes:
         return self.event_bytes[-32:]
 
-    def canonical_bytes(self) -> bytes:
-        """Everything the event hash covers (all fields except the hash itself)."""
-        return self.event_bytes
-
     def compute_hash(self) -> bytes:
         return digest(self.event_bytes).value
 
@@ -296,9 +292,6 @@ class CommitmentIndex:
 
     def __len__(self) -> int:
         return len(self._digests)
-
-    def __contains__(self, address: Address) -> bool:
-        return address in self._digests
 
     def __iter__(self) -> Iterator[tuple[Address, Digest]]:
         return ((a, self._digests[a]) for a in self._ascending())
@@ -480,17 +473,16 @@ def reveal_secret(contract: SurveyContract, s2_candidate: Secret) -> SurveyContr
     return contract
 
 
-def payout(
-    contract: SurveyContract,
-    distribution: Mapping[Address, int],
-    filter_bits: Sequence[int],
-) -> SurveyContract:
-    """Pay each of exactly `required_responses` filter-eligible commitments one equal share of the fee.
+def payout(contract: SurveyContract, share: int, filter_bits: Sequence[int]) -> dict[Address, int]:
+    """Pay `share` to each of exactly `required_responses` filter-eligible commitments.
 
     The contract stores only the filter's hash, so the caller supplies the
     filter bits; they are checked against the recorded digest before any
-    eligibility decision. The share is the caller's (no percentage is on the
-    ledger); any other distribution changes nothing.
+    eligibility decision. The contract picks the payees itself, the filter's
+    ones in ascending address order (the PAID_OUT order). The share is the
+    caller's (no percentage is on the ledger) but must be one non-negative
+    int that the fee covers for every payee; a rejected call changes nothing.
+    Returns the distribution paid.
     """
     if contract.phase != ContractPhase.REVEALED:
         raise LedgerError(f"cannot pay out in phase {contract.phase.name}")
@@ -498,21 +490,20 @@ def payout(
         raise LedgerError("supplied filter does not match the recorded filter hash")
     if len(filter_bits) != len(contract.commitments) or sum(filter_bits) != contract.required_responses:
         raise LedgerError(f"filter must mark exactly {contract.required_responses} of the commitments")
-    eligible = [a for a, bit in zip(contract.commitments.addresses_sorted(), filter_bits) if bit]  # PAID_OUT order
-    if distribution.keys() != set(eligible):
-        raise LedgerError("distribution must pay exactly the filter-eligible committed addresses")
-    if len(set(distribution.values())) != 1 or min(distribution.values()) < 0:
-        raise LedgerError(f"shares must be one equal, non-negative amount, got {sorted(set(distribution.values()))}")
-    total = sum(distribution.values())
+    if type(share) is not int or share < 0:  # a bool is an int, yet no amount
+        raise LedgerError(f"share must be a non-negative int, got {share!r}")
+    total = share * contract.required_responses
     if total > contract.fee:
-        raise LedgerError(f"distribution {total} exceeds the fee {contract.fee}")
-    packed = b"".join(address.value + struct.pack(">Q", distribution[address]) for address in eligible)
+        raise LedgerError(f"{contract.required_responses} shares of {share} exceed the fee {contract.fee}")
+    distribution = {a: share for a, bit in zip(contract.commitments.addresses_sorted(), filter_bits) if bit}
     contract._credit(contract.sysop, -total)
-    for address, amount in distribution.items():
-        contract._credit(address, amount)
+    for address in distribution:
+        contract._credit(address, share)
     contract.phase = ContractPhase.SETTLED
+    amount = struct.pack(">Q", share)
+    packed = b"".join(address.value + amount for address in distribution)
     contract.log.append(EventKind.PAID_OUT, {"distribution": packed, "total": total})
-    return contract
+    return distribution
 
 
 def abort(contract: SurveyContract, now: int) -> SurveyContract:

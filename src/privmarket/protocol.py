@@ -35,7 +35,6 @@ from .envelope import (
     Nonce,
     PreSharedKey,
     Secret,
-    SessionKey,
     decode_bit_matrix,
     decrypt,
     derive_session_key,
@@ -122,17 +121,17 @@ class OperatorProfile:
     addresses: tuple[Address, ...]
     attributes: Mapping[str, str] = field(default_factory=dict)
     true_choice: int = 0
-    active_address: Address | None = None
 
     def __post_init__(self):
         if not self.addresses:
             raise ValueError("operator needs at least one address")
         if len(set(self.addresses)) != len(self.addresses):
             raise ValueError("operator addresses must be distinct")
-        if self.active_address is None:
-            self.active_address = self.addresses[0]
-        elif self.active_address not in self.addresses:
-            raise ValueError("active address must be one of the operator's addresses")
+
+    @property
+    def active_address(self) -> Address:
+        """The address this operator commits and is paid under."""
+        return self.addresses[0]
 
 
 @dataclass(frozen=True)
@@ -252,19 +251,6 @@ def parse_config_file(data: bytes) -> SurveyConfiguration:
     return config
 
 
-def build_survey_config(
-    query: QuerySpec,
-    criteria: FilterCriteria,
-    required_responses: int,
-    fee: int,
-    privacy: PrivacyParams,
-) -> tuple[SurveyConfiguration, bytes, Digest]:
-    """Assemble a configuration plus its canonical bytes and digest."""
-    config = SurveyConfiguration(query, criteria, required_responses, fee, privacy)
-    file_bytes = render_config_file(config)
-    return config, file_bytes, digest(file_bytes)
-
-
 # ---------------------------------------------------------------------------
 # parties
 
@@ -363,40 +349,37 @@ def evaluate_criteria(profile: OperatorProfile, criteria: FilterCriteria) -> boo
 
 def commit_population(
     operators: Sequence[Operator], contract: SurveyContract, config_bytes: bytes, expected_digest: Digest,
-    psks: Sequence[PreSharedKey], n1: Nonce, n2: Nonce, rng: np.random.Generator,
+    psk: PreSharedKey, n1: Nonce, n2: Nonce, rng: np.random.Generator,
 ) -> list[tuple[Ciphertext, Digest]]:
     """Operators, in arrival order, each verify the configuration, encrypt and commit.
 
     They share the report generator `rng` and one own generator. Each is drawn
     from once, with the bytes of one draw per operator (see simulate): report i
     is row i of one (N, n) draw, nonce i bytes [12i, 12i + 12) of one own draw.
-    Operator 0 parses the configuration once for the population, after its
-    digest check; s1, s2 and sk are derived once per distinct psk, and each
-    SessionKey builds its AES-GCM object once.
+    A survey has one psk, so all encrypt under one session key: operator 0
+    parses the configuration and derives s1, s2 and sk once for the
+    population, after its digest check, and the SessionKey builds its AES-GCM
+    object once.
     """
     if any(operator._rng is not operators[0]._rng for operator in operators):
         raise ValueError("a population's operators must share one own generator")
     if len(operators) > 1 and operators[0]._rng is rng:
         raise ValueError("the own generator doubles as the report generator for more than one operator")
     committed = []
-    keys: dict[bytes, SessionKey] = {}  # by psk bytes: their hash is built in, FixedBytes' is Python
-    for i, (operator, psk) in enumerate(list(zip(operators, psks, strict=True))):  # one psk each
+    for i, operator in enumerate(operators):
         if digest(config_bytes) != expected_digest:
             raise ConfigIntegrityError(
                 "configuration bytes do not match the on-ledger digest; refusing to participate"
             )
         if i == 0:  # verified bytes: draw for the whole population, before anyone commits
             config = parse_config_file(config_bytes)
+            sk = derive_session_key(hmac_derive(psk, n1), hmac_derive(psk, n2))
             choices = [other.profile.true_choice for other in operators]
             plaintexts = encode_bit_matrix(randomize_batch(choices, config.query.n, config.privacy, rng))
             nonces = operator._rng.bytes(CIPHER_NONCE_LEN * len(operators))
-        sk = keys.get(psk.value)
-        if sk is None:
-            sk = keys[psk.value] = derive_session_key(hmac_derive(psk, n1), hmac_derive(psk, n2))
         nonce = nonces[i * CIPHER_NONCE_LEN : (i + 1) * CIPHER_NONCE_LEN]
         ciphertext = encrypt(sk, plaintexts[i], nonce)
         commitment = digest(ciphertext.serialize())
-        assert operator.profile.active_address is not None
         ledger_mod.commit_response(contract, operator.profile.active_address, commitment)
         operator.ciphertext = ciphertext
         committed.append((ciphertext, commitment))
@@ -418,7 +401,7 @@ def operator_prepare_and_commit(
     Draws the report from `rng`, then the cipher nonce from the operator's own
     generator, which may be `rng` itself.
     """
-    return commit_population([operator], contract, config_bytes, expected_digest, [psk], n1, n2, rng)[0]
+    return commit_population([operator], contract, config_bytes, expected_digest, psk, n1, n2, rng)[0]
 
 
 def build_and_finalize_filter(
@@ -465,7 +448,6 @@ def operator_deliver(
 ) -> DeliveryMessage | None:
     """Send (index, ciphertext) if this operator's filter bit is set."""
     address = operator.profile.active_address
-    assert address is not None
     try:
         index = commitments.index_of(address)
     except KeyError as exc:
@@ -517,12 +499,8 @@ def equal_split(fee: int, required_responses: int) -> int:
 
 
 def sysop_payout(sysop: SystemOperator, contract: SurveyContract, filter_vector: FilterVector) -> dict[Address, int]:
-    """Equal shares to every filter-eligible operator; remainder retained."""
-    share = equal_split(contract.fee, contract.required_responses)
-    ranked = zip(contract.commitments.addresses_sorted(), filter_vector.bits)
-    distribution = {address: share for address, bit in ranked if bit == 1}
-    ledger_mod.payout(contract, distribution, filter_vector.bits)
-    return distribution
+    """Equal shares to every filter-eligible operator, chosen by the contract; remainder retained."""
+    return ledger_mod.payout(contract, equal_split(contract.fee, contract.required_responses), filter_vector.bits)
 
 
 def settle_and_decrypt(
@@ -624,10 +602,10 @@ def run_survey(
         config_bytes = store.get(contract.config_uri)
         for _, run in itertools.groupby(zip(operators, operator_rngs), key=lambda pair: id(pair[1])):
             population, rngs = zip(*run)
-            psks = [sysop.issue_psk(contract, operator.profile.operator_id) for operator in population]
+            psk = sysop.issue_psk(contract, population[0].profile.operator_id)
             try:
                 commit_population(
-                    population, contract, config_bytes, contract.config_digest, psks,
+                    population, contract, config_bytes, contract.config_digest, psk,
                     contract.n1, contract.n2, rngs[0],
                 )
             finally:  # a line per operator that committed, also when a later one failed
@@ -656,7 +634,7 @@ def run_survey(
         sysop_reveal_secret(sysop, contract)
         _t(trace, "sysop", "reveal-secret", f"h_s2={contract.h_s2.hex[:16]}")
         payouts = sysop_payout(sysop, contract, filter_vector)
-        for address, amount in sorted(payouts.items(), key=lambda item: item[0].value):
+        for address, amount in payouts.items():  # ascending address order
             _t(trace, "sysop", "pay-operator", f"{address} amount={amount}")
         aggregation = settle_and_decrypt(authority, contract, authority.accepted)
         _t(trace, "authority", "decrypt-aggregate", f"responses={len(aggregation.decrypted_vectors)}")

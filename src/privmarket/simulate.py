@@ -19,6 +19,7 @@ words of one buffered stream, so each block equals one draw per operator.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -54,8 +55,10 @@ class ExperimentConfig:
             raise ValueError("population must be at least 1")
         if self.n_choices < 2:
             raise ValueError("need at least 2 choices")
-        if self.sd <= 0:
-            raise ValueError("standard deviation must be positive")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not 0 < self.sd < math.inf:  # also false for NaN
+            raise ValueError(f"standard deviation must be finite and positive, got {self.sd}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed < 0:

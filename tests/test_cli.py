@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,25 @@ class TestSimulateCommand:
 
     def test_invalid_flip_probability_is_usage_error(self, tmp_path):
         assert main(["simulate", "--f", "1.5", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "flag",
+        [f"--sd={v}" for v in ("nan", "inf", "-inf", "0", "-1")] + [f"--mean={v}" for v in ("nan", "inf", "-inf")]
+        + ["--choices=1"],
+    )
+    def test_bad_experiment_value_is_one_usage_error_before_any_trial(self, tmp_path, capsys, flag):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a bad value must stop before numpy sees it
+            code = main(["simulate", "--populations", "100,200", flag, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_population_is_usage_error(self, tmp_path, capsys):
+        assert main(["simulate", "--populations", "100,100", "--out", str(tmp_path / "out")]) == 2
+        assert "populations must not repeat" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_out_is_usage_error(self):
         assert main(["simulate"]) == 2
@@ -268,7 +288,7 @@ class TestReadPathPins:
         assert log.to_bytes() == data
         for event in log:  # the stored bytes re-encode from the parsed fields and hash to the event hash
             fields = event.sequence_no.to_bytes(4, "big") + bytes([event.kind]) + _encode_payload(event.payload)
-            assert fields + event.prev_hash == event.canonical_bytes()
+            assert fields + event.prev_hash == event.event_bytes
             assert digest(fields + event.prev_hash).value == event.event_hash
 
     def test_inspect_intact_log(self, survey_log_file, capsys):

@@ -49,6 +49,8 @@ class TestTypes:
             BitCounts([6], 5)
         with pytest.raises(ValueError):
             BitCounts([-1], 5)
+        with pytest.raises(ValueError):
+            BitCounts([float("nan"), 1.0], 5)
 
 
 class TestEncodeOneHot:

@@ -221,7 +221,7 @@ class TestPayout:
     def test_equal_split_example(self):
         # fee 100, NR 2, operators share 80%: 40 each, sysop retains 20
         contract, bits, addresses = self._revealed_contract()
-        payout(contract, {a: 40 for a in addresses}, bits)
+        assert payout(contract, 40, bits) == {a: 40 for a in addresses}
         assert contract.phase == ContractPhase.SETTLED
         assert contract.balance_deltas[SYSOP] == 20
         assert all(contract.balance_deltas[a] == 40 for a in addresses)
@@ -229,42 +229,43 @@ class TestPayout:
     def test_over_distribution_rejected(self):
         contract, bits, addresses = self._revealed_contract()
         with pytest.raises(LedgerError):
-            payout(contract, {addresses[0]: 60, addresses[1]: 60}, bits)
+            payout(contract, 60, bits)
 
-    def test_ineligible_address_rejected(self):
+    def test_only_the_filters_ones_are_paid(self):
         contract, s2 = make_contract(nr=1, fee=100)
-        commit_response(contract, addr(1), digest(b"a"))
         commit_response(contract, addr(2), digest(b"b"))
-        bits = [1, 0]
+        commit_response(contract, addr(1), digest(b"a"))
+        bits = [0, 1]  # addr(1) ranks first, so addr(2) is the marked one
         finalize_filter(contract, digest(encode_bit_vector(bits)))
         deposit(contract, AUTHORITY, 100)
         reveal_secret(contract, s2)
-        with pytest.raises(LedgerError):
-            payout(contract, {addr(2): 10}, bits)
+        assert payout(contract, 10, bits) == {addr(2): 10}
+        assert addr(1) not in contract.balance_deltas
+        assert contract.balance_deltas[SYSOP] == 90
+        assert contract.log.events[-1].payload["distribution"] == addr(2).value + struct.pack(">Q", 10)
 
     def test_filter_bits_must_match_recorded_digest(self):
         contract, bits, addresses = self._revealed_contract()
         with pytest.raises(LedgerError):
-            payout(contract, {addresses[0]: 10}, [1, 0])
+            payout(contract, 10, [1, 0])
 
     @pytest.mark.parametrize(
-        "nr,shares",
+        "nr,share",
         [
-            (2, {0: 1}),  # the other eligible operator gets nothing and the sysop keeps 99
-            (2, {}),
-            (2, {0: 70, 1: 10}),
-            (1, {0: 40, 1: 40}),  # the filter marks two commitments for NR = 1
-            (2, {0: 60, 1: 60}),
-            (2, {0: -10, 1: -10}),
+            (1, 40),  # the filter marks two commitments for NR = 1
+            (2, 60),
+            (2, -10),
+            (2, 40.0),  # must stop before the u64 packing of the PAID_OUT payload
+            (2, True),
         ],
-        ids=["subset", "empty", "unequal", "popcount", "over-the-fee", "negative"],
+        ids=["popcount", "over-the-fee", "negative", "float", "bool"],
     )
-    def test_unfair_payout_rejected_and_changes_nothing(self, nr, shares):
+    def test_unfair_payout_rejected_and_changes_nothing(self, nr, share):
         contract, bits, addresses = self._revealed_contract(nr=nr, committed=2)
         assert bits == [1, 1]
         before = contract_state(contract)
         with pytest.raises(LedgerError):
-            payout(contract, {addresses[i]: amount for i, amount in shares.items()}, bits)
+            payout(contract, share, bits)
         assert contract_state(contract) == before
         assert contract.phase == ContractPhase.REVEALED
 
@@ -272,7 +273,63 @@ class TestPayout:
         contract, _ = make_contract(nr=1, fee=100)
         bits = settle_to_deposit(contract, [(addr(1), digest(b"r"))])
         with pytest.raises(LedgerError):
-            payout(contract, {addr(1): 10}, bits)
+            payout(contract, 10, bits)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_payout_settles_by_the_rule_or_changes_nothing(self, data):
+        nr = data.draw(st.integers(1, 4), label="nr")
+        fee = data.draw(st.integers(0, 1000), label="fee")
+        raws = data.draw(
+            st.lists(
+                st.binary(min_size=20, max_size=20).filter(lambda b: b not in (AUTHORITY.value, SYSOP.value)),
+                min_size=nr, max_size=nr + 3, unique=True,
+            ),
+            label="committed addresses, in arrival order",
+        )
+        exact = st.permutations([1] * nr + [0] * (len(raws) - nr)).map(list)
+        recorded = data.draw(
+            st.one_of(exact, st.lists(st.integers(0, 1), min_size=len(raws), max_size=len(raws))), label="filter"
+        )
+        supplied = data.draw(
+            st.one_of(st.just(recorded), st.lists(st.integers(0, 1), max_size=len(raws) + 1)), label="supplied"
+        )
+        share = data.draw(
+            st.one_of(
+                st.integers(0, fee // nr),
+                st.integers(max_value=-1),
+                st.integers(min_value=fee // nr + 1),
+                st.floats(allow_nan=True),
+                st.booleans(),
+            ),
+            label="share",
+        )
+        contract, s2 = make_contract(nr=nr, fee=fee)
+        for i, raw in enumerate(raws):
+            commit_response(contract, Address(raw), digest(bytes([i])))
+        finalize_filter(contract, digest(encode_bit_vector(recorded)))
+        deposit(contract, AUTHORITY, fee)
+        reveal_secret(contract, s2)
+        before = contract_state(contract)
+        fair = supplied == recorded and sum(recorded) == nr and type(share) is int and 0 <= share * nr <= fee
+        try:
+            paid = payout(contract, share, supplied)
+        except LedgerError:
+            assert not fair
+            assert contract_state(contract) == before
+            return
+        assert fair
+        eligible = [a for a, bit in zip(sorted(map(Address, raws), key=lambda a: a.value), recorded) if bit]
+        assert paid == dict.fromkeys(eligible, share)
+        operators = {a: d for a, d in contract.balance_deltas.items() if a not in (AUTHORITY, SYSOP)}
+        assert operators == paid
+        assert contract.balance_deltas[SYSOP] == fee - share * nr
+        assert contract.escrow_balance + sum(contract.balance_deltas.values()) == 0
+        event = contract.log.events[-1]
+        assert event.kind == EventKind.PAID_OUT
+        assert event.payload["distribution"] == b"".join(a.value + struct.pack(">Q", share) for a in eligible)
+        assert event.payload["total"] == share * nr
+        assert contract.phase == ContractPhase.SETTLED
 
 
 class TestAbort:
@@ -301,7 +358,7 @@ class TestAbort:
         contract, s2 = make_contract(nr=1, fee=100, deadline=10)
         bits = settle_to_deposit(contract, [(addr(1), digest(b"r"))])
         reveal_secret(contract, s2)
-        payout(contract, {addr(1): 80}, bits)
+        payout(contract, 80, bits)
         with pytest.raises(LedgerError):
             abort(contract, now=999)
 
@@ -311,7 +368,7 @@ def full_honest_log():
     pairs = [(addr(5), digest(b"x")), (addr(9), digest(b"y"))]
     bits = settle_to_deposit(contract, pairs)
     reveal_secret(contract, s2)
-    payout(contract, {addr(5): 40, addr(9): 40}, bits)
+    payout(contract, 40, bits)
     return contract
 
 
@@ -397,12 +454,12 @@ class TestReadOnlyEvents:
         log = EventLog()
         payload = {"amount": 5, "from": AUTHORITY.value}
         event = log.append(EventKind.DEPOSITED, payload)
-        before = (dict(event.payload), event.canonical_bytes(), event.event_hash)
+        before = (dict(event.payload), event.event_bytes, event.event_hash)
         payload["amount"] = 6
         payload["to_role"] = "sysop"
         del payload["from"]
-        assert (dict(event.payload), event.canonical_bytes(), event.event_hash) == before
-        assert reencoded(event) == event.canonical_bytes()
+        assert (dict(event.payload), event.event_bytes, event.event_hash) == before
+        assert reencoded(event) == event.event_bytes
         assert verify_event_chain(log) == (True, None)
 
     def test_mutable_payload_values_rejected(self):
@@ -413,7 +470,7 @@ class TestReadOnlyEvents:
 
 
 def wire_record(event) -> bytes:
-    body = event.canonical_bytes() + event.event_hash
+    body = event.event_bytes + event.event_hash
     return struct.pack(">I", len(body)) + body
 
 
@@ -491,7 +548,7 @@ class TestCanonicalParse:
             return
         assert log.to_bytes() == data
         for event in log:  # the stored bytes are those of the parsed fields, and they are what gets hashed
-            assert reencoded(event) == event.canonical_bytes()
+            assert reencoded(event) == event.event_bytes
             assert event.compute_hash() == digest(reencoded(event)).value
 
 

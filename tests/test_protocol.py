@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privmarket.envelope import (
-    DecryptionError,
-    PreSharedKey,
-    decrypt,
-    derive_session_key,
-    digest,
-    hmac_derive,
-)
+from privmarket.envelope import derive_session_key, digest
 from privmarket.ldp import PrivacyParams, QuerySpec, accumulate_counts, estimate_frequencies
 from privmarket.ledger import Address, ContractPhase, EventKind, LedgerError, verify_event_chain
 from privmarket.protocol import (
@@ -28,7 +21,6 @@ from privmarket.protocol import (
     authority_deposit_and_await_reveal,
     authority_verify_delivery,
     build_and_finalize_filter,
-    build_survey_config,
     commit_population,
     equal_split,
     evaluate_criteria,
@@ -76,15 +68,15 @@ class TestConfigFile:
     def test_same_config_same_digest(self):
         q = QuerySpec(["a", "b", "c"])
         crit = FilterCriteria([("region", ["NSW", "VIC"])])
-        _, bytes1, d1 = build_survey_config(q, crit, 5, 100, PrivacyParams(0.5))
-        _, bytes2, d2 = build_survey_config(q, crit, 5, 100, PrivacyParams(0.5))
+        bytes1 = render_config_file(SurveyConfiguration(q, crit, 5, 100, PrivacyParams(0.5)))
+        bytes2 = render_config_file(SurveyConfiguration(q, crit, 5, 100, PrivacyParams(0.5)))
         assert bytes1 == bytes2
-        assert d1 == d2
+        assert digest(bytes1) == digest(bytes2)
 
     def test_label_change_changes_digest(self):
         crit = FilterCriteria.empty()
-        _, _, d1 = build_survey_config(QuerySpec(["a", "b"]), crit, 1, 0, PrivacyParams(0.5))
-        _, _, d2 = build_survey_config(QuerySpec(["a", "B"]), crit, 1, 0, PrivacyParams(0.5))
+        d1 = digest(render_config_file(SurveyConfiguration(QuerySpec(["a", "b"]), crit, 1, 0, PrivacyParams(0.5))))
+        d2 = digest(render_config_file(SurveyConfiguration(QuerySpec(["a", "B"]), crit, 1, 0, PrivacyParams(0.5))))
         assert d1 != d2
 
     def test_parse_inverts_render(self):
@@ -99,10 +91,9 @@ class TestConfigFile:
 
     def test_paper_shaped_config(self):
         q = QuerySpec([f"bin-{i:02d}" for i in range(20)])
-        config, file_bytes, d = build_survey_config(
-            q, FilterCriteria.empty(), 500, 10_000, PrivacyParams(0.5)
-        )
-        assert digest(file_bytes) == d
+        config = SurveyConfiguration(q, FilterCriteria.empty(), 500, 10_000, PrivacyParams(0.5))
+        file_bytes = render_config_file(config)
+        assert digest(file_bytes) == digest(render_config_file(config))
         assert parse_config_file(file_bytes) == config
 
     def test_parse_rejects_garbage(self):
@@ -286,24 +277,24 @@ class TestCommitPopulation:
         profiles = [profile(i + 1, choice=i % 4) for i in range(count)]
         store, _, sysop, contract, _ = setup_small_survey(small_config(nr=count, f=0.5), profiles)
         config_bytes = store.get(contract.config_uri)
-        psks = [sysop.issue_psk(contract, p.operator_id) for p in profiles]
-        return profiles, contract, config_bytes, psks
+        psk = sysop.issue_psk(contract, profiles[0].operator_id)
+        return profiles, contract, config_bytes, psk
 
     def test_one_draw_each_equals_one_operator_at_a_time(self):
         reports, own = np.random.default_rng(1), np.random.default_rng(2)
-        profiles, contract, config_bytes, psks = self._survey(7)
+        profiles, contract, config_bytes, psk = self._survey(7)
         batch = commit_population(
             [Operator(p, own) for p in profiles], contract, config_bytes,
-            contract.config_digest, psks, contract.n1, contract.n2, reports,
+            contract.config_digest, psk, contract.n1, contract.n2, reports,
         )
         ref_reports, ref_own = np.random.default_rng(1), np.random.default_rng(2)
-        ref_profiles, ref_contract, _, ref_psks = self._survey(7)
+        ref_profiles, ref_contract, _, ref_psk = self._survey(7)
         one_by_one = [
             operator_prepare_and_commit(
                 Operator(p, ref_own), ref_contract, config_bytes, ref_contract.config_digest,
-                psk, ref_contract.n1, ref_contract.n2, ref_reports,
+                ref_psk, ref_contract.n1, ref_contract.n2, ref_reports,
             )
-            for p, psk in zip(ref_profiles, ref_psks)
+            for p in ref_profiles
         ]
         assert batch == one_by_one
         assert contract.log.to_bytes() == ref_contract.log.to_bytes()
@@ -313,36 +304,17 @@ class TestCommitPopulation:
     def test_tampered_config_draws_and_commits_nothing(self):
         reports, own = np.random.default_rng(1), np.random.default_rng(2)
         states = (reports.bit_generator.state, own.bit_generator.state)
-        profiles, contract, config_bytes, psks = self._survey(3)
+        profiles, contract, config_bytes, psk = self._survey(3)
         with pytest.raises(ConfigIntegrityError):
             commit_population(
                 [Operator(p, own) for p in profiles], contract, config_bytes + b" ",
-                contract.config_digest, psks, contract.n1, contract.n2, reports,
+                contract.config_digest, psk, contract.n1, contract.n2, reports,
             )
         assert (reports.bit_generator.state, own.bit_generator.state) == states
         assert len(contract.log) == 1  # no Committed event
 
-    def test_mixed_psks_each_encrypt_under_their_own_session_key(self):
-        profiles, contract, config_bytes, psks = self._survey(6)
-        other = PreSharedKey(b"\x07" * 32)
-        mixed = [psk if i % 2 else other for i, psk in enumerate(psks)]
-        own = np.random.default_rng(2)
-        committed = commit_population(
-            [Operator(p, own) for p in profiles], contract, config_bytes,
-            contract.config_digest, mixed, contract.n1, contract.n2, np.random.default_rng(1),
-        )
-        keys = {
-            psk.value: derive_session_key(hmac_derive(psk, contract.n1), hmac_derive(psk, contract.n2))
-            for psk in (psks[0], other)
-        }
-        for psk, (ciphertext, _) in zip(mixed, committed):
-            (wrong,) = (key for key in keys.values() if key != keys[psk.value])
-            assert len(decrypt(keys[psk.value], ciphertext)) == 5  # one encoded 4-bit vector
-            with pytest.raises(DecryptionError):
-                decrypt(wrong, ciphertext)
-
     def test_generators_must_not_interleave(self):
-        profiles, contract, config_bytes, psks = self._survey(2)
+        profiles, contract, config_bytes, psk = self._survey(2)
         shared = np.random.default_rng(0)
         populations = {
             "share one own generator": [Operator(profiles[0], shared), Operator(profiles[1], np.random.default_rng(1))],
@@ -351,14 +323,9 @@ class TestCommitPopulation:
         for message, operators in populations.items():
             with pytest.raises(ValueError, match=message):
                 commit_population(
-                    operators, contract, config_bytes, contract.config_digest, psks,
+                    operators, contract, config_bytes, contract.config_digest, psk,
                     contract.n1, contract.n2, shared,
                 )
-        with pytest.raises(ValueError):  # one psk short
-            commit_population(
-                [Operator(p, shared) for p in profiles], contract, config_bytes,
-                contract.config_digest, psks[:1], contract.n1, contract.n2, np.random.default_rng(1),
-            )
         assert len(contract.log) == 1
 
 

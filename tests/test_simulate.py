@@ -69,8 +69,12 @@ class TestConfigValidation:
             ExperimentConfig(population=0)
         with pytest.raises(ValueError):
             ExperimentConfig(population=10, n_choices=1)
-        with pytest.raises(ValueError):
-            ExperimentConfig(population=10, sd=0.0)
+        for sd in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ExperimentConfig(population=10, sd=sd)
+        for mean in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                ExperimentConfig(population=10, mean=mean)
         with pytest.raises(ValueError):
             ExperimentConfig(population=10, trials=0)
 
