@@ -192,6 +192,9 @@ def cmd_inspect_ledger(args: argparse.Namespace) -> int:
     except LogFormatError as exc:
         print(f"corrupt log: {exc}", file=sys.stderr)
         return 1
+    if not len(log):
+        print("log file holds no events", file=sys.stderr)
+        return 1
     print(log.text_dump(), end="")
     ok, bad = verify_event_chain(log)
     print(f"chain {'OK' if ok else f'BROKEN at {bad}'}")
@@ -212,6 +215,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         return 1
     if not len(bits):
         print("reports file holds no vectors", file=sys.stderr)
+        return 1
+    if bits.shape[1] < 2:
+        print(f"reports hold {bits.shape[1]}-bit vectors; a query has at least 2 choices", file=sys.stderr)
         return 1
     counts = accumulate_counts(bits)
     estimate = estimate_frequencies(counts, PrivacyParams(args.f))

@@ -23,9 +23,12 @@ strict: keys must be strictly ascending (no repeats), strings valid UTF-8,
 and nothing may trail a record, so every accepted log re-serializes to
 exactly its input bytes.
 
-An event keeps its event_bytes, encoded once by `append` or sliced from a
-canonical input by `from_bytes`, and a read-only payload, so the two cannot
-drift apart; `to_bytes` joins and `verify_event_chain` hashes those bytes.
+An event is a tuple holding its event_bytes, encoded once by `append` or sliced
+from a canonical input by `from_bytes`, and a read-only payload in ascending key
+order; `to_bytes` joins and `verify_event_chain` hashes those bytes. `from_bytes`
+walks a record field by field, with every check, until its shape (kind, field
+count, body length) has been walked twice, then decodes the shape with one
+compiled struct; a record it does not fit is walked, so only the walk raises.
 
 All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
@@ -37,13 +40,15 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .envelope import Digest, FixedBytes, Nonce, Secret, digest, encode_bit_vector
 
 ADDRESS_LEN = 20
 GENESIS_PREV = b"\x00" * 32
+OPERATOR_SHARE_PCT = 80
 
 PayloadValue = int | bytes | str
 Payload = dict[str, PayloadValue]
@@ -111,6 +116,8 @@ _BODY_HEAD = struct.Struct(">IBH")  # sequence_no, kind, field_count
 _INT_FIELD = struct.Struct(">BQ")  # tag, value
 _BLOB_FIELD = struct.Struct(">BI")  # tag, length
 _KINDS = {kind.value: kind for kind in EventKind}
+_SHAPE = struct.Struct(">I4xBH")  # a record's body length, kind and field count
+_UNPLAIN = frozenset(" =\"'")  # in a dump token, these could fake a field or a quoted token
 
 
 def _encode_payload(payload: Mapping[str, PayloadValue]) -> bytes:
@@ -135,8 +142,7 @@ def _encode_payload(payload: Mapping[str, PayloadValue]) -> bytes:
 
 
 def _decode_body(body: bytes, index: int) -> LedgerEvent:
-    """Parse one record body; a field running past its end raises struct.error or
-    IndexError, and a key or string that is not UTF-8 raises UnicodeDecodeError."""
+    """Walk one record body; a short field raises struct.error or IndexError, a bad key or str UnicodeDecodeError."""
     sequence_no, kind_code, count = _BODY_HEAD.unpack_from(body)
     kind = _KINDS.get(kind_code)
     if kind is None:
@@ -170,13 +176,47 @@ def _decode_body(body: bytes, index: int) -> LedgerEvent:
     return LedgerEvent(sequence_no, kind, MappingProxyType(payload), body[pos + 32 :], body[: pos + 32])
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEvent:
+def _compile_layout(event: LedgerEvent) -> Callable[[bytes, int], LedgerEvent | None]:
+    """A decoder for records with the walked `event`'s skeleton; it returns None for any other."""
+    fmt, expect = ">IIBH", [None, None, event.kind, len(event.payload)]  # None marks a non-skeleton item
+    for key, value in event.payload.items():
+        kb, raw = key.encode("utf-8"), value.encode("utf-8") if type(value) is str else value
+        tag = _INT_TAG if type(value) is int else _BYTES_TAG if raw is value else _STR_TAG
+        fmt += f"H{len(kb)}sBQ" if tag == _INT_TAG else f"H{len(kb)}sBI{len(raw)}s"
+        expect += [len(kb), kb, tag] + ([] if tag == _INT_TAG else [len(raw)]) + [None]
+    unpack = struct.Struct(fmt + "32x32s").unpack_from
+    skeleton_of = itemgetter(*[i for i, e in enumerate(expect) if e is not None])
+    fields_of = itemgetter(*[i for i, e in enumerate(expect) if e is None][2:], 1, len(expect))  # values, seq, hash
+    skeleton, keys, kind, size = skeleton_of(expect), tuple(event.payload), event.kind, 4 + len(event.event_bytes)
+    strs = [key for key, value in event.payload.items() if type(value) is str]
+
+    def decode(data: bytes, offset: int) -> LedgerEvent | None:
+        record = unpack(data, offset)
+        if skeleton_of(record) != skeleton:
+            return None
+        fields = fields_of(record)
+        payload = dict(zip(keys, fields))  # zip stops at the last key
+        try:
+            for key in strs:
+                payload[key] = payload[key].decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        return LedgerEvent(fields[-2], kind, MappingProxyType(payload), fields[-1], data[offset + 4 : offset + size])
+
+    return decode
+
+
+def _token(text: str) -> str:
+    """A key or str value as one dump token: its quoted, escaped repr unless it is plain printable text."""
+    return text if text.isidentifier() or (text.isprintable() and _UNPLAIN.isdisjoint(text)) else repr(text)
+
+
+class LedgerEvent(NamedTuple):
     sequence_no: int
     kind: EventKind
-    payload: Mapping[str, PayloadValue]  # read-only
+    payload: Mapping[str, PayloadValue]  # read-only, in ascending key order
     event_hash: bytes
-    event_bytes: bytes = field(repr=False)  # the canonical encoding: sequence_no, kind, payload, prev_hash
+    event_bytes: bytes  # the canonical encoding: sequence_no, kind, payload, prev_hash
 
     @property
     def prev_hash(self) -> bytes:
@@ -186,17 +226,10 @@ class LedgerEvent:
         return digest(self.event_bytes).value
 
     def describe(self) -> str:
-        parts = []
-        for key in sorted(self.payload):
-            value = self.payload[key]
-            if isinstance(value, bytes):
-                parts.append(f"{key}={value.hex()}")
-            else:
-                parts.append(f"{key}={value}")
-        return (
-            f"{self.sequence_no} {_EVENT_NAMES[self.kind]}"
-            f" event={self.event_hash.hex()} prev={self.prev_hash.hex()} {' '.join(parts)}"
-        )
+        fields = " ".join([f"{_token(k)}={v.hex() if type(v) is bytes else _token(v) if type(v) is str else v}"
+                           for k, v in self.payload.items()])
+        hashes = f"event={self.event_hash.hex()} prev={self.event_bytes[-32:].hex()}"  # prev_hash, without a call
+        return f"{self.sequence_no} {_EVENT_NAMES[self.kind]} {hashes} {fields}"
 
 
 class EventLog:
@@ -213,51 +246,50 @@ class EventLog:
 
     def append(self, kind: EventKind, payload: Payload) -> LedgerEvent:
         prev = self.events[-1].event_hash if self.events else GENESIS_PREV
-        payload = MappingProxyType(dict(payload))  # a copy: the caller's dict may change later
+        payload = MappingProxyType(dict(sorted(payload.items())))  # a copy: the caller's dict may change later
         event_bytes = _EVENT_HEAD.pack(len(self.events), kind) + _encode_payload(payload) + prev
         event = LedgerEvent(len(self.events), kind, payload, digest(event_bytes).value, event_bytes)
         self.events.append(event)
         return event
 
     def to_bytes(self) -> bytes:
-        parts = []
-        for event in self.events:
-            parts += (_U32.pack(len(event.event_bytes) + 32), event.event_bytes, event.event_hash)
-        return b"".join(parts)
+        return b"".join(_U32.pack(len(e.event_bytes) + 32) + e.event_bytes + e.event_hash for e in self.events)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
-        log = cls()
-        offset = 0
+        log, offset = cls(), 0
+        layouts: dict = {}  # shape -> None after one walk, then its decoder, then False once that missed
         while offset < len(data):
-            index = len(log.events)
-            if len(data) - offset < 4:
-                raise LogFormatError(index, "truncated record length prefix")
-            end = offset + 4 + _U32.unpack_from(data, offset)[0]
-            if end > len(data):
-                raise LogFormatError(index, "record extends past end of data")
-            try:
-                log.events.append(_decode_body(data[offset + 4 : end], index))
-            except (struct.error, IndexError):
-                raise LogFormatError(index, "truncated field") from None
-            except UnicodeDecodeError:
-                raise LogFormatError(index, "payload key or string is not valid UTF-8") from None
-            offset = end
+            shape = _SHAPE.unpack_from(data, offset) if len(data) - offset >= _SHAPE.size else None
+            decode = layouts.get(shape)
+            event = decode(data, offset) if decode and offset + 4 + shape[0] <= len(data) else None
+            if event is None:
+                index = len(log.events)
+                if len(data) - offset < 4:
+                    raise LogFormatError(index, "truncated record length prefix")
+                end = offset + 4 + _U32.unpack_from(data, offset)[0]
+                if end > len(data):
+                    raise LogFormatError(index, "record extends past end of data")
+                try:
+                    event = _decode_body(data[offset + 4 : end], index)
+                except (struct.error, IndexError):
+                    raise LogFormatError(index, "truncated field") from None
+                except UnicodeDecodeError:
+                    raise LogFormatError(index, "payload key or string is not valid UTF-8") from None
+                layouts[shape] = None if shape not in layouts else decode is None and _compile_layout(event)
+            log.events.append(event)
+            offset += 36 + len(event.event_bytes)
         return log
 
     def text_dump(self) -> str:
-        return "\n".join(event.describe() for event in self.events) + ("\n" if self.events else "")
+        return "\n".join([*map(LedgerEvent.describe, self.events), ""])
 
 
 def verify_event_chain(log: EventLog) -> tuple[bool, int | None]:
     """Recompute every hash and link; returns (ok, first bad index)."""
     prev = GENESIS_PREV
     for i, event in enumerate(log.events):
-        if event.sequence_no != i:
-            return False, i
-        if event.prev_hash != prev:
-            return False, i
-        if event.compute_hash() != event.event_hash:
+        if event.sequence_no != i or event.prev_hash != prev or event.compute_hash() != event.event_hash:
             return False, i
         prev = event.event_hash
     return True, None
@@ -473,16 +505,17 @@ def reveal_secret(contract: SurveyContract, s2_candidate: Secret) -> SurveyContr
     return contract
 
 
-def payout(contract: SurveyContract, share: int, filter_bits: Sequence[int]) -> dict[Address, int]:
-    """Pay `share` to each of exactly `required_responses` filter-eligible commitments.
+def equal_split(fee: int, required_responses: int) -> int:
+    """Per-operator compensation: operators share OPERATOR_SHARE_PCT of the fee."""
+    return fee * OPERATOR_SHARE_PCT // (100 * required_responses)
 
-    The contract stores only the filter's hash, so the caller supplies the
-    filter bits; they are checked against the recorded digest before any
-    eligibility decision. The contract picks the payees itself, the filter's
-    ones in ascending address order (the PAID_OUT order). The share is the
-    caller's (no percentage is on the ledger) but must be one non-negative
-    int that the fee covers for every payee; a rejected call changes nothing.
-    Returns the distribution paid.
+
+def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[Address, int]:
+    """Pay the rule's share (`equal_split`) to exactly `required_responses` filter-eligible commitments.
+
+    Anyone holding the published filter may settle: its bits are checked against the recorded
+    digest first, then the contract pays its ones in ascending address order (the PAID_OUT
+    order). A rejected call changes nothing. Returns the distribution paid.
     """
     if contract.phase != ContractPhase.REVEALED:
         raise LedgerError(f"cannot pay out in phase {contract.phase.name}")
@@ -490,11 +523,8 @@ def payout(contract: SurveyContract, share: int, filter_bits: Sequence[int]) -> 
         raise LedgerError("supplied filter does not match the recorded filter hash")
     if len(filter_bits) != len(contract.commitments) or sum(filter_bits) != contract.required_responses:
         raise LedgerError(f"filter must mark exactly {contract.required_responses} of the commitments")
-    if type(share) is not int or share < 0:  # a bool is an int, yet no amount
-        raise LedgerError(f"share must be a non-negative int, got {share!r}")
+    share = equal_split(contract.fee, contract.required_responses)
     total = share * contract.required_responses
-    if total > contract.fee:
-        raise LedgerError(f"{contract.required_responses} shares of {share} exceed the fee {contract.fee}")
     distribution = {a: share for a, bit in zip(contract.commitments.addresses_sorted(), filter_bits) if bit}
     contract._credit(contract.sysop, -total)
     for address in distribution:

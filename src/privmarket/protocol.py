@@ -57,7 +57,6 @@ from .ledger import Address, ContractPhase, LedgerError, SurveyContract
 
 CONFIG_HEADER = "survey-config/1"
 DEADLINE = 1 << 32
-OPERATOR_SHARE_PCT = 80
 
 
 class ProtocolError(Exception):
@@ -493,14 +492,9 @@ def sysop_reveal_secret(sysop: SystemOperator, contract: SurveyContract) -> None
     ledger_mod.reveal_secret(contract, sysop.secret_for(contract))
 
 
-def equal_split(fee: int, required_responses: int) -> int:
-    """Per-operator compensation: operators share OPERATOR_SHARE_PCT of the fee."""
-    return fee * OPERATOR_SHARE_PCT // (100 * required_responses)
-
-
 def sysop_payout(sysop: SystemOperator, contract: SurveyContract, filter_vector: FilterVector) -> dict[Address, int]:
     """Equal shares to every filter-eligible operator, chosen by the contract; remainder retained."""
-    return ledger_mod.payout(contract, equal_split(contract.fee, contract.required_responses), filter_vector.bits)
+    return ledger_mod.payout(contract, filter_vector.bits)
 
 
 def settle_and_decrypt(

@@ -7,7 +7,7 @@ import pytest
 from privmarket.cli import main
 from privmarket.envelope import digest, encode_bit_vector
 from privmarket.ldp import PrivacyParams
-from privmarket.ledger import EventLog, _encode_payload
+from privmarket.ledger import EventKind, EventLog, _encode_payload
 from privmarket.simulate import ExperimentConfig, Mode, run_full_protocol_experiment
 
 
@@ -199,6 +199,22 @@ class TestInspectCommand:
     def test_missing_file(self, tmp_path):
         assert main(["inspect-ledger", "--log-file", str(tmp_path / "nope.bin")]) == 1
 
+    def test_empty_log_is_an_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        assert main(["inspect-ledger", "--log-file", str(empty)]) == 1
+        assert capsys.readouterr() == ("", "log file holds no events\n")
+
+    def test_party_strings_cannot_add_dump_lines(self, tmp_path, capsys):
+        log = EventLog()
+        log.append(EventKind.CREATED, {"config_uri": "x\n1 Committed event=00\nchain OK"})
+        forged = tmp_path / "forged.bin"
+        forged.write_bytes(log.to_bytes())
+        assert main(["inspect-ledger", "--log-file", str(forged)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(log) + 1
+        assert lines[-1] == "chain OK"
+
 
 class TestEstimateCommand:
     def test_f_zero_echoes_counts(self, tmp_path, capsys):
@@ -239,9 +255,11 @@ class TestEstimateCommand:
             (TWO + encode_bit_vector((1, 0, 1)), "reports file mixes vector lengths"),
             (TWO + TWO + b"\x00", "corrupt reports file: record 2: truncated length prefix"),
             (b"\xff\xff\xff\xff", "corrupt reports file: record 0: truncated body"),
+            (encode_bit_vector(()) * 3, "reports hold 0-bit vectors; a query has at least 2 choices"),
+            (encode_bit_vector((1,)) * 3, "reports hold 1-bit vectors; a query has at least 2 choices"),
         ],
         ids=["empty", "truncated-prefix", "truncated-body", "nonzero-padding", "mixed-lengths",
-             "mixed-lengths-same-size", "trailing-partial-record", "oversized-prefix"],
+             "mixed-lengths-same-size", "trailing-partial-record", "oversized-prefix", "zero-bit", "one-bit"],
     )
     def test_error_paths(self, tmp_path, capsys, blob, stderr):
         reports = tmp_path / "reports.bin"
@@ -249,12 +267,6 @@ class TestEstimateCommand:
         assert main(["estimate", "--reports-file", str(reports), "--f", "0.5"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", stderr + "\n")
-
-    def test_zero_bit_records_give_an_empty_table(self, tmp_path, capsys):
-        reports = tmp_path / "reports.bin"
-        reports.write_bytes(encode_bit_vector(()) * 3)
-        assert main(["estimate", "--reports-file", str(reports), "--f", "0.5"]) == 0
-        assert capsys.readouterr().out == "choice_index,ones,estimated_raw,estimated_clamped\n"
 
     def test_requires_f(self, tmp_path):
         reports = tmp_path / "reports.bin"

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privmarket.envelope import derive_session_key, digest
+from privmarket.envelope import decode_bit_stream, derive_session_key, digest
 from privmarket.ldp import PrivacyParams, QuerySpec, accumulate_counts, estimate_frequencies
-from privmarket.ledger import Address, ContractPhase, EventKind, LedgerError, verify_event_chain
+from privmarket.ledger import Address, ContractPhase, EventKind, LedgerError, equal_split, payout, verify_event_chain
 from privmarket.protocol import (
     ArtifactStore,
     Authority,
@@ -22,8 +22,8 @@ from privmarket.protocol import (
     authority_verify_delivery,
     build_and_finalize_filter,
     commit_population,
-    equal_split,
     evaluate_criteria,
+    filter_uri,
     operator_deliver,
     operator_prepare_and_commit,
     parse_config_file,
@@ -390,8 +390,6 @@ class TestFilter:
         store, _, sysop, contract, _ = setup_small_survey(config, profiles)
         commit_all(store, sysop, contract, profiles)
         fv = build_and_finalize_filter(sysop, contract, profiles, config.criteria, store=store)
-        from privmarket.protocol import filter_uri
-
         published = store.get(filter_uri(contract))
         assert digest(published) == contract.filter_digest
         assert fv.popcount == 2
@@ -611,6 +609,26 @@ class TestEqualSplit:
         assert contract.phase == ContractPhase.SETTLED
         assert sum(distribution.values()) <= contract.fee
         assert len(distribution) == 2
+
+    def test_an_operator_settles_a_survey_the_system_operator_leaves_revealed(self):
+        store, authority, sysop, contract, operators, fv = run_to_filter(nr=2)
+        for operator in operators:
+            msg = operator_deliver(operator, fv, contract.commitments)
+            if msg is not None:
+                authority_verify_delivery(authority, msg, contract.commitments, fv)
+        authority_deposit_and_await_reveal(authority, contract)
+        sysop_reveal_secret(sysop, contract)
+        # the system operator stops here; an operator settles with the published filter
+        published = decode_bit_stream(store.get(filter_uri(contract)))[0].tolist()
+        paid = payout(contract, published)
+        share = equal_split(contract.fee, contract.required_responses)
+        eligible = [a for a, bit in zip(contract.commitments.addresses_sorted(), fv.bits) if bit]
+        assert paid == dict.fromkeys(eligible, share) and share == 40
+        assert all(contract.balance_deltas[a] == share for a in eligible)
+        assert contract.balance_deltas[sysop.address] == contract.fee - 2 * share
+        assert contract.phase == ContractPhase.SETTLED
+        with pytest.raises(LedgerError, match="phase SETTLED"):
+            sysop_payout(sysop, contract, fv)
 
 
 class TestRunSurvey:
