@@ -38,7 +38,6 @@ from .ledger import (
     LedgerError,
     LedgerEvent,
     SurveyContract,
-    create_contract,
     verify_event_chain,
 )
 from .protocol import (

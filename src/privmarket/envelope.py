@@ -148,10 +148,6 @@ class Ciphertext:
         return cls(data[:CIPHER_NONCE_LEN], data[CIPHER_NONCE_LEN:])
 
 
-def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     """Raw HMAC-SHA-256 entry point (any key length, e.g. for test vectors)."""
     return _hmac.new(key, message, hashlib.sha256).digest()
@@ -164,12 +160,12 @@ def hmac_derive(psk: PreSharedKey, nonce: Nonce) -> Secret:
 
 def derive_session_key(s1: Secret, s2: Secret) -> SessionKey:
     """SHA-256 over the 64-byte concatenation s1 || s2, in that order."""
-    return SessionKey._made(sha256(s1.value + s2.value))
+    return SessionKey._made(hashlib.sha256(s1.value + s2.value).digest())
 
 
 def digest(data: bytes) -> Digest:
     """SHA-256 of the exact input bytes."""
-    return Digest._made(sha256(data))
+    return Digest._made(hashlib.sha256(data).digest())
 
 
 def encrypt(sk: SessionKey, plaintext: bytes, cipher_nonce: bytes) -> Ciphertext:

@@ -32,17 +32,18 @@ compiled struct; a record it does not fit is walked, so only the walk raises.
 
 All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
-order).
+order). A command that raises changes nothing: it reads its arguments and
+appends its event before it changes any field.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, fields
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, get_type_hints
 
 from .envelope import Digest, FixedBytes, Nonce, Secret, digest, encode_bit_vector
 
@@ -94,16 +95,8 @@ class EventKind(enum.IntEnum):
     ABORTED = 8
 
 
-_EVENT_NAMES = {
-    EventKind.CREATED: "Created",
-    EventKind.COMMITTED: "Committed",
-    EventKind.FILTER_RECORDED: "FilterRecorded",
-    EventKind.DEPOSITED: "Deposited",
-    EventKind.REVEALED: "Revealed",
-    EventKind.TRANSFERRED: "Transferred",
-    EventKind.PAID_OUT: "PaidOut",
-    EventKind.ABORTED: "Aborted",
-}
+# display names for the text dump: FILTER_RECORDED -> FilterRecorded
+_EVENT_NAMES = {kind: kind.name.title().replace("_", "") for kind in EventKind}
 
 _INT_TAG = 0x01
 _BYTES_TAG = 0x02
@@ -360,9 +353,13 @@ class CommitmentIndex:
 
 @dataclass
 class SurveyContract:
-    """On-ledger record of one survey. Mutate only through module functions."""
+    """On-ledger record of one survey, built from its terms. Mutate only through module functions.
 
-    contract_id: Digest
+    The terms are the init fields, and only they: construction records them as the CREATED
+    event, and `contract_id` is the digest of that payload. A term of the wrong type raises
+    and records nothing; a negative fee or deadline fails the payload's u64 check.
+    """
+
     config_uri: str
     config_digest: Digest
     required_responses: int
@@ -371,16 +368,30 @@ class SurveyContract:
     n2: Nonce
     s1: Secret
     h_s2: Digest
+    deadline: int
+    _: KW_ONLY
     authority: Address
     sysop: Address
-    deadline: int
-    phase: ContractPhase = ContractPhase.COLLECTING
-    commitments: CommitmentIndex = field(default_factory=CommitmentIndex)
-    filter_digest: Digest | None = None
-    revealed_s2: Secret | None = None
-    log: EventLog = field(default_factory=EventLog)
-    escrow_balance: int = 0
-    balance_deltas: dict[Address, int] = field(default_factory=dict)
+    contract_id: Digest = field(init=False)
+    phase: ContractPhase = field(init=False, default=ContractPhase.COLLECTING)
+    commitments: CommitmentIndex = field(init=False, default_factory=CommitmentIndex)
+    filter_digest: Digest | None = field(init=False, default=None)
+    revealed_s2: Secret | None = field(init=False, default=None)
+    log: EventLog = field(init=False, default_factory=EventLog)
+    escrow_balance: int = field(init=False, default=0)
+    balance_deltas: dict[Address, int] = field(init=False, default_factory=dict)
+
+    def __post_init__(self):
+        payload: Payload = {}
+        for name, kind in _TERMS:
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise TypeError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
+            payload[name] = value.value if isinstance(value, FixedBytes) else value
+        if self.required_responses < 1:
+            raise ValueError("required response count must be at least 1")
+        self.contract_id = digest(_encode_payload(payload))
+        self.log.append(EventKind.CREATED, payload)
 
     @property
     def escrow_address(self) -> Address:
@@ -391,53 +402,9 @@ class SurveyContract:
         self.balance_deltas[address] = self.balance_deltas.get(address, 0) + amount
 
 
-def create_contract(
-    config_uri: str,
-    config_digest: Digest,
-    required_responses: int,
-    fee: int,
-    n1: Nonce,
-    n2: Nonce,
-    s1: Secret,
-    h_s2: Digest,
-    deadline: int,
-    *,
-    authority: Address,
-    sysop: Address,
-) -> SurveyContract:
-    """Record a new survey; a negative fee or deadline fails the payload's u64 check."""
-    if required_responses < 1:
-        raise ValueError("required response count must be at least 1")
-    payload: Payload = {
-        "config_uri": config_uri,
-        "config_digest": config_digest.value,
-        "required_responses": required_responses,
-        "fee": fee,
-        "n1": n1.value,
-        "n2": n2.value,
-        "s1": s1.value,
-        "h_s2": h_s2.value,
-        "deadline": deadline,
-        "authority": authority.value,
-        "sysop": sysop.value,
-    }
-    contract_id = digest(_encode_payload(payload))
-    contract = SurveyContract(
-        contract_id=contract_id,
-        config_uri=config_uri,
-        config_digest=config_digest,
-        required_responses=required_responses,
-        fee=fee,
-        n1=n1,
-        n2=n2,
-        s1=s1,
-        h_s2=h_s2,
-        authority=authority,
-        sysop=sysop,
-        deadline=deadline,
-    )
-    contract.log.append(EventKind.CREATED, payload)
-    return contract
+# (name, type) of each term in init order; get_type_hints resolves the string annotations
+_HINTS = get_type_hints(SurveyContract)
+_TERMS = tuple((f.name, _HINTS[f.name]) for f in fields(SurveyContract) if f.init)
 
 
 def commit_response(contract: SurveyContract, address: Address, commitment: Digest) -> SurveyContract:
@@ -446,10 +413,9 @@ def commit_response(contract: SurveyContract, address: Address, commitment: Dige
         raise LedgerError(
             f"cannot commit in phase {contract.phase.name}: no more responses are accepted"
         )
+    payload = {"address": address.value, "commitment": commitment.value}
     contract.commitments.add(address, commitment)
-    contract.log.append(
-        EventKind.COMMITTED, {"address": address.value, "commitment": commitment.value}
-    )
+    contract.log.append(EventKind.COMMITTED, payload)
     return contract
 
 
@@ -457,9 +423,9 @@ def finalize_filter(contract: SurveyContract, filter_digest: Digest) -> SurveyCo
     """Record the eligibility filter's hash and stop accepting commitments."""
     if contract.phase != ContractPhase.COLLECTING:
         raise LedgerError(f"cannot finalize filter in phase {contract.phase.name}")
+    contract.log.append(EventKind.FILTER_RECORDED, {"filter_digest": filter_digest.value})
     contract.filter_digest = filter_digest
     contract.phase = ContractPhase.FILTERED
-    contract.log.append(EventKind.FILTER_RECORDED, {"filter_digest": filter_digest.value})
     return contract
 
 
@@ -469,13 +435,25 @@ def deposit(contract: SurveyContract, from_address: Address, amount: int) -> Sur
         raise LedgerError(f"cannot deposit in phase {contract.phase.name}")
     if from_address != contract.authority:
         raise LedgerError("only the contract's authority may deposit")
-    if amount != contract.fee:
-        raise LedgerError(f"deposit must equal the agreed fee {contract.fee}, got {amount}")
+    if type(amount) is not int or amount != contract.fee:
+        raise LedgerError(f"deposit must equal the agreed fee {contract.fee}, got {amount!r}")
+    contract.log.append(EventKind.DEPOSITED, {"from": from_address.value, "amount": amount})
     contract.escrow_balance += amount
     contract._credit(from_address, -amount)
     contract.phase = ContractPhase.DEPOSITED
-    contract.log.append(EventKind.DEPOSITED, {"from": from_address.value, "amount": amount})
     return contract
+
+
+def _release_escrow(contract: SurveyContract, to: Address, role: str) -> int:
+    """Move the whole escrow to `to` as one TRANSFERRED event; returns the amount moved."""
+    amount = contract.escrow_balance
+    contract.log.append(
+        EventKind.TRANSFERRED,
+        {"from": contract.escrow_address.value, "to": to.value, "to_role": role, "amount": amount},
+    )
+    contract.escrow_balance = 0
+    contract._credit(to, amount)
+    return amount
 
 
 def reveal_secret(contract: SurveyContract, s2_candidate: Secret) -> SurveyContract:
@@ -488,19 +466,9 @@ def reveal_secret(contract: SurveyContract, s2_candidate: Secret) -> SurveyContr
         raise LedgerError(f"cannot reveal in phase {contract.phase.name}")
     if digest(s2_candidate.value) != contract.h_s2:
         raise LedgerError("revealed secret does not match the stored hash")
-    contract.revealed_s2 = s2_candidate
     contract.log.append(EventKind.REVEALED, {"s2": s2_candidate.value})
-    contract.escrow_balance -= contract.fee
-    contract._credit(contract.sysop, contract.fee)
-    contract.log.append(
-        EventKind.TRANSFERRED,
-        {
-            "from": contract.escrow_address.value,
-            "to": contract.sysop.value,
-            "to_role": "sysop",
-            "amount": contract.fee,
-        },
-    )
+    contract.revealed_s2 = s2_candidate
+    _release_escrow(contract, contract.sysop, "sysop")
     contract.phase = ContractPhase.REVEALED
     return contract
 
@@ -526,13 +494,13 @@ def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[Address
     share = equal_split(contract.fee, contract.required_responses)
     total = share * contract.required_responses
     distribution = {a: share for a, bit in zip(contract.commitments.addresses_sorted(), filter_bits) if bit}
+    amount = struct.pack(">Q", share)
+    packed = b"".join(address.value + amount for address in distribution)
+    contract.log.append(EventKind.PAID_OUT, {"distribution": packed, "total": total})
     contract._credit(contract.sysop, -total)
     for address in distribution:
         contract._credit(address, share)
     contract.phase = ContractPhase.SETTLED
-    amount = struct.pack(">Q", share)
-    packed = b"".join(address.value + amount for address in distribution)
-    contract.log.append(EventKind.PAID_OUT, {"distribution": packed, "total": total})
     return distribution
 
 
@@ -540,23 +508,14 @@ def abort(contract: SurveyContract, now: int) -> SurveyContract:
     """Terminate a stalled survey after its deadline; refund any deposit."""
     if contract.phase in (ContractPhase.REVEALED, ContractPhase.SETTLED, ContractPhase.ABORTED):
         raise LedgerError(f"cannot abort in phase {contract.phase.name}")
+    if type(now) is not int:
+        raise LedgerError(f"now must be an int, got {now!r}")
     if now <= contract.deadline:
         raise LedgerError(f"deadline {contract.deadline} not yet passed at {now}")
     phase_before = contract.phase
     refund = 0
     if phase_before == ContractPhase.DEPOSITED:
-        refund = contract.escrow_balance
-        contract.escrow_balance = 0
-        contract._credit(contract.authority, refund)
-        contract.log.append(
-            EventKind.TRANSFERRED,
-            {
-                "from": contract.escrow_address.value,
-                "to": contract.authority.value,
-                "to_role": "authority",
-                "amount": refund,
-            },
-        )
-    contract.phase = ContractPhase.ABORTED
+        refund = _release_escrow(contract, contract.authority, "authority")
     contract.log.append(EventKind.ABORTED, {"phase_before": phase_before.name, "refund": refund})
+    contract.phase = ContractPhase.ABORTED
     return contract

@@ -320,7 +320,7 @@ def setup_survey(
     n2 = Nonce(sysop._rng.bytes(16))
     s1 = hmac_derive(psk, n1)
     s2 = hmac_derive(psk, n2)
-    contract = ledger_mod.create_contract(
+    contract = SurveyContract(
         uri,
         config_digest,
         config.required_responses,

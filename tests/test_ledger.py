@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import struct
 from types import MappingProxyType
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privmarket.envelope import Nonce, Secret, digest, encode_bit_vector
+from privmarket.envelope import FixedBytes, Nonce, Secret, digest, encode_bit_vector
 from privmarket.ledger import (
     OPERATOR_SHARE_PCT,
     Address,
@@ -18,11 +19,11 @@ from privmarket.ledger import (
     EventLog,
     LedgerError,
     LogFormatError,
+    SurveyContract,
     _encode_payload,
     abort,
     check_transfer_safety,
     commit_response,
-    create_contract,
     deposit,
     finalize_filter,
     payout,
@@ -45,7 +46,7 @@ def make_contract(nr=2, fee=100, deadline=1000, n1=None):
     psk = RNG.bytes(32)
     n1 = n1 if n1 is not None else Nonce(b"\x01" * 16)
     s2 = Secret(b"\x52" * 32)
-    return create_contract(
+    return SurveyContract(
         "survey://test/config",
         digest(b"config bytes"),
         nr,
@@ -76,6 +77,11 @@ def contract_state(contract):
     return copy.deepcopy(fields), list(contract.commitments), contract.log.to_bytes()
 
 
+def terms_of(contract):
+    """A contract's init fields by name: the arguments that build it again."""
+    return {f.name: getattr(contract, f.name) for f in dataclasses.fields(contract) if f.init}
+
+
 def reencoded(event) -> bytes:
     """The canonical encoding of an event's fields, made afresh (the hash covers these bytes)."""
     return struct.pack(">IB", event.sequence_no, event.kind) + _encode_payload(event.payload) + event.prev_hash
@@ -102,6 +108,30 @@ class TestCreate:
         c2, _ = make_contract(n1=Nonce(b"\x0b" * 16))
         assert c1.contract_id != c2.contract_id
 
+    def test_the_created_payload_is_the_init_fields(self):
+        contract, _ = make_contract()
+        terms = terms_of(contract)
+        created = contract.log.events[0]
+        assert sorted(created.payload) == sorted(terms)
+        assert dict(created.payload) == {k: v.value if isinstance(v, FixedBytes) else v for k, v in terms.items()}
+        assert contract.contract_id == digest(_encode_payload(created.payload))
+        again = SurveyContract(**terms)
+        assert again.contract_id == contract.contract_id
+        assert again.log.to_bytes() == contract.log.to_bytes()
+
+    @pytest.mark.parametrize("term", ["config_digest", "n1", "n2", "s1", "h_s2", "authority", "sysop"])
+    def test_raw_bytes_for_a_fixed_bytes_term_raise(self, term):
+        terms = terms_of(make_contract()[0])
+        terms[term] = terms[term].value
+        with pytest.raises(TypeError, match=term):
+            SurveyContract(**terms)
+
+    def test_a_term_of_another_fixed_bytes_type_raises(self):
+        terms = terms_of(make_contract()[0])
+        terms["n1"] = digest(b"not a nonce")
+        with pytest.raises(TypeError, match="n1"):
+            SurveyContract(**terms)
+
 
 class TestCommit:
     def test_duplicate_address_rejected(self):
@@ -118,6 +148,13 @@ class TestCommit:
         finalize_filter(contract, digest(encode_bit_vector([1])))
         with pytest.raises(LedgerError, match="[Nn]o more responses"):
             commit_response(contract, addr(0x0B), digest(b"late"))
+
+    def test_a_raw_bytes_commitment_changes_nothing(self):
+        contract, _ = make_contract()
+        before = contract_state(contract)
+        with pytest.raises(AttributeError):
+            commit_response(contract, addr(0x0A), digest(b"one").value)
+        assert contract_state(contract) == before
 
     def test_sorted_index_order(self):
         contract, _ = make_contract()
@@ -136,6 +173,14 @@ class TestFinalize:
         finalize_filter(contract, digest(encode_bit_vector([1])))
         assert contract.phase == ContractPhase.FILTERED
         assert contract.filter_digest is not None
+
+    def test_a_raw_bytes_filter_digest_changes_nothing(self):
+        contract, _ = make_contract(nr=1)
+        commit_response(contract, addr(1), digest(b"r"))
+        before = contract_state(contract)
+        with pytest.raises(AttributeError):
+            finalize_filter(contract, digest(encode_bit_vector([1])).value)
+        assert contract_state(contract) == before
 
     def test_double_finalize_rejected(self):
         contract, _ = make_contract(nr=1)
@@ -158,6 +203,16 @@ class TestDeposit:
         finalize_filter(contract, digest(encode_bit_vector([1])))
         with pytest.raises(LedgerError):
             deposit(contract, AUTHORITY, 99)
+
+    @pytest.mark.parametrize("fee,amount", [(100, 100.0), (1, True)])
+    def test_an_amount_that_is_not_an_int_changes_nothing(self, fee, amount):
+        contract, _ = make_contract(nr=1, fee=fee)
+        commit_response(contract, addr(1), digest(b"r"))
+        finalize_filter(contract, digest(encode_bit_vector([1])))
+        before = contract_state(contract)
+        with pytest.raises(LedgerError):
+            deposit(contract, AUTHORITY, amount)
+        assert contract_state(contract) == before
 
     def test_deposit_before_filter_rejected(self):
         contract, _ = make_contract(fee=100)
@@ -338,6 +393,14 @@ class TestAbort:
         contract, _ = make_contract(deadline=10)
         with pytest.raises(LedgerError):
             abort(contract, now=10)
+
+    @pytest.mark.parametrize("deadline,now", [(1000, float("nan")), (1000, 1001.0), (0, True)])
+    def test_a_now_that_is_not_an_int_changes_nothing(self, deadline, now):
+        contract, _ = make_contract(deadline=deadline)
+        before = contract_state(contract)
+        with pytest.raises(LedgerError):
+            abort(contract, now)
+        assert contract_state(contract) == before
 
     def test_after_settlement_rejected(self):
         contract, s2 = make_contract(nr=1, fee=100, deadline=10)
