@@ -7,6 +7,7 @@ All commands are deterministic given their flags (seeds included).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,40 +17,15 @@ from .ldp import PrivacyParams, accumulate_counts, estimate_frequencies
 from .ledger import ContractPhase, EventLog, LogFormatError, verify_event_chain
 from .protocol import FilterCriteria, ProtocolError, SurveyConfiguration
 from .simulate import (
-    CHOICES_SLOT,
     ExperimentConfig,
     Mode,
     default_query,
     export_results,
     run_seeded_survey,
     run_trials,
-    sample_true_choices,
-    substream,
     summarize,
+    true_choices,
 )
-
-DEMO_CHOICES = 20
-
-
-def _flip_probability(text: str) -> float:
-    try:
-        return PrivacyParams(float(text)).f
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
 
 
 def _populations(text: str) -> tuple[int, ...]:
@@ -57,8 +33,6 @@ def _populations(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("populations must be positive integers")
     if len(set(values)) != len(values):
         raise argparse.ArgumentTypeError(f"populations must not repeat, got {text!r}")
     return values
@@ -74,21 +48,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run accuracy experiments and export CSVs")
     p_sim.add_argument("--populations", type=_populations, default=(500, 1000, 5000, 10000),
                        help="comma-separated operator counts (default 500,1000,5000,10000)")
-    p_sim.add_argument("--choices", type=_positive_int, default=20)
-    p_sim.add_argument("--mean", type=float, default=10.0)
-    p_sim.add_argument("--sd", type=float, default=2.0)
-    p_sim.add_argument("--f", type=_flip_probability, default=0.5, help="per-bit flip probability")
-    p_sim.add_argument("--seed", type=_nonneg_int, default=0)
-    p_sim.add_argument("--trials", type=_positive_int, default=1)
+    p_sim.add_argument("--choices", type=int, default=ExperimentConfig.n_choices)
+    p_sim.add_argument("--mean", type=float, default=ExperimentConfig.mean)
+    p_sim.add_argument("--sd", type=float, default=ExperimentConfig.sd)
+    p_sim.add_argument("--f", type=float, default=ExperimentConfig.privacy.f, help="per-bit flip probability")
+    p_sim.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p_sim.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     p_sim.add_argument("--out", required=True, help="output directory for CSV files")
-    p_sim.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.LDP_ONLY.value)
+    p_sim.add_argument("--mode", choices=[m.value for m in Mode], default=ExperimentConfig.mode.value)
 
     p_demo = sub.add_parser("demo", help="run one full survey end to end and dump the ledger")
-    p_demo.add_argument("--operators", type=_positive_int, default=5)
-    p_demo.add_argument("--nr", type=_positive_int, default=3, help="required responses")
-    p_demo.add_argument("--fee", type=_nonneg_int, default=100)
-    p_demo.add_argument("--f", type=_flip_probability, default=0.5)
-    p_demo.add_argument("--seed", type=_nonneg_int, default=7)
+    p_demo.add_argument("--operators", type=int, default=5)
+    p_demo.add_argument("--nr", type=int, default=3, help="required responses")
+    p_demo.add_argument("--fee", type=int, default=100)
+    p_demo.add_argument("--f", type=float, default=0.5)
+    p_demo.add_argument("--seed", type=int, default=7)
     p_demo.add_argument("--criteria-file", default=None,
                         help="JSON object: attribute -> list of allowed values")
     p_demo.add_argument("--trace-out", default=None,
@@ -99,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="de-noise a file of bit-packed reports")
     p_est.add_argument("--reports-file", required=True)
-    p_est.add_argument("--f", type=_flip_probability, required=True)
+    p_est.add_argument("--f", type=float, required=True)
 
     return parser
 
@@ -144,19 +118,21 @@ def _load_criteria(path: str | None) -> FilterCriteria:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    criteria = _load_criteria(args.criteria_file)
-    choices = sample_true_choices(
-        args.operators, 10.0, 2.0, DEMO_CHOICES, substream(args.seed, 0, CHOICES_SLOT)
-    )
-    config = SurveyConfiguration(
-        query=default_query(DEMO_CHOICES),
-        criteria=criteria,
-        required_responses=args.nr,
-        fee=args.fee,
-        privacy=PrivacyParams(args.f),
-    )
+    try:  # every flag is checked before the criteria file is read
+        experiment = ExperimentConfig(population=args.operators, privacy=PrivacyParams(args.f), seed=args.seed)
+        config = SurveyConfiguration(
+            query=default_query(experiment.n_choices),
+            criteria=FilterCriteria(),
+            required_responses=args.nr,
+            fee=args.fee,
+            privacy=experiment.privacy,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    config = dataclasses.replace(config, criteria=_load_criteria(args.criteria_file))
     try:
-        outcome = run_seeded_survey(config, choices, args.seed, 0)
+        outcome = run_seeded_survey(config, true_choices(experiment, 0), args.seed, 0)
     except ProtocolError as exc:
         for line in exc.trace:
             print(line)
@@ -203,6 +179,11 @@ def cmd_inspect_ledger(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     try:
+        privacy = PrivacyParams(args.f)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         bits = decode_bit_stream(Path(args.reports_file).read_bytes())
     except OSError as exc:
         print(f"cannot read reports file: {exc}", file=sys.stderr)
@@ -220,7 +201,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print(f"reports hold {bits.shape[1]}-bit vectors; a query has at least 2 choices", file=sys.stderr)
         return 1
     counts = accumulate_counts(bits)
-    estimate = estimate_frequencies(counts, PrivacyParams(args.f))
+    estimate = estimate_frequencies(counts, privacy)
     print("choice_index,ones,estimated_raw,estimated_clamped")
     for j, ones in enumerate(counts.ones_per_position):
         print(f"{j},{int(ones)},{estimate.raw_estimates[j]!r},{estimate.clamped_estimates[j]!r}")

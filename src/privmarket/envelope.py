@@ -20,9 +20,10 @@ Normative byte layouts (inputs to hashing and commitments, bit-exact):
 Digests render as lowercase hex everywhere (logs, CSV, CLI).
 
 Lengths and types are checked where bytes come from outside: the public
-constructors of FixedBytes (and ledger.Address) and Ciphertext,
-Ciphertext.deserialize and encrypt's nonce. What digest, hmac_derive,
-derive_session_key and encrypt return is built unchecked (`_made`).
+constructors of FixedBytes (and ledger.Address) and Ciphertext, and
+encrypt's nonce. Ciphertexts travel between parties as objects, so nothing
+parses serialized ones. What digest, hmac_derive, derive_session_key and
+encrypt return is built unchecked (`_made`).
 """
 
 from __future__ import annotations
@@ -140,12 +141,6 @@ class Ciphertext:
 
     def serialize(self) -> bytes:
         return self.cipher_nonce + self.body
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "Ciphertext":
-        if not isinstance(data, (bytes, bytearray)) or len(data) < CIPHER_NONCE_LEN + GCM_TAG_LEN:
-            raise ValueError("serialized ciphertext must be bytes holding a nonce and a tag")
-        return cls(data[:CIPHER_NONCE_LEN], data[CIPHER_NONCE_LEN:])
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:

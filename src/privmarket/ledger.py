@@ -407,29 +407,31 @@ _HINTS = get_type_hints(SurveyContract)
 _TERMS = tuple((f.name, _HINTS[f.name]) for f in fields(SurveyContract) if f.init)
 
 
-def commit_response(contract: SurveyContract, address: Address, commitment: Digest) -> SurveyContract:
+def commit_response(contract: SurveyContract, address: Address, commitment: Digest) -> None:
     """Store one address's response commitment, first come first served."""
     if contract.phase != ContractPhase.COLLECTING:
         raise LedgerError(
             f"cannot commit in phase {contract.phase.name}: no more responses are accepted"
         )
+    if not isinstance(address, Address) or not isinstance(commitment, Digest):
+        raise LedgerError(f"commit needs an Address and a Digest, got {type(address).__name__}, {type(commitment).__name__}")
     payload = {"address": address.value, "commitment": commitment.value}
     contract.commitments.add(address, commitment)
     contract.log.append(EventKind.COMMITTED, payload)
-    return contract
 
 
-def finalize_filter(contract: SurveyContract, filter_digest: Digest) -> SurveyContract:
+def finalize_filter(contract: SurveyContract, filter_digest: Digest) -> None:
     """Record the eligibility filter's hash and stop accepting commitments."""
     if contract.phase != ContractPhase.COLLECTING:
         raise LedgerError(f"cannot finalize filter in phase {contract.phase.name}")
+    if not isinstance(filter_digest, Digest):
+        raise LedgerError(f"filter digest must be a Digest, not {type(filter_digest).__name__}")
     contract.log.append(EventKind.FILTER_RECORDED, {"filter_digest": filter_digest.value})
     contract.filter_digest = filter_digest
     contract.phase = ContractPhase.FILTERED
-    return contract
 
 
-def deposit(contract: SurveyContract, from_address: Address, amount: int) -> SurveyContract:
+def deposit(contract: SurveyContract, from_address: Address, amount: int) -> None:
     """Escrow the agreed fee; only the authority, only the exact amount."""
     if contract.phase != ContractPhase.FILTERED:
         raise LedgerError(f"cannot deposit in phase {contract.phase.name}")
@@ -441,7 +443,6 @@ def deposit(contract: SurveyContract, from_address: Address, amount: int) -> Sur
     contract.escrow_balance += amount
     contract._credit(from_address, -amount)
     contract.phase = ContractPhase.DEPOSITED
-    return contract
 
 
 def _release_escrow(contract: SurveyContract, to: Address, role: str) -> int:
@@ -456,7 +457,7 @@ def _release_escrow(contract: SurveyContract, to: Address, role: str) -> int:
     return amount
 
 
-def reveal_secret(contract: SurveyContract, s2_candidate: Secret) -> SurveyContract:
+def reveal_secret(contract: SurveyContract, s2_candidate: Secret) -> None:
     """Atomically record s2 and release the deposit to the system operator.
 
     A candidate whose hash does not match the stored commitment changes
@@ -464,13 +465,14 @@ def reveal_secret(contract: SurveyContract, s2_candidate: Secret) -> SurveyContr
     """
     if contract.phase != ContractPhase.DEPOSITED:
         raise LedgerError(f"cannot reveal in phase {contract.phase.name}")
+    if not isinstance(s2_candidate, Secret):
+        raise LedgerError(f"revealed secret must be a Secret, not {type(s2_candidate).__name__}")
     if digest(s2_candidate.value) != contract.h_s2:
         raise LedgerError("revealed secret does not match the stored hash")
     contract.log.append(EventKind.REVEALED, {"s2": s2_candidate.value})
     contract.revealed_s2 = s2_candidate
     _release_escrow(contract, contract.sysop, "sysop")
     contract.phase = ContractPhase.REVEALED
-    return contract
 
 
 def equal_split(fee: int, required_responses: int) -> int:
@@ -504,7 +506,7 @@ def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[Address
     return distribution
 
 
-def abort(contract: SurveyContract, now: int) -> SurveyContract:
+def abort(contract: SurveyContract, now: int) -> None:
     """Terminate a stalled survey after its deadline; refund any deposit."""
     if contract.phase in (ContractPhase.REVEALED, ContractPhase.SETTLED, ContractPhase.ABORTED):
         raise LedgerError(f"cannot abort in phase {contract.phase.name}")
@@ -518,4 +520,3 @@ def abort(contract: SurveyContract, now: int) -> SurveyContract:
         refund = _release_escrow(contract, contract.authority, "authority")
     contract.log.append(EventKind.ABORTED, {"phase_before": phase_before.name, "refund": refund})
     contract.phase = ContractPhase.ABORTED
-    return contract

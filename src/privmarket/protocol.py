@@ -139,12 +139,6 @@ class FilterVector:
 
     bits: tuple[int, ...]
 
-    def __init__(self, bits: Sequence[int]):
-        vals = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in vals):
-            raise ValueError("filter bits must be 0 or 1")
-        object.__setattr__(self, "bits", vals)
-
     @property
     def popcount(self) -> int:
         return sum(self.bits)
@@ -171,14 +165,6 @@ class AggregationOutcome:
     decrypted_vectors: np.ndarray  # (opened deliveries, n) uint8, ascending delivery index
     estimate: FrequencyEstimate
     failed_indices: tuple[int, ...]  # accepted deliveries that did not decrypt or decode
-
-
-@dataclass(frozen=True)
-class PskDistribution:
-    """Record of which registered operators were issued the survey psk."""
-
-    contract_id: Digest
-    recipients: tuple[str, ...]
 
 
 class ArtifactStore:
@@ -304,8 +290,8 @@ class Operator:
 
 def setup_survey(
     authority: Authority, sysop: SystemOperator, config: SurveyConfiguration, *, store: ArtifactStore
-) -> tuple[SurveyContract, PskDistribution]:
-    """Create the on-ledger contract and stage key material.
+) -> tuple[SurveyContract, tuple[str, ...]]:
+    """Create the on-ledger contract and stage key material; returns it and the registered operator ids.
 
     The contract records s1 in the clear but only the hash of s2; s2 stays
     with the system operator until the deposit is in escrow.
@@ -334,8 +320,7 @@ def setup_survey(
         sysop=sysop.address,
     )
     sysop._survey_keys[contract.contract_id.hex] = (psk, s2)
-    record = PskDistribution(contract.contract_id, tuple(sorted(sysop.registry)))
-    return contract, record
+    return contract, tuple(sorted(sysop.registry))
 
 
 def evaluate_criteria(profile: OperatorProfile, criteria: FilterCriteria) -> bool:
@@ -434,7 +419,7 @@ def build_and_finalize_filter(
         raise InsufficientEligibleError(
             f"only {len(marked)} eligible commitments, need {contract.required_responses}"
         )
-    bits = [1 if address in marked else 0 for address in contract.commitments.addresses_sorted()]
+    bits = tuple(1 if address in marked else 0 for address in contract.commitments.addresses_sorted())
     filter_vector = FilterVector(bits)
     filter_bytes = encode_bit_vector(filter_vector.bits)
     ledger_mod.finalize_filter(contract, digest(filter_bytes))
@@ -451,6 +436,8 @@ def operator_deliver(
         index = commitments.index_of(address)
     except KeyError as exc:
         raise ProtocolError(f"operator address {address} absent from commitment index") from exc
+    if index >= len(filter_vector.bits):
+        raise ProtocolError(f"filter of {len(filter_vector.bits)} bits holds no bit for index {index}")
     if filter_vector.bits[index] != 1:
         return None
     if operator.ciphertext is None:
@@ -467,7 +454,7 @@ def authority_verify_delivery(
     """Check eligibility and the on-ledger commitment before accepting."""
     if type(msg.index) is not int or not 0 <= msg.index < len(commitments):  # a bool is an int, yet no index
         return DeliveryVerdict.OUT_OF_RANGE
-    if filter_vector.bits[msg.index] != 1:
+    if msg.index >= len(filter_vector.bits) or filter_vector.bits[msg.index] != 1:
         return DeliveryVerdict.INELIGIBLE
     _, expected = commitments.at(msg.index)
     if not isinstance(msg.ciphertext, Ciphertext) or digest(msg.ciphertext.serialize()) != expected:
@@ -551,7 +538,6 @@ class SurveyOutcome:
     filter_vector: FilterVector
     aggregation: AggregationOutcome
     payouts: dict[Address, int]
-    psk_record: PskDistribution
     trace: list[str]
 
 
@@ -588,9 +574,9 @@ def run_survey(
         sysop.register_operator(profile)
 
     try:
-        contract, psk_record = setup_survey(authority, sysop, config, store=store)
+        contract, _ = setup_survey(authority, sysop, config, store=store)
         _t(trace, "sysop", "create-contract", f"id={contract.contract_id.hex[:16]} nr={config.required_responses} fee={config.fee}")
-        _t(trace, "sysop", "distribute-psk", f"recipients={len(psk_record.recipients)}")
+        _t(trace, "sysop", "distribute-psk", f"recipients={len(sysop.registry)}")
 
         operators = [Operator(profile, infra_rng) for profile in profiles]
         config_bytes = store.get(contract.config_uri)
@@ -638,4 +624,4 @@ def run_survey(
             raise
         raise ProtocolError(str(exc), trace) from exc
 
-    return SurveyOutcome(contract, filter_vector, aggregation, payouts, psk_record, trace)
+    return SurveyOutcome(contract, filter_vector, aggregation, payouts, trace)

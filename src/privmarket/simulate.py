@@ -114,7 +114,8 @@ def compute_error_metrics(actual: Sequence[float], estimated_raw: Sequence[float
     )
 
 
-def _true_choices(config: ExperimentConfig, trial: int) -> np.ndarray:
+def true_choices(config: ExperimentConfig, trial: int) -> np.ndarray:
+    """The population's 0-based true choices in one trial, from its CHOICES_SLOT substream."""
     return sample_true_choices(
         config.population, config.mean, config.sd, config.n_choices,
         substream(config.seed, trial, CHOICES_SLOT),
@@ -139,7 +140,7 @@ def _result(
 
 def run_ldp_experiment(config: ExperimentConfig, trial: int = 0) -> ExperimentResult:
     """Sample, randomize and estimate, without any protocol machinery."""
-    choices = _true_choices(config, trial)
+    choices = true_choices(config, trial)
     reports = randomize_batch(
         choices, config.n_choices, config.privacy, substream(config.seed, trial, REPORTS_SLOT)
     )
@@ -189,7 +190,7 @@ def run_full_protocol_experiment(
 ) -> tuple[ExperimentResult, EventLog, list[str]]:
     """End-to-end marketplace run; the estimate matches run_ldp_experiment
     for the same seed and trial bit for bit."""
-    choices = _true_choices(config, trial)
+    choices = true_choices(config, trial)
     survey_config = SurveyConfiguration(
         query=default_query(config.n_choices),
         criteria=FilterCriteria.empty(),

@@ -329,5 +329,46 @@ class TestReadPathPins:
         assert sha256(out.encode()) == "825294a2f538430a3e9e9b68ca7baf3bc6a07642fad5eba029e4d977a118b080"
 
 
+class TestBadFlagValues:
+    """A bad flag value is a usage error before any work: exit 2, nothing on stdout, no output written."""
+
+    # flags a constructor rejects: SurveyConfiguration, ExperimentConfig or PrivacyParams
+    CONSTRUCTOR_CHECKED = [
+        ["demo", "--nr", "0"],
+        ["demo", "--fee", "-1"],
+        ["demo", "--operators", "0"],
+        ["demo", "--seed", "-1"],
+        ["demo", "--f", "1.5"],
+        ["estimate", "--f", "1.5"],
+        ["simulate", "--populations", "100", "--choices", "0"],
+        ["simulate", "--populations", "100", "--trials", "0"],
+        ["simulate", "--populations", "100", "--seed", "-1"],
+        ["simulate", "--populations", "0"],
+    ]
+
+    @staticmethod
+    def run(tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        reports = tmp_path / "reports.bin"
+        reports.write_bytes(encode_bit_vector((1, 0)))
+        destination = {"demo": ["--trace-out", str(out)], "simulate": ["--out", str(out)],
+                       "estimate": ["--reports-file", str(reports)]}
+        code = main(argv + destination[argv[0]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert not out.exists()
+        return captured.err
+
+    @pytest.mark.parametrize("argv", CONSTRUCTOR_CHECKED, ids=" ".join)
+    def test_constructor_checked_flag_is_one_error_line(self, tmp_path, capsys, argv):
+        err = self.run(tmp_path, capsys, argv)
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_population_that_is_not_an_integer_is_a_usage_error(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["simulate", "--populations", "5,x"])
+        assert "expected comma-separated integers" in err
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0

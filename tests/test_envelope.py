@@ -63,11 +63,6 @@ class TestNewtypes:
         with pytest.raises(ValueError):
             Ciphertext(b"\x00" * 12, "\x00" * 16)
 
-    @pytest.mark.parametrize("data", [b"\x00" * 27, b"", "\x00" * 28, [0] * 28, None])
-    def test_deserialize_checks_length_and_type(self, data):
-        with pytest.raises(ValueError):
-            Ciphertext.deserialize(data)
-
     @pytest.mark.parametrize("nonce", [b"\x00" * 11, b"\x00" * 13, "\x00" * 12, None])
     def test_encrypt_checks_nonce(self, nonce):
         with pytest.raises(ValueError):
@@ -85,7 +80,6 @@ class TestNewtypes:
             assert type(m) is type(k)
             assert m == k
             assert hash(m) == hash(k)
-        assert Ciphertext.deserialize(c.serialize()) == c
 
 
 class TestHmacDerive:
@@ -186,8 +180,9 @@ class TestAead:
     def test_serialize_round_trip(self):
         sk = SessionKey(b"\x22" * 32)
         c = encrypt(sk, b"abc", b"\x07" * 12)
-        assert Ciphertext.deserialize(c.serialize()) == c
-        assert c.serialize()[:12] == c.cipher_nonce
+        data = c.serialize()
+        assert data == c.cipher_nonce + c.body
+        assert Ciphertext(data[:12], data[12:]) == c
 
 
 class TestEscrowSoundness:

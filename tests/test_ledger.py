@@ -152,7 +152,7 @@ class TestCommit:
     def test_a_raw_bytes_commitment_changes_nothing(self):
         contract, _ = make_contract()
         before = contract_state(contract)
-        with pytest.raises(AttributeError):
+        with pytest.raises(LedgerError):
             commit_response(contract, addr(0x0A), digest(b"one").value)
         assert contract_state(contract) == before
 
@@ -178,7 +178,7 @@ class TestFinalize:
         contract, _ = make_contract(nr=1)
         commit_response(contract, addr(1), digest(b"r"))
         before = contract_state(contract)
-        with pytest.raises(AttributeError):
+        with pytest.raises(LedgerError):
             finalize_filter(contract, digest(encode_bit_vector([1])).value)
         assert contract_state(contract) == before
 
@@ -258,6 +258,14 @@ class TestReveal:
         assert contract.escrow_balance == 100
         assert len(contract.log) == events_before
         assert contract.revealed_s2 is None
+
+    def test_a_raw_bytes_secret_changes_nothing(self):
+        contract, s2 = make_contract(nr=1, fee=100)
+        settle_to_deposit(contract, [(addr(1), digest(b"r"))])
+        before = contract_state(contract)
+        with pytest.raises(LedgerError):
+            reveal_secret(contract, s2.value)
+        assert contract_state(contract) == before
 
     def test_reveal_before_deposit_rejected(self):
         contract, s2 = make_contract(nr=1)

@@ -190,8 +190,8 @@ def setup_small_survey(config, profiles, seed=0):
     sysop = SystemOperator(Address(infra.bytes(20)), infra)
     for p in profiles:
         sysop.register_operator(p)
-    contract, record = setup_survey(authority, sysop, config, store=store)
-    return store, authority, sysop, contract, record
+    contract, recipients = setup_survey(authority, sysop, config, store=store)
+    return store, authority, sysop, contract, recipients
 
 
 class TestSetup:
@@ -215,9 +215,8 @@ class TestSetup:
 
     def test_distribution_record_lists_registered_operators(self):
         profiles = [profile(i) for i in range(3)]
-        _, _, _, contract, record = setup_small_survey(small_config(), profiles)
-        assert record.contract_id == contract.contract_id
-        assert record.recipients == ("op-00", "op-01", "op-02")
+        _, _, _, _, recipients = setup_small_survey(small_config(), profiles)
+        assert recipients == ("op-00", "op-01", "op-02")
 
 
 class TestPrepareAndCommit:
@@ -478,6 +477,24 @@ class TestDelivery:
             assert authority_verify_delivery(authority, bad, contract.commitments, fv) \
                 == DeliveryVerdict.HASH_MISMATCH
         assert authority.accepted == {}
+
+    def test_verify_gives_verdict_for_an_index_the_filter_does_not_cover(self):
+        _, authority, _, contract, operators, _ = run_to_filter(nr=1, count=2)
+        from privmarket.protocol import DeliveryMessage, FilterVector
+
+        at_one = next(o for o in operators if contract.commitments.index_of(o.profile.active_address) == 1)
+        msg = DeliveryMessage(1, at_one.ciphertext)
+        assert authority_verify_delivery(authority, msg, contract.commitments, FilterVector((1,))) \
+            == DeliveryVerdict.INELIGIBLE
+        assert authority.accepted == {}
+
+    def test_deliver_refuses_a_filter_without_its_bit(self):
+        _, _, _, contract, operators, _ = run_to_filter(nr=1, count=2)
+        from privmarket.protocol import FilterVector
+
+        at_one = next(o for o in operators if contract.commitments.index_of(o.profile.active_address) == 1)
+        with pytest.raises(ProtocolError, match="no bit for index 1"):
+            operator_deliver(at_one, FilterVector((1,)), contract.commitments)
 
     def test_verify_rejects_duplicates_and_accepts_valid(self):
         _, authority, _, contract, operators, fv = run_to_filter()
