@@ -56,6 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     p_sim.add_argument("--out", required=True, help="output directory for CSV files")
     p_sim.add_argument("--mode", choices=[m.value for m in Mode], default=ExperimentConfig.mode.value)
+    p_sim.set_defaults(handler=cmd_simulate)
 
     p_demo = sub.add_parser("demo", help="run one full survey end to end and dump the ledger")
     p_demo.add_argument("--operators", type=int, default=5)
@@ -67,13 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON object: attribute -> list of allowed values")
     p_demo.add_argument("--trace-out", default=None,
                         help="directory for trace.txt, events.bin and events.txt")
+    p_demo.set_defaults(handler=cmd_demo)
 
     p_inspect = sub.add_parser("inspect-ledger", help="verify and print a binary event log")
     p_inspect.add_argument("--log-file", required=True)
+    p_inspect.set_defaults(handler=cmd_inspect_ledger)
 
     p_est = sub.add_parser("estimate", help="de-noise a file of bit-packed reports")
     p_est.add_argument("--reports-file", required=True)
     p_est.add_argument("--f", type=float, required=True)
+    p_est.set_defaults(handler=cmd_estimate)
 
     return parser
 
@@ -111,10 +115,7 @@ def _load_criteria(path: str | None) -> FilterCriteria:
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError("criteria file must hold a JSON object")
-    for attr, values in raw.items():
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise ValueError(f"criteria for {attr!r} must be a list of strings")
-    return FilterCriteria(raw.items())
+    return FilterCriteria(raw.items())  # which checks each value is a list of strings
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -214,14 +215,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "simulate": cmd_simulate,
-        "demo": cmd_demo,
-        "inspect-ledger": cmd_inspect_ledger,
-        "estimate": cmd_estimate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ProtocolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,7 @@ Normative byte layouts (inputs to hashing and commitments, bit-exact):
 
 * bit vector: 4-byte big-endian length n, then ceil(n/8) bytes with bit j
   stored at byte j//8, most significant bit first; padding bits are zero.
+  decode_bit_matrix reports the records that do not decode by position.
 * ciphertext: 12-byte cipher nonce, then the AES-GCM body (payload plus
   16-byte authentication tag). H(C_R) commits to nonce, body and tag
   jointly.
@@ -195,34 +196,26 @@ def encode_bit_vector(bits: Sequence[int] | np.ndarray) -> bytes:
     return encode_bit_matrix(np.asarray(bits)[None])[0]  # only a 1-D input passes the 2-D check
 
 
-def _unpack_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """Bits of the leading rows (one encoded record each) whose length prefix is n, and their count.
-
-    BitVectorError names the first of those rows with nonzero padding bits.
-    """
-    other = np.flatnonzero((rows[:, :4] != np.frombuffer(struct.pack(">I", n), dtype=np.uint8)).any(axis=1))
-    rows = rows[: other[0]] if other.size else rows
-    if n % 8:
-        padded = np.flatnonzero(rows[:, -1] & ((1 << (8 - n % 8)) - 1))
-        if padded.size:
-            raise BitVectorError(int(padded[0]), "nonzero padding bits")
-    return np.unpackbits(rows[:, 4:], axis=1, count=n), len(rows)
+def _unpack_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bits of rows holding one encoded n-bit record each; per row: is the prefix n, is the padding zero."""
+    prefixed = (rows[:, :4] == np.frombuffer(struct.pack(">I", n), dtype=np.uint8)).all(axis=1)
+    padded = (rows[:, -1] & ((1 << (-n % 8)) - 1)) == 0  # a multiple of 8 bits has no padding
+    return np.unpackbits(rows[:, 4:], axis=1, count=n), prefixed, padded
 
 
-def decode_bit_matrix(records: Sequence[bytes], n: int) -> np.ndarray:
-    """Strictly decode records that each hold n bits into one (N, n) uint8 matrix.
+def decode_bit_matrix(records: Sequence[bytes], n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Strictly decode records that each hold n bits; returns (bits, undecodable).
 
-    Every record must have the exact length, the length prefix n and zero
-    padding bits; BitVectorError names the first bad record.
+    bits is the (M, n) uint8 matrix of the records that decode, in input order; undecodable
+    the ascending positions of the others: another length, another length prefix, or nonzero padding.
     """
     size = 4 + (n + 7) // 8
-    for i, record in enumerate(records):
-        if len(record) != size:
-            raise BitVectorError(i, f"not an encoded {n}-bit vector")
-    bits, good = _unpack_rows(np.frombuffer(b"".join(records), dtype=np.uint8).reshape(len(records), size), n)
-    if good < len(records):
-        raise BitVectorError(good, f"not an encoded {n}-bit vector")
-    return bits
+    # swap a record of another length for all ones, which never decode (at n = 2**32 - 1 a padding bit is set)
+    if any(len(record) != size for record in records):
+        records = [record if len(record) == size else b"\xff" * size for record in records]
+    bits, prefixed, padded = _unpack_rows(np.frombuffer(b"".join(records), dtype=np.uint8).reshape(-1, size), n)
+    good = prefixed & padded
+    return bits if good.all() else bits[good], tuple(np.flatnonzero(~good).tolist())
 
 
 def decode_bit_stream(data: bytes) -> np.ndarray:
@@ -236,7 +229,12 @@ def decode_bit_stream(data: bytes) -> np.ndarray:
     n = int.from_bytes(data[:4], "big")  # input shorter than a prefix holds no whole record
     size = 4 + (n + 7) // 8
     count = len(data) // size
-    bits, good = _unpack_rows(np.frombuffer(data, dtype=np.uint8, count=count * size).reshape(count, size), n)
+    rows = np.frombuffer(data, dtype=np.uint8, count=count * size).reshape(count, size)
+    bits, prefixed, padded = _unpack_rows(rows, n)
+    bad = np.flatnonzero(~(prefixed & padded))
+    if bad.size and prefixed[bad[0]]:
+        raise BitVectorError(int(bad[0]), "nonzero padding bits")
+    good = int(bad[0]) if bad.size else count
     rest = data[good * size :]
     if not rest:
         return bits

@@ -489,7 +489,11 @@ def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[Address
     """
     if contract.phase != ContractPhase.REVEALED:
         raise LedgerError(f"cannot pay out in phase {contract.phase.name}")
-    if contract.filter_digest is None or digest(encode_bit_vector(filter_bits)) != contract.filter_digest:
+    try:
+        filter_bytes = encode_bit_vector(filter_bits)
+    except ValueError as exc:  # a bit other than 0 or 1
+        raise LedgerError(f"supplied filter is not a bit vector: {exc}") from exc
+    if contract.filter_digest is None or digest(filter_bytes) != contract.filter_digest:
         raise LedgerError("supplied filter does not match the recorded filter hash")
     if len(filter_bits) != len(contract.commitments) or sum(filter_bits) != contract.required_responses:
         raise LedgerError(f"filter must mark exactly {contract.required_responses} of the commitments")

@@ -29,7 +29,6 @@ import numpy as np
 from . import ledger as ledger_mod
 from .envelope import (
     CIPHER_NONCE_LEN,
-    BitVectorError,
     Ciphertext,
     Digest,
     Nonce,
@@ -81,12 +80,15 @@ class FilterCriteria:
 
     predicates: tuple[tuple[str, tuple[str, ...]], ...]
 
-    def __init__(self, predicates: Iterable[tuple[str, Iterable[str]]] = ()):
-        normalized = tuple((attr, tuple(sorted(set(values)))) for attr, values in predicates)
-        names = [attr for attr, _ in normalized]
-        if len(set(names)) != len(names):
-            raise ValueError("criteria attribute names must be distinct")
-        object.__setattr__(self, "predicates", normalized)
+    def __init__(self, predicates: Iterable[tuple[str, Sequence[str]]] = ()):
+        normalized: dict[str, tuple[str, ...]] = {}
+        for attr, values in predicates:
+            if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+                raise ValueError(f"criteria for {attr!r} must be a list of strings")
+            if attr in normalized:
+                raise ValueError("criteria attribute names must be distinct")
+            normalized[attr] = tuple(sorted(set(values)))
+        object.__setattr__(self, "predicates", tuple(normalized.items()))
 
     @classmethod
     def empty(cls) -> "FilterCriteria":
@@ -398,6 +400,7 @@ def build_and_finalize_filter(
 ) -> FilterVector:
     """Screen commitments in arrival order and freeze the filter.
 
+    ProtocolError names the first profile that did not commit at its arrival position.
     Eligibility is granted first come first served until the required
     response count is reached; later operators stay at 0 even if they meet
     the criteria. Bit positions follow the sorted commitment index.
@@ -407,10 +410,11 @@ def build_and_finalize_filter(
         raise ProtocolError(
             f"profile list ({len(profiles_by_arrival)}) does not cover commitments ({len(arrival)})"
         )
-    marked: set[Address] = set()
     for address, profile in zip(arrival, profiles_by_arrival):
         if profile.active_address != address:
             raise ProtocolError(f"profile {profile.operator_id} does not match arrival {address}")
+    marked: set[Address] = set()
+    for address, profile in zip(arrival, profiles_by_arrival):
         if len(marked) == contract.required_responses:
             break
         if evaluate_criteria(profile, criteria):
@@ -491,7 +495,7 @@ def settle_and_decrypt(
 ) -> AggregationOutcome:
     """Reconstruct the session key from the reveal and aggregate the deliveries that open.
 
-    Each delivery is authenticated on its own, then all decode as one matrix.
+    Each delivery is authenticated on its own, then all decode in one pass.
     The fee is paid by now, so one that fails to decrypt or decode is only
     listed in failed_indices; ProtocolError means that none opened.
     """
@@ -505,27 +509,21 @@ def settle_and_decrypt(
         )
     assert contract.revealed_s2 is not None
     sk = derive_session_key(contract.s1, contract.revealed_s2)
-    n = authority.config.query.n
     opened: dict[int, bytes] = {}
     for index in sorted(accepted):
         try:
             opened[index] = decrypt(sk, accepted[index])
         except DecryptionError:
             continue  # listed in failed_indices
-    try:
-        vectors = decode_bit_matrix(list(opened.values()), n)
-    except BitVectorError:  # leave out each record that does not decode on its own
-        for index, plaintext in list(opened.items()):
-            try:
-                decode_bit_matrix([plaintext], n)
-            except BitVectorError:
-                del opened[index]
-        vectors = decode_bit_matrix(list(opened.values()), n)
-    if not opened:
+    vectors, undecodable = decode_bit_matrix(list(opened.values()), authority.config.query.n)
+    if not len(vectors):
         raise ProtocolError(f"none of the {len(accepted)} deliveries decrypted and decoded")
+    failed = accepted.keys() - opened.keys()
+    if undecodable:  # only then list the indices: one more 10k-entry list per settlement raised peak RSS
+        indices = list(opened)
+        failed |= {indices[position] for position in undecodable}
     estimate = estimate_frequencies(accumulate_counts(vectors), authority.config.privacy)
-    failed = tuple(sorted(accepted.keys() - opened.keys()))
-    return AggregationOutcome(vectors, estimate, failed)
+    return AggregationOutcome(vectors, estimate, tuple(sorted(failed)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +535,6 @@ class SurveyOutcome:
     contract: SurveyContract
     filter_vector: FilterVector
     aggregation: AggregationOutcome
-    payouts: dict[Address, int]
     trace: list[str]
 
 
@@ -624,4 +621,4 @@ def run_survey(
             raise
         raise ProtocolError(str(exc), trace) from exc
 
-    return SurveyOutcome(contract, filter_vector, aggregation, payouts, trace)
+    return SurveyOutcome(contract, filter_vector, aggregation, trace)

@@ -78,7 +78,6 @@ class ExperimentResult:
     population: int
     trial: int
     seed: int
-    mode: Mode
     actual_counts: tuple[int, ...]
     estimated_raw: tuple[float, ...]
     estimated_clamped: tuple[float, ...]
@@ -123,14 +122,13 @@ def true_choices(config: ExperimentConfig, trial: int) -> np.ndarray:
 
 
 def _result(
-    config: ExperimentConfig, trial: int, mode: Mode, choices: np.ndarray, estimate: FrequencyEstimate
+    config: ExperimentConfig, trial: int, choices: np.ndarray, estimate: FrequencyEstimate
 ) -> ExperimentResult:
     actual = np.bincount(choices, minlength=config.n_choices)
     return ExperimentResult(
         population=config.population,
         trial=trial,
         seed=config.seed,
-        mode=mode,
         actual_counts=tuple(int(c) for c in actual),
         estimated_raw=estimate.raw_estimates,
         estimated_clamped=estimate.clamped_estimates,
@@ -145,7 +143,7 @@ def run_ldp_experiment(config: ExperimentConfig, trial: int = 0) -> ExperimentRe
         choices, config.n_choices, config.privacy, substream(config.seed, trial, REPORTS_SLOT)
     )
     estimate = estimate_frequencies(accumulate_counts(reports), config.privacy)
-    return _result(config, trial, Mode.LDP_ONLY, choices, estimate)
+    return _result(config, trial, choices, estimate)
 
 
 def default_query(n_choices: int) -> QuerySpec:
@@ -200,7 +198,7 @@ def run_full_protocol_experiment(
     )
     outcome = run_seeded_survey(survey_config, choices, config.seed, trial)
     estimate = outcome.aggregation.estimate
-    result = _result(config, trial, Mode.FULL_PROTOCOL, choices, estimate)
+    result = _result(config, trial, choices, estimate)
     return result, outcome.contract.log, outcome.trace
 
 

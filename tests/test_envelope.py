@@ -237,8 +237,8 @@ class TestBitVectorCodec:
     @settings(deadline=None, max_examples=60)
     def test_matrix_decode_matches_per_record_decode(self, n, count, data):
         rows = [data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(count)]
-        matrix = decode_bit_matrix([encode_bit_vector(r) for r in rows], n)
-        assert matrix.shape == (count, n) and matrix.dtype == np.uint8
+        matrix, undecodable = decode_bit_matrix([encode_bit_vector(r) for r in rows], n)
+        assert matrix.shape == (count, n) and matrix.dtype == np.uint8 and undecodable == ()
         assert [tuple(r) for r in matrix.tolist()] == [decode_bit_vector(encode_bit_vector(r)) for r in rows]
 
     @pytest.mark.parametrize(
@@ -247,10 +247,42 @@ class TestBitVectorCodec:
     )
     def test_matrix_decode_names_the_bad_record(self, bad):
         # nonzero padding, wrong length prefix, trailing byte, truncation
-        good = encode_bit_vector([1, 0, 1])
-        with pytest.raises(BitVectorError, match="record 2") as excinfo:
-            decode_bit_matrix([good, good, bad, good], 3)
-        assert excinfo.value.record == 2
+        good, other = encode_bit_vector([1, 0, 1]), encode_bit_vector([0, 1, 1])
+        matrix, undecodable = decode_bit_matrix([good, good, bad, other], 3)
+        assert undecodable == (2,)
+        assert matrix.tolist() == [[1, 0, 1], [1, 0, 1], [0, 1, 1]]
+        # a second bad record is named too, not only the first
+        matrix, undecodable = decode_bit_matrix([good, bad, good, bad, other], 3)
+        assert undecodable == (1, 3)
+        assert matrix.tolist() == [[1, 0, 1], [1, 0, 1], [0, 1, 1]]
+
+    @given(st.integers(min_value=0, max_value=20), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_matrix_decode_sets_aside_what_the_per_record_decode_refuses(self, n, data):
+        records = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            record = bytearray(encode_bit_vector(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+            kind = data.draw(st.sampled_from(["whole", "flipped", "cut", "random"]))
+            if kind == "flipped":
+                record[data.draw(st.integers(0, len(record) - 1))] ^= data.draw(st.integers(1, 255))
+            elif kind == "cut":
+                del record[data.draw(st.integers(0, len(record) - 1)) :]
+            elif kind == "random":
+                record = data.draw(st.binary(max_size=8))
+            records.append(bytes(record))
+        want, refused = [], []
+        for i, record in enumerate(records):
+            try:
+                bits = decode_bit_vector(record)
+            except ValueError:
+                bits = None
+            if bits is None or len(bits) != n:
+                refused.append(i)
+            else:
+                want.append(list(bits))
+        matrix, undecodable = decode_bit_matrix(records, n)
+        assert matrix.shape == (len(want), n) and matrix.tolist() == want
+        assert undecodable == tuple(refused)
 
     def test_stream_parses_concatenation(self):
         blob = encode_bit_vector([1, 0]) + encode_bit_vector([0, 1]) + encode_bit_vector([1, 1])

@@ -12,6 +12,7 @@ from privmarket.protocol import (
     ConfigIntegrityError,
     DeliveryVerdict,
     FilterCriteria,
+    FilterVector,
     InsufficientEligibleError,
     Operator,
     OperatorProfile,
@@ -181,6 +182,12 @@ class TestCriteria:
     def test_duplicate_attributes_rejected(self):
         with pytest.raises(ValueError):
             FilterCriteria([("region", ["NSW"]), ("region", ["VIC"])])
+
+    # a bare string, numbers, a mixed list, a bare number
+    @pytest.mark.parametrize("values", ["NSW", [1, 2], ["NSW", 3], 5])
+    def test_values_that_are_not_a_list_of_strings_are_refused(self, values):
+        with pytest.raises(ValueError, match=r"^criteria for 'region' must be a list of strings$"):
+            FilterCriteria([("region", values)])
 
 
 def setup_small_survey(config, profiles, seed=0):
@@ -392,6 +399,20 @@ class TestFilter:
         published = store.get(filter_uri(contract))
         assert digest(published) == contract.filter_digest
         assert fv.popcount == 2
+
+    def test_a_profile_list_with_a_swapped_tail_records_nothing(self):
+        # NR = 1 is met at the first arrival; the profiles after it are checked all the same
+        profiles = [profile(i + 1) for i in range(4)]
+        config = small_config(nr=1)
+        store, _, sysop, contract, _ = setup_small_survey(config, profiles)
+        commit_all(store, sysop, contract, profiles)
+        swapped = profiles[:2] + [profiles[3], profiles[2]]
+        with pytest.raises(ProtocolError, match="profile op-04 does not match arrival"):
+            build_and_finalize_filter(sysop, contract, swapped, config.criteria, store=store)
+        assert contract.phase == ContractPhase.COLLECTING
+        assert EventKind.FILTER_RECORDED not in [event.kind for event in contract.log.events]
+        with pytest.raises(KeyError):
+            store.get(filter_uri(contract))
 
 
 def run_to_filter(nr=2, count=4, f=0.0, seed=0):
@@ -646,6 +667,27 @@ class TestEqualSplit:
         assert contract.phase == ContractPhase.SETTLED
         with pytest.raises(LedgerError, match="phase SETTLED"):
             sysop_payout(sysop, contract, fv)
+
+    @pytest.mark.parametrize("bits", [(2, 0, 0, 0), (0.5, 1, 1, 0)])
+    def test_filter_bits_other_than_0_or_1_are_a_ledger_error(self, bits):
+        _, authority, sysop, contract, operators, fv = run_to_filter(nr=2, count=4)
+        for operator in operators:
+            msg = operator_deliver(operator, fv, contract.commitments)
+            if msg is not None:
+                authority_verify_delivery(authority, msg, contract.commitments, fv)
+        authority_deposit_and_await_reveal(authority, contract)
+        sysop_reveal_secret(sysop, contract)
+
+        def state():
+            return contract.phase, contract.log.to_bytes(), contract.escrow_balance, dict(contract.balance_deltas)
+
+        before = state()
+        with pytest.raises(LedgerError, match="not a bit vector"):
+            payout(contract, list(bits))
+        assert state() == before
+        with pytest.raises(LedgerError, match="not a bit vector"):
+            sysop_payout(sysop, contract, FilterVector(bits))
+        assert state() == before and before[0] == ContractPhase.REVEALED
 
 
 class TestRunSurvey:
