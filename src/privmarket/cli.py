@@ -100,6 +100,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any trial runs
     results = [result for config in configs for result in run_trials(config)]
     export_results(results, args.out)
 
@@ -132,6 +133,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = dataclasses.replace(config, criteria=_load_criteria(args.criteria_file))
+    if args.trace_out is not None:  # an unusable --trace-out fails before the survey runs
+        Path(args.trace_out).mkdir(parents=True, exist_ok=True)
     try:
         outcome = run_seeded_survey(config, true_choices(experiment, 0), args.seed, 0)
     except ProtocolError as exc:
@@ -151,7 +154,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
     if args.trace_out is not None:
         out = Path(args.trace_out)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "trace.txt").write_text("\n".join(outcome.trace) + "\n")
         (out / "events.bin").write_bytes(outcome.contract.log.to_bytes())
         (out / "events.txt").write_text(outcome.contract.log.text_dump())

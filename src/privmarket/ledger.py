@@ -33,7 +33,9 @@ compiled struct; a record it does not fit is walked, so only the walk raises.
 All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
 order). A command that raises changes nothing: it reads its arguments and
-appends its event before it changes any field.
+appends its event before it changes any field. `commit_responses` is one
+such command per pair: the pair that raises changes nothing, and the pairs
+before it stay committed.
 """
 
 from __future__ import annotations
@@ -169,13 +171,24 @@ def _decode_body(body: bytes, index: int) -> LedgerEvent:
     return LedgerEvent(sequence_no, kind, MappingProxyType(payload), body[pos + 32 :], body[: pos + 32])
 
 
+def _field_format(key: bytes, raw: int | bytes) -> str:
+    """The struct format of one payload field: u16 key_len, key, u8 tag, then a u64 or u32 len and the raw bytes."""
+    return f"H{len(key)}sBQ" if type(raw) is int else f"H{len(key)}sBI{len(raw)}s"
+
+
+# a COMMITTED event's event_bytes: sequence_no, kind, field count, the address and commitment fields, prev_hash
+_COMMITTED = struct.Struct(
+    ">IBH" + _field_format(b"address", bytes(ADDRESS_LEN)) + _field_format(b"commitment", bytes(Digest.LENGTH)) + "32s"
+)
+
+
 def _compile_layout(event: LedgerEvent) -> Callable[[bytes, int], LedgerEvent | None]:
     """A decoder for records with the walked `event`'s skeleton; it returns None for any other."""
     fmt, expect = ">IIBH", [None, None, event.kind, len(event.payload)]  # None marks a non-skeleton item
     for key, value in event.payload.items():
         kb, raw = key.encode("utf-8"), value.encode("utf-8") if type(value) is str else value
         tag = _INT_TAG if type(value) is int else _BYTES_TAG if raw is value else _STR_TAG
-        fmt += f"H{len(kb)}sBQ" if tag == _INT_TAG else f"H{len(kb)}sBI{len(raw)}s"
+        fmt += _field_format(kb, raw)
         expect += [len(kb), kb, tag] + ([] if tag == _INT_TAG else [len(raw)]) + [None]
     unpack = struct.Struct(fmt + "32x32s").unpack_from
     skeleton_of = itemgetter(*[i for i, e in enumerate(expect) if e is not None])
@@ -341,14 +354,14 @@ class CommitmentIndex:
         address = self._ascending()[index]
         return address, self._digests[address]
 
-    def digest_of(self, address: Address) -> Digest:
-        return self._digests[address]
-
     def addresses_sorted(self) -> tuple[Address, ...]:
         return tuple(self._ascending())
 
     def arrival_order(self) -> tuple[Address, ...]:
         return tuple(self._digests)
+
+    def arrival_digests(self) -> tuple[Digest, ...]:
+        return tuple(self._digests.values())
 
 
 @dataclass
@@ -407,17 +420,37 @@ _HINTS = get_type_hints(SurveyContract)
 _TERMS = tuple((f.name, _HINTS[f.name]) for f in fields(SurveyContract) if f.init)
 
 
-def commit_response(contract: SurveyContract, address: Address, commitment: Digest) -> None:
-    """Store one address's response commitment, first come first served."""
-    if contract.phase != ContractPhase.COLLECTING:
+def commit_responses(contract: SurveyContract, addresses: Sequence[Address], commitments: Sequence[Digest]) -> None:
+    """Store each address's response commitment in turn, first come first served: a loop of `commit_response`.
+
+    Each pair is its own command with that function's checks: the first pair refused raises,
+    and the pairs before it stay committed. Every COMMITTED event is packed by one struct.
+    """
+    if len(addresses) != len(commitments):
+        raise LedgerError(f"commit needs one commitment per address, got {len(addresses)} and {len(commitments)}")
+    if addresses and contract.phase != ContractPhase.COLLECTING:
         raise LedgerError(
             f"cannot commit in phase {contract.phase.name}: no more responses are accepted"
         )
-    if not isinstance(address, Address) or not isinstance(commitment, Digest):
-        raise LedgerError(f"commit needs an Address and a Digest, got {type(address).__name__}, {type(commitment).__name__}")
-    payload = {"address": address.value, "commitment": commitment.value}
-    contract.commitments.add(address, commitment)
-    contract.log.append(EventKind.COMMITTED, payload)
+    events, add = contract.log.events, contract.commitments.add
+    prev = events[-1].event_hash if events else GENESIS_PREV
+    for address, commitment in zip(addresses, commitments):
+        if not isinstance(address, Address) or not isinstance(commitment, Digest):
+            raise LedgerError(f"commit needs an Address and a Digest, got {type(address).__name__}, {type(commitment).__name__}")
+        add(address, commitment)
+        sequence_no, a, c = len(events), address.value, commitment.value
+        event_bytes = _COMMITTED.pack(  # two fields, each key_len, key, tag, value length, value
+            sequence_no, EventKind.COMMITTED, 2, 7, b"address", _BYTES_TAG, ADDRESS_LEN, a,
+            10, b"commitment", _BYTES_TAG, Digest.LENGTH, c, prev,
+        )
+        prev = digest(event_bytes).value
+        payload = MappingProxyType({"address": a, "commitment": c})
+        events.append(LedgerEvent(sequence_no, EventKind.COMMITTED, payload, prev, event_bytes))
+
+
+def commit_response(contract: SurveyContract, address: Address, commitment: Digest) -> None:
+    """Store one address's response commitment, first come first served."""
+    commit_responses(contract, (address,), (commitment,))
 
 
 def finalize_filter(contract: SurveyContract, filter_digest: Digest) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 from urllib.parse import quote, unquote
 
 import numpy as np
@@ -63,7 +63,7 @@ class ProtocolError(Exception):
 
     def __init__(self, message: str, trace: list[str] | None = None):
         super().__init__(message)
-        self.trace = trace or []
+        self.trace = trace or []  # rendered lines
 
 
 class ConfigIntegrityError(ProtocolError):
@@ -83,8 +83,12 @@ class FilterCriteria:
     def __init__(self, predicates: Iterable[tuple[str, Sequence[str]]] = ()):
         normalized: dict[str, tuple[str, ...]] = {}
         for attr, values in predicates:
+            if not isinstance(attr, str):
+                raise ValueError(f"criteria attribute names must be strings, got {attr!r}")
             if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
                 raise ValueError(f"criteria for {attr!r} must be a list of strings")
+            if "" in values:  # it would render like no value at all
+                raise ValueError(f"criteria for {attr!r} must not allow the empty string")
             if attr in normalized:
                 raise ValueError("criteria attribute names must be distinct")
             normalized[attr] = tuple(sorted(set(values)))
@@ -345,13 +349,15 @@ def commit_population(
     A survey has one psk, so all encrypt under one session key: operator 0
     parses the configuration and derives s1, s2 and sk once for the
     population, after its digest check, and the SessionKey builds its AES-GCM
-    object once.
+    object once. Their commitments then reach the ledger in one `commit_responses`
+    call, which commits them in order; an operator whose commitment the ledger took
+    holds its ciphertext, also when a later one is refused.
     """
     if any(operator._rng is not operators[0]._rng for operator in operators):
         raise ValueError("a population's operators must share one own generator")
     if len(operators) > 1 and operators[0]._rng is rng:
         raise ValueError("the own generator doubles as the report generator for more than one operator")
-    committed = []
+    ciphertexts, commitments = [], []
     for i, operator in enumerate(operators):
         if digest(config_bytes) != expected_digest:
             raise ConfigIntegrityError(
@@ -364,12 +370,15 @@ def commit_population(
             plaintexts = encode_bit_matrix(randomize_batch(choices, config.query.n, config.privacy, rng))
             nonces = operator._rng.bytes(CIPHER_NONCE_LEN * len(operators))
         nonce = nonces[i * CIPHER_NONCE_LEN : (i + 1) * CIPHER_NONCE_LEN]
-        ciphertext = encrypt(sk, plaintexts[i], nonce)
-        commitment = digest(ciphertext.serialize())
-        ledger_mod.commit_response(contract, operator.profile.active_address, commitment)
-        operator.ciphertext = ciphertext
-        committed.append((ciphertext, commitment))
-    return committed
+        ciphertexts.append(encrypt(sk, plaintexts[i], nonce))
+        commitments.append(digest(ciphertexts[-1].serialize()))
+    before = len(contract.commitments)
+    try:
+        ledger_mod.commit_responses(contract, [operator.profile.active_address for operator in operators], commitments)
+    finally:  # an operator holds its ciphertext once the ledger took its commitment
+        for operator, ciphertext in zip(operators, ciphertexts[: len(contract.commitments) - before]):
+            operator.ciphertext = ciphertext
+    return list(zip(ciphertexts, commitments))
 
 
 def operator_prepare_and_commit(
@@ -530,16 +539,53 @@ def settle_and_decrypt(
 # orchestration
 
 
+class SurveyTrace(Sequence[str]):
+    """A survey's trace lines, rendered on first read.
+
+    An entry holds the values of one step, or of one per-operator phase (commit, verify-delivery,
+    pay-operator) as columns: operator ids, commitment digests, indices, verdicts, addresses,
+    amounts. Each row of an entry's columns is one line: the party and action padded to 9 and
+    22 columns, then the entry's template formatted with the row's values.
+    """
+
+    def __init__(self):
+        self._entries: list[tuple[str, str, str, tuple[Sequence, ...]]] = []
+        self._lines: list[str] | None = None
+
+    def record(self, party: str, action: str, template: str, *columns: Sequence) -> None:
+        """Lines for each row of the equal-length `columns`, which must not change afterwards."""
+        self._entries.append((party, action, template, columns))
+        self._lines = None
+
+    def step(self, party: str, action: str, detail: str) -> None:
+        """One line whose detail is text already."""
+        self.record(party, action, "{}", (detail,))
+
+    def _rendered(self) -> list[str]:
+        if self._lines is None:
+            self._lines = [
+                (f"{party:<9} {action:<22} " + template.format(*row)).rstrip()
+                for party, action, template, columns in self._entries
+                for row in zip(*columns)
+            ]
+        return self._lines
+
+    def __getitem__(self, index):
+        return self._rendered()[index]
+
+    def __len__(self) -> int:
+        return len(self._rendered())
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rendered())
+
+
 @dataclass
 class SurveyOutcome:
     contract: SurveyContract
     filter_vector: FilterVector
     aggregation: AggregationOutcome
-    trace: list[str]
-
-
-def _t(trace: list[str], party: str, action: str, detail: str = "") -> None:
-    trace.append(f"{party:<9} {action:<22} {detail}".rstrip())
+    trace: Sequence[str]  # a SurveyTrace: the text is made on first read
 
 
 def run_survey(
@@ -563,7 +609,7 @@ def run_survey(
         raise ValueError("need exactly one random stream per operator profile")
     if any(rng is infra_rng for rng in operator_rngs):
         raise ValueError("operator_rngs must not include infra_rng, which draws the cipher nonces")
-    trace: list[str] = []
+    trace = SurveyTrace()
     store = ArtifactStore()
     authority = Authority(random_address(infra_rng), config)
     sysop = SystemOperator(random_address(infra_rng), infra_rng)
@@ -572,53 +618,55 @@ def run_survey(
 
     try:
         contract, _ = setup_survey(authority, sysop, config, store=store)
-        _t(trace, "sysop", "create-contract", f"id={contract.contract_id.hex[:16]} nr={config.required_responses} fee={config.fee}")
-        _t(trace, "sysop", "distribute-psk", f"recipients={len(sysop.registry)}")
+        trace.step("sysop", "create-contract", f"id={contract.contract_id.hex[:16]} nr={config.required_responses} fee={config.fee}")
+        trace.step("sysop", "distribute-psk", f"recipients={len(sysop.registry)}")
 
         operators = [Operator(profile, infra_rng) for profile in profiles]
+        operator_ids = tuple(profile.operator_id for profile in profiles)
         config_bytes = store.get(contract.config_uri)
-        for _, run in itertools.groupby(zip(operators, operator_rngs), key=lambda pair: id(pair[1])):
-            population, rngs = zip(*run)
-            psk = sysop.issue_psk(contract, population[0].profile.operator_id)
-            try:
+        try:
+            for _, run in itertools.groupby(zip(operators, operator_rngs), key=lambda pair: id(pair[1])):
+                population, rngs = zip(*run)
+                psk = sysop.issue_psk(contract, population[0].profile.operator_id)
                 commit_population(
                     population, contract, config_bytes, contract.config_digest, psk,
                     contract.n1, contract.n2, rngs[0],
                 )
-            finally:  # a line per operator that committed, also when a later one failed
-                for operator in (op for op in population if op.ciphertext is not None):
-                    commitment = contract.commitments.digest_of(operator.profile.active_address)
-                    _t(trace, "operator", "commit", f"{operator.profile.operator_id} commitment={commitment.hex[:16]}")
+        finally:  # a line per operator that committed, in arrival order, also when a later one failed
+            commitments = contract.commitments.arrival_digests()
+            trace.record("operator", "commit", "{} commitment={.hex:.16}", operator_ids[: len(commitments)], commitments)
 
         filter_vector = build_and_finalize_filter(
             sysop, contract, list(profiles), config.criteria, store=store
         )
-        _t(trace, "sysop", "finalize-filter", f"eligible={filter_vector.popcount} of {len(filter_vector.bits)}")
+        trace.step("sysop", "finalize-filter", f"eligible={filter_vector.popcount} of {len(filter_vector.bits)}")
 
-        for operator in operators:
-            msg = operator_deliver(operator, filter_vector, contract.commitments)
-            if msg is None:
-                continue
-            verdict = authority_verify_delivery(authority, msg, contract.commitments, filter_vector)
-            _t(trace, "authority", "verify-delivery", f"index={msg.index} verdict={verdict.value}")
-            if verdict != DeliveryVerdict.ACCEPTED:
-                raise ProtocolError(
-                    f"honest delivery at index {msg.index} rejected: {verdict.value}", trace
-                )
+        indices, verdicts = [], []
+        try:
+            for operator in operators:
+                msg = operator_deliver(operator, filter_vector, contract.commitments)
+                if msg is None:
+                    continue
+                verdict = authority_verify_delivery(authority, msg, contract.commitments, filter_vector)
+                indices.append(msg.index)
+                verdicts.append(verdict)
+                if verdict != DeliveryVerdict.ACCEPTED:
+                    raise ProtocolError(f"honest delivery at index {msg.index} rejected: {verdict.value}")
+        finally:  # a line per verdict, the rejected one included
+            trace.record("authority", "verify-delivery", "index={} verdict={.value}", tuple(indices), tuple(verdicts))
 
         authority_deposit_and_await_reveal(authority, contract)
-        _t(trace, "authority", "deposit", f"amount={contract.fee}")
+        trace.step("authority", "deposit", f"amount={contract.fee}")
         sysop_reveal_secret(sysop, contract)
-        _t(trace, "sysop", "reveal-secret", f"h_s2={contract.h_s2.hex[:16]}")
-        payouts = sysop_payout(sysop, contract, filter_vector)
-        for address, amount in payouts.items():  # ascending address order
-            _t(trace, "sysop", "pay-operator", f"{address} amount={amount}")
+        trace.step("sysop", "reveal-secret", f"h_s2={contract.h_s2.hex[:16]}")
+        payouts = sysop_payout(sysop, contract, filter_vector)  # ascending address order
+        trace.record("sysop", "pay-operator", "{} amount={}", tuple(payouts), tuple(payouts.values()))
         aggregation = settle_and_decrypt(authority, contract, authority.accepted)
-        _t(trace, "authority", "decrypt-aggregate", f"responses={len(aggregation.decrypted_vectors)}")
+        trace.step("authority", "decrypt-aggregate", f"responses={len(aggregation.decrypted_vectors)}")
     except (LedgerError, ProtocolError) as exc:
         if isinstance(exc, ProtocolError):
-            exc.trace = exc.trace or trace
+            exc.trace = exc.trace or list(trace)
             raise
-        raise ProtocolError(str(exc), trace) from exc
+        raise ProtocolError(str(exc), list(trace)) from exc
 
     return SurveyOutcome(contract, filter_vector, aggregation, trace)

@@ -185,9 +185,9 @@ def run_seeded_survey(
 
 def run_full_protocol_experiment(
     config: ExperimentConfig, trial: int = 0
-) -> tuple[ExperimentResult, EventLog, list[str]]:
+) -> tuple[ExperimentResult, EventLog, Sequence[str]]:
     """End-to-end marketplace run; the estimate matches run_ldp_experiment
-    for the same seed and trial bit for bit."""
+    for the same seed and trial bit for bit. The trace is returned unrendered."""
     choices = true_choices(config, trial)
     survey_config = SurveyConfiguration(
         query=default_query(config.n_choices),

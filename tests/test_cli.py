@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from privmarket import cli
 from privmarket.cli import main
 from privmarket.envelope import digest, encode_bit_vector
 from privmarket.ldp import PrivacyParams
@@ -96,6 +97,19 @@ class TestSimulateCommand:
     def test_missing_out_is_usage_error(self):
         assert main(["simulate"]) == 2
 
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-a-file"])
+    def test_an_out_that_cannot_be_a_directory_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, below):
+        def no_trials(config):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["simulate", "--populations", "100", "--mode", "full_protocol", "--out", str(taken.joinpath(*below))])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["obliterate"]) == 2
 
@@ -133,6 +147,36 @@ class TestDemoCommand:
         }
         for name, want in pinned.items():
             assert hashlib.sha256((tmp_path / "d" / name).read_bytes()).hexdigest() == want
+
+    def test_screened_demo_bytes_match_pinned_digests(self, tmp_path, capsys):
+        # ineligible operators, skipped deliveries and 100 pay lines, pinned before the trace was made lazy
+        criteria = tmp_path / "criteria.json"
+        criteria.write_text('{"region": ["NSW", "VIC"]}')
+        assert main([
+            "demo", "--operators", "300", "--nr", "100", "--seed", "1",
+            "--criteria-file", str(criteria), "--trace-out", str(tmp_path / "d"),
+        ]) == 0
+        pinned = {
+            "events.bin": "23cfb78a0acc45378816e0e6fb884bb6ef9a5da8458f6de68f0f009082b86c6d",
+            "events.txt": "18a9581f351478a3e8cec0fd6be6fe2d19e5bb86b45c526341455e6e4947bd9e",
+            "trace.txt": "76f9bb52a854d7db2c3b99788d2e64d3a806460d905c28626419502c40b2170c",
+        }
+        for name, want in pinned.items():
+            assert hashlib.sha256((tmp_path / "d" / name).read_bytes()).hexdigest() == want
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == "e41abca9ca917e45e645ee16d3ef0c3d381cdc97cfa4cecc2c28f703d0093b9a"
+
+    def test_a_trace_out_that_is_a_file_fails_before_the_survey(self, tmp_path, capsys, monkeypatch):
+        def no_survey(*args):
+            raise AssertionError("the survey ran")
+
+        monkeypatch.setattr(cli, "run_seeded_survey", no_survey)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["demo", "--trace-out", str(taken)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_too_few_operators_fails(self, capsys):
         assert main(["demo", "--operators", "2", "--nr", "3"]) == 1

@@ -24,6 +24,7 @@ from privmarket.ledger import (
     abort,
     check_transfer_safety,
     commit_response,
+    commit_responses,
     deposit,
     finalize_filter,
     payout,
@@ -140,7 +141,7 @@ class TestCommit:
         with pytest.raises(LedgerError):
             commit_response(contract, addr(0x0A), digest(b"two"))
         # first commitment wins
-        assert contract.commitments.digest_of(addr(0x0A)) == digest(b"one")
+        assert contract.commitments.arrival_digests() == (digest(b"one"),)
 
     def test_commit_after_finalize_rejected(self):
         contract, _ = make_contract(nr=1)
@@ -164,6 +165,72 @@ class TestCommit:
         assert ordered == [addr(0x03), addr(0x07), addr(0x0A)]
         assert contract.commitments.index_of(addr(0x07)) == 1
         assert contract.commitments.arrival_order() == (addr(0x0A), addr(0x03), addr(0x07))
+
+
+# small pools, so that a drawn batch repeats addresses; the raw bytes and the swapped types are refused
+BATCH_ADDRESSES = [addr(b) for b in (0x0A, 0x03, 0x07, 0x80)]
+BATCH_DIGESTS = [digest(bytes([b])) for b in range(3)]
+BATCH_ADDRESS = st.sampled_from(BATCH_ADDRESSES) | st.sampled_from([BATCH_ADDRESSES[0].value, None, BATCH_DIGESTS[0]])
+BATCH_COMMITMENT = st.sampled_from(BATCH_DIGESTS) | st.sampled_from([BATCH_DIGESTS[0].value, BATCH_ADDRESSES[0]])
+
+
+class TestCommitResponses:
+    @staticmethod
+    def outcome(earlier, filtered, commit):
+        """Run `commit` on a contract holding the `earlier` commitments; the error and every visible effect."""
+        contract, _ = make_contract()
+        for address in earlier:
+            commit_response(contract, address, digest(address.value))
+        if filtered:
+            finalize_filter(contract, digest(b"filter"))
+        try:
+            commit(contract)
+            error = None
+        except Exception as exc:
+            error = (type(exc), str(exc))
+        arrival = list(zip(contract.commitments.arrival_order(), contract.commitments.arrival_digests()))
+        return error, arrival, contract_state(contract)  # the state holds the sorted index and the log bytes
+
+    @given(
+        earlier=st.lists(st.sampled_from(BATCH_ADDRESSES), unique=True, max_size=2),
+        pairs=st.lists(st.tuples(BATCH_ADDRESS, BATCH_COMMITMENT), max_size=6),
+        filtered=st.booleans(),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_a_batch_is_a_loop_of_commit_response(self, earlier, pairs, filtered):
+        def loop(contract):
+            for address, commitment in pairs:
+                commit_response(contract, address, commitment)
+
+        def batch(contract):
+            commit_responses(contract, [a for a, _ in pairs], [c for _, c in pairs])
+
+        assert self.outcome(earlier, filtered, batch) == self.outcome(earlier, filtered, loop)
+
+    def test_the_pairs_before_a_refused_one_stay_committed(self):
+        contract, _ = make_contract()
+        addresses = [addr(0x0A), addr(0x03), addr(0x0A), addr(0x07)]
+        with pytest.raises(LedgerError, match="already committed"):
+            commit_responses(contract, addresses, [digest(bytes([i])) for i in range(4)])
+        assert contract.commitments.arrival_order() == (addr(0x0A), addr(0x03))
+        assert [e.kind for e in contract.log] == [EventKind.CREATED, EventKind.COMMITTED, EventKind.COMMITTED]
+        assert verify_event_chain(contract.log) == (True, None)
+
+    def test_unequal_lengths_change_nothing(self):
+        contract, _ = make_contract()
+        before = contract_state(contract)
+        with pytest.raises(LedgerError, match="one commitment per address"):
+            commit_responses(contract, [addr(1), addr(2)], [digest(b"one")])
+        assert contract_state(contract) == before
+
+    def test_batch_events_are_those_append_writes(self):
+        contract, _ = make_contract()
+        commit_responses(contract, [addr(0x0A), addr(0x03)], [digest(b"a"), digest(b"b")])
+        log = EventLog()
+        log.append(EventKind.CREATED, dict(contract.log.events[0].payload))
+        for event in contract.log.events[1:]:
+            log.append(EventKind.COMMITTED, dict(event.payload))
+        assert log.events == contract.log.events
 
 
 class TestFinalize:

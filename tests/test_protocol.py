@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from privmarket.envelope import decode_bit_stream, derive_session_key, digest
@@ -18,6 +18,7 @@ from privmarket.protocol import (
     OperatorProfile,
     ProtocolError,
     SurveyConfiguration,
+    SurveyTrace,
     SystemOperator,
     authority_deposit_and_await_reveal,
     authority_verify_delivery,
@@ -188,6 +189,36 @@ class TestCriteria:
     def test_values_that_are_not_a_list_of_strings_are_refused(self, values):
         with pytest.raises(ValueError, match=r"^criteria for 'region' must be a list of strings$"):
             FilterCriteria([("region", values)])
+
+    def test_an_attribute_name_that_is_not_a_string_is_refused(self):
+        # accepted, it would make render_config_file raise an untyped TypeError
+        with pytest.raises(ValueError, match=r"^criteria attribute names must be strings, got 5$"):
+            FilterCriteria([(5, ["x"])])
+
+    def test_an_empty_string_value_is_refused(self):
+        # "require region " would also be the rendering of ("region", []): two surveys, one digest
+        with pytest.raises(ValueError, match=r"^criteria for 'region' must not allow the empty string$"):
+            FilterCriteria([("region", ["NSW", ""])])
+        config = small_config(criteria=FilterCriteria([("region", [])]))
+        assert parse_config_file(render_config_file(config)) == config
+
+    # criteria names and values: strings, the empty string among them, and numbers, which are refused
+    CRITERIA_TEXT = st.text(max_size=4) | st.integers(-2, 2)
+
+    @given(
+        labels=st.lists(st.text(max_size=5), min_size=2, max_size=4, unique=True),
+        predicates=st.lists(st.tuples(CRITERIA_TEXT, st.lists(CRITERIA_TEXT, max_size=3)), max_size=3),
+        nr=st.integers(1, 1 << 70),
+        fee=st.integers(0, 1 << 70),
+        f=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_every_accepted_configuration_survives_render_and_parse(self, labels, predicates, nr, fee, f):
+        try:
+            config = SurveyConfiguration(QuerySpec(labels), FilterCriteria(predicates), nr, fee, PrivacyParams(f))
+        except ValueError:
+            reject()
+        assert parse_config_file(render_config_file(config)) == config
 
 
 def setup_small_survey(config, profiles, seed=0):
@@ -737,6 +768,57 @@ class TestRunSurvey:
             )
         commits = [line for line in excinfo.value.trace if " commit " in line]
         assert len(commits) == 1 and "op-01" in commits[0]
+
+    # the exact trace lines of two failed surveys
+    def test_duplicate_address_failure_trace_is_pinned(self):
+        twin = OperatorProfile("op-03", (addr(2),), {"region": "NSW"}, 0)
+        with pytest.raises(ProtocolError) as excinfo:
+            run_survey(
+                small_config(nr=2, f=0.0), [profile(1), profile(2), twin, profile(4)],
+                operator_rngs=[np.random.default_rng(1)] * 4, infra_rng=np.random.default_rng(0),
+            )
+        assert str(excinfo.value) == f"address {addr(2)} already committed (first commitment wins)"
+        assert excinfo.value.trace == [
+            "sysop     create-contract        id=b7b656296364423f nr=2 fee=100",
+            "sysop     distribute-psk         recipients=4",
+            "operator  commit                 op-01 commitment=7b6a52b81f09bde1",
+            "operator  commit                 op-02 commitment=04d9ded233ef536b",
+        ]
+
+    def test_insufficient_eligible_failure_trace_is_pinned(self):
+        criteria = FilterCriteria([("region", ["VIC"])])
+        with pytest.raises(InsufficientEligibleError, match="^only 2 eligible commitments, need 3$") as excinfo:
+            run_survey(
+                small_config(nr=3, f=0.0, criteria=criteria),
+                [profile(1, "VIC"), profile(2), profile(3, "VIC"), profile(4)],
+                operator_rngs=[np.random.default_rng(1)] * 4, infra_rng=np.random.default_rng(0),
+            )
+        assert excinfo.value.trace == [
+            "sysop     create-contract        id=9b0e13f8d899ce79 nr=3 fee=100",
+            "sysop     distribute-psk         recipients=4",
+            "operator  commit                 op-01 commitment=7b6a52b81f09bde1",
+            "operator  commit                 op-02 commitment=04d9ded233ef536b",
+            "operator  commit                 op-03 commitment=e3bf9a62c1f4266f",
+            "operator  commit                 op-04 commitment=75135b68dfd77476",
+        ]
+
+    def test_trace_is_rendered_on_first_read_from_the_values_of_the_run(self):
+        def run():
+            profiles = [profile(i + 1, choice=i % 4) for i in range(5)]
+            outcome = run_survey(
+                small_config(nr=3, f=0.5), profiles, operator_rngs=rngs(5, seed=4),
+                infra_rng=np.random.default_rng(4),
+            )
+            return outcome, profiles
+
+        rendered_at_once = list(run()[0].trace)
+        outcome, profiles = run()
+        assert isinstance(outcome.trace, SurveyTrace) and outcome.trace._lines is None
+        for p in profiles:
+            p.operator_id = "renamed"
+        assert list(outcome.trace) == rendered_at_once == list(outcome.trace)
+        assert len(outcome.trace) == 2 + 5 + 1 + 3 + 2 + 3 + 1
+        assert "op-01" in outcome.trace[2]
 
     def test_infra_rng_may_not_randomize_operators(self):
         infra = np.random.default_rng(0)

@@ -119,7 +119,8 @@ class TestFullProtocolExperiment:
         assert full.estimated_raw == ldp.estimated_raw
         assert full.actual_counts == ldp.actual_counts
         assert verify_event_chain(log) == (True, None)
-        assert trace
+        assert trace._lines is None  # nothing rendered until read
+        assert trace and list(trace) == list(trace)
 
     def test_shared_operator_generator_matches_ldp_only(self):
         # run_survey with one generator repeated for every operator consumes
