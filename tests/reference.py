@@ -4,7 +4,8 @@ privmarket handles a population as one (N, n) matrix: `ldp.randomize_batch`
 encodes and randomizes it, `envelope.decode_bit_matrix` and
 `envelope.decode_bit_stream` decode it. The functions here do the same work
 one respondent and one record at a time, written independently of the batch
-code, so a test can compare the two row by row.
+code, so a test can compare the two row by row. `reference_survey` runs a
+whole survey that way, one operator and one command at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +16,16 @@ from typing import Sequence
 
 import numpy as np
 
-from privmarket.envelope import BitVectorError, encode_bit_vector
-from privmarket.ldp import PrivacyParams
+from privmarket import ledger
+from privmarket.envelope import (
+    BitVectorError, decrypt, derive_session_key, digest, encode_bit_vector, encrypt, hmac_derive,
+)
+from privmarket.ldp import FrequencyEstimate, PrivacyParams, accumulate_counts, estimate_frequencies
+from privmarket.protocol import (
+    ArtifactStore, Authority, ConfigIntegrityError, DeliveryVerdict, FilterVector, InsufficientEligibleError,
+    Operator, ProtocolError, SystemOperator, authority_deposit_and_await_reveal, authority_verify_delivery,
+    evaluate_criteria, operator_deliver, parse_config_file, setup_survey, sysop_reveal_secret,
+)
 
 
 @dataclass(frozen=True)
@@ -113,3 +122,111 @@ def canonical_encode_response(rv: ResponseVector) -> bytes:
 def decode_response(data: bytes) -> ResponseVector:
     """Inverse of canonical_encode_response; rejects malformed input."""
     return ResponseVector(decode_bit_vector(data))
+
+
+@dataclass
+class ReferenceOutcome:
+    contract: ledger.SurveyContract
+    trace: list[str]
+    estimate: FrequencyEstimate
+    decrypted_vectors: np.ndarray
+    failed_indices: tuple[int, ...]
+
+
+def reference_survey(config, profiles, operator_rngs, infra_rng) -> ReferenceOutcome:
+    """One honest survey, one operator and one command at a time; `protocol.run_survey` must match it byte for byte.
+
+    Generators are drawn from in the order the `simulate` and `commit_population` docstrings
+    document: the authority's and the system operator's addresses, then the key material, then
+    per operator in arrival order one length-n uniform draw from its own report generator and
+    12 cipher-nonce bytes from `infra_rng`. The filter and the payout are built by their own
+    loops here, from the rules: first come first served up to NR eligible, bits and payees in
+    ascending address order. A survey that cannot complete raises the ProtocolError that
+    run_survey raises, with the trace so far.
+    """
+    trace: list[str] = []
+
+    def line(party: str, action: str, detail: str) -> None:
+        trace.append(f"{party:<9} {action:<22} {detail}".rstrip())
+
+    store = ArtifactStore()
+    authority = Authority(ledger.Address(infra_rng.bytes(20)), config)
+    sysop = SystemOperator(ledger.Address(infra_rng.bytes(20)), infra_rng)
+    for profile in profiles:
+        sysop.register_operator(profile)
+    try:
+        contract, _ = setup_survey(authority, sysop, config, store=store)
+        line("sysop", "create-contract", f"id={contract.contract_id.hex[:16]} nr={config.required_responses} fee={config.fee}")
+        line("sysop", "distribute-psk", f"recipients={len(sysop.registry)}")
+
+        config_bytes = store.get(contract.config_uri)
+        operators = []
+        for profile, rng in zip(profiles, operator_rngs):
+            if digest(config_bytes) != contract.config_digest:
+                raise ConfigIntegrityError("configuration bytes do not match the on-ledger digest")
+            terms = parse_config_file(config_bytes)
+            psk = sysop.issue_psk(contract, profile.operator_id)
+            sk = derive_session_key(hmac_derive(psk, contract.n1), hmac_derive(psk, contract.n2))
+            report = randomize_response(encode_one_hot(profile.true_choice, terms.query.n), terms.privacy, rng)
+            ciphertext = encrypt(sk, canonical_encode_response(report), infra_rng.bytes(12))
+            commitment = digest(ciphertext.serialize())
+            ledger.commit_response(contract, profile.active_address, commitment)
+            operator = Operator(profile, infra_rng)
+            operator.ciphertext = ciphertext
+            operators.append(operator)
+            line("operator", "commit", f"{profile.operator_id} commitment={commitment.hex[:16]}")
+
+        marked = []
+        for profile in profiles:
+            if len(marked) < config.required_responses and evaluate_criteria(profile, config.criteria):
+                marked.append(profile.active_address.value)
+        if len(marked) < config.required_responses:
+            raise InsufficientEligibleError(
+                f"only {len(marked)} eligible commitments, need {config.required_responses}"
+            )
+        ascending = sorted(profile.active_address.value for profile in profiles)
+        bits = tuple(int(raw in marked) for raw in ascending)
+        ledger.finalize_filter(contract, digest(encode_bit_vector(bits)))
+        filter_vector = FilterVector(bits)
+        line("sysop", "finalize-filter", f"eligible={sum(bits)} of {len(bits)}")
+
+        for operator in operators:
+            msg = operator_deliver(operator, filter_vector, contract.commitments)
+            if msg is None:
+                continue
+            verdict = authority_verify_delivery(authority, msg, contract.commitments, filter_vector)
+            line("authority", "verify-delivery", f"index={msg.index} verdict={verdict.value}")
+            if verdict != DeliveryVerdict.ACCEPTED:
+                raise ProtocolError(f"honest delivery at index {msg.index} rejected: {verdict.value}")
+
+        authority_deposit_and_await_reveal(authority, contract)
+        line("authority", "deposit", f"amount={contract.fee}")
+        sysop_reveal_secret(sysop, contract)
+        line("sysop", "reveal-secret", f"h_s2={contract.h_s2.hex[:16]}")
+
+        share = ledger.equal_split(contract.fee, contract.required_responses)
+        payees = [raw for raw, bit in zip(ascending, bits) if bit]
+        contract.log.append(ledger.EventKind.PAID_OUT, {
+            "distribution": b"".join(raw + struct.pack(">Q", share) for raw in payees),
+            "total": share * contract.required_responses,
+        })
+        contract.phase = ledger.ContractPhase.SETTLED
+        for raw in payees:
+            line("sysop", "pay-operator", f"0x{raw.hex()} amount={share}")
+
+        sk = derive_session_key(contract.s1, contract.revealed_s2)
+        rows, failed = [], []
+        for index in sorted(authority.accepted):
+            try:
+                rows.append(decode_response(decrypt(sk, authority.accepted[index])).bits)
+            except Exception:
+                failed.append(index)
+        vectors = np.array(rows, dtype=np.uint8).reshape(len(rows), config.query.n)
+        estimate = estimate_frequencies(accumulate_counts(vectors), config.privacy)
+        line("authority", "decrypt-aggregate", f"responses={len(vectors)}")
+    except ledger.LedgerError as exc:
+        raise ProtocolError(str(exc), trace) from exc
+    except ProtocolError as exc:
+        exc.trace = trace
+        raise
+    return ReferenceOutcome(contract, trace, estimate, vectors, tuple(failed))
