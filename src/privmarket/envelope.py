@@ -82,7 +82,7 @@ class FixedBytes:
     @classmethod
     def _made(cls, value: bytes):
         made = object.__new__(cls)
-        object.__setattr__(made, "value", value)
+        made.__dict__["value"] = value  # where the frozen field lives: cheaper than object.__setattr__
         return made
 
     def __hash__(self) -> int:
@@ -136,8 +136,8 @@ class Ciphertext:
     @classmethod
     def _made(cls, cipher_nonce: bytes, body: bytes) -> "Ciphertext":
         made = object.__new__(cls)
-        object.__setattr__(made, "cipher_nonce", cipher_nonce)
-        object.__setattr__(made, "body", body)
+        fields = made.__dict__
+        fields["cipher_nonce"], fields["body"] = cipher_nonce, body
         return made
 
     def serialize(self) -> bytes:

@@ -22,6 +22,12 @@ from typing import Sequence
 import numpy as np
 
 
+def check_text(what: str, text: str) -> None:
+    """Refuse, naming it, a string that UTF-8 cannot encode: one holding a lone surrogate."""
+    if not text.isascii() and any("\ud800" <= c <= "\udfff" for c in text):
+        raise ValueError(f"{what} {text!r} holds a lone surrogate, which UTF-8 cannot encode")
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """An ordered set of survey choice labels."""
@@ -36,6 +42,8 @@ class QuerySpec:
             raise ValueError("choice labels must be pairwise distinct")
         if not all(isinstance(c, str) for c in labels):
             raise ValueError("choice labels must be strings")
+        for label in labels:
+            check_text("choice label", label)
         object.__setattr__(self, "choices", labels)
 
     @property

@@ -43,9 +43,9 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import KW_ONLY, dataclass, field, fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, get_type_hints
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, get_type_hints
 
 from .envelope import Digest, FixedBytes, Nonce, Secret, digest, encode_bit_vector
 
@@ -113,6 +113,7 @@ _BLOB_FIELD = struct.Struct(">BI")  # tag, length
 _KINDS = {kind.value: kind for kind in EventKind}
 _SHAPE = struct.Struct(">I4xBH")  # a record's body length, kind and field count
 _UNPLAIN = frozenset(" =\"'")  # in a dump token, these could fake a field or a quoted token
+_RAW = attrgetter("value")  # an Address's or Digest's raw bytes
 
 
 def _encode_payload(payload: Mapping[str, PayloadValue]) -> bytes:
@@ -319,46 +320,49 @@ class CommitmentIndex:
     """Map address -> response commitment, kept in arrival order.
 
     An address's rank in ascending address-byte order is its filter index.
-    That sorted view is built on first use and rebuilt only after an add,
-    so a survey sorts its commitments once, after collection.
+    That sorted view is built on first use and rebuilt only after a commit,
+    so a survey sorts its commitments once, after collection. The dicts are
+    keyed by the raw 20 address bytes, whose hash is built in; the methods
+    take and return `Address` and `Digest`. `commit_responses` fills it.
     """
 
     def __init__(self):
-        self._digests: dict[Address, Digest] = {}
-        self._sorted: list[Address] | None = None
-        self._rank: dict[Address, int] = {}
+        self._digests: dict[bytes, Digest] = {}  # raw address -> commitment, in arrival order
+        self._arrival: list[Address] = []
+        self._sorted: list[Address] = []
+        self._rank: dict[bytes, int] = {}  # raw address -> filter index
+        self._sorted_digests: tuple[Digest, ...] = ()
 
     def __len__(self) -> int:
         return len(self._digests)
 
-    def __iter__(self) -> Iterator[tuple[Address, Digest]]:
-        return ((a, self._digests[a]) for a in self._ascending())
-
     def _ascending(self) -> list[Address]:
-        if self._sorted is None:
-            self._sorted = sorted(self._digests, key=lambda a: a.value)
-            self._rank = {a: i for i, a in enumerate(self._sorted)}
+        if len(self._sorted) != len(self._arrival):  # commits only append
+            self._sorted = sorted(self._arrival, key=_RAW)
+            raws = list(map(_RAW, self._sorted))
+            self._rank = dict(zip(raws, range(len(raws))))
+            self._sorted_digests = tuple(map(self._digests.__getitem__, raws))
         return self._sorted
 
-    def add(self, address: Address, commitment: Digest) -> None:
-        if address in self._digests:
-            raise LedgerError(f"address {address} already committed (first commitment wins)")
-        self._digests[address] = commitment
-        self._sorted = None
+    def indices_of(self, addresses: Iterable[Address]) -> list[int | None]:
+        """Each address's filter index, or None for an address that did not commit."""
+        self._ascending()
+        return list(map(self._rank.get, map(_RAW, addresses)))
 
     def index_of(self, address: Address) -> int:
         self._ascending()
-        return self._rank[address]
-
-    def at(self, index: int) -> tuple[Address, Digest]:
-        address = self._ascending()[index]
-        return address, self._digests[address]
+        return self._rank[address.value]
 
     def addresses_sorted(self) -> tuple[Address, ...]:
         return tuple(self._ascending())
 
+    def digests_sorted(self) -> tuple[Digest, ...]:
+        """The commitments in filter-index order."""
+        self._ascending()
+        return self._sorted_digests
+
     def arrival_order(self) -> tuple[Address, ...]:
-        return tuple(self._digests)
+        return tuple(self._arrival)
 
     def arrival_digests(self) -> tuple[Digest, ...]:
         return tuple(self._digests.values())
@@ -432,20 +436,22 @@ def commit_responses(contract: SurveyContract, addresses: Sequence[Address], com
         raise LedgerError(
             f"cannot commit in phase {contract.phase.name}: no more responses are accepted"
         )
-    events, add = contract.log.events, contract.commitments.add
+    events, digests, arrival = contract.log.events, contract.commitments._digests, contract.commitments._arrival
     prev = events[-1].event_hash if events else GENESIS_PREV
     for address, commitment in zip(addresses, commitments):
         if not isinstance(address, Address) or not isinstance(commitment, Digest):
             raise LedgerError(f"commit needs an Address and a Digest, got {type(address).__name__}, {type(commitment).__name__}")
-        add(address, commitment)
         sequence_no, a, c = len(events), address.value, commitment.value
+        if a in digests:
+            raise LedgerError(f"address {address} already committed (first commitment wins)")
         event_bytes = _COMMITTED.pack(  # two fields, each key_len, key, tag, value length, value
             sequence_no, EventKind.COMMITTED, 2, 7, b"address", _BYTES_TAG, ADDRESS_LEN, a,
             10, b"commitment", _BYTES_TAG, Digest.LENGTH, c, prev,
         )
         prev = digest(event_bytes).value
-        payload = MappingProxyType({"address": a, "commitment": c})
-        events.append(LedgerEvent(sequence_no, EventKind.COMMITTED, payload, prev, event_bytes))
+        events.append(LedgerEvent(sequence_no, EventKind.COMMITTED, MappingProxyType({"address": a, "commitment": c}), prev, event_bytes))
+        digests[a] = commitment
+        arrival.append(address)
 
 
 def commit_response(contract: SurveyContract, address: Address, commitment: Digest) -> None:
@@ -532,13 +538,16 @@ def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[Address
         raise LedgerError(f"filter must mark exactly {contract.required_responses} of the commitments")
     share = equal_split(contract.fee, contract.required_responses)
     total = share * contract.required_responses
-    distribution = {a: share for a, bit in zip(contract.commitments.addresses_sorted(), filter_bits) if bit}
-    amount = struct.pack(">Q", share)
-    packed = b"".join(address.value + amount for address in distribution)
-    contract.log.append(EventKind.PAID_OUT, {"distribution": packed, "total": total})
+    payees = [a for a, bit in zip(contract.commitments.addresses_sorted(), filter_bits) if bit]
+    amount = share.to_bytes(8, "big")
+    contract.log.append(EventKind.PAID_OUT, {"distribution": b"".join([a.value + amount for a in payees]), "total": total})
     contract._credit(contract.sysop, -total)
-    for address in distribution:
-        contract._credit(address, share)
+    distribution, deltas = dict.fromkeys(payees, share), contract.balance_deltas
+    if deltas.keys().isdisjoint(distribution.keys()):  # two views: it probes only the few existing deltas
+        deltas.update(distribution)  # reuses the hashes distribution holds
+    else:  # a payee is also the authority or the system operator
+        for address in payees:
+            contract._credit(address, share)
     contract.phase = ContractPhase.SETTLED
     return distribution
 

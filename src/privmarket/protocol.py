@@ -49,6 +49,7 @@ from .ldp import (
     PrivacyParams,
     QuerySpec,
     accumulate_counts,
+    check_text,
     estimate_frequencies,
     randomize_batch,
 )
@@ -89,6 +90,8 @@ class FilterCriteria:
                 raise ValueError(f"criteria for {attr!r} must be a list of strings")
             if "" in values:  # it would render like no value at all
                 raise ValueError(f"criteria for {attr!r} must not allow the empty string")
+            for text in (attr, *values):
+                check_text(f"criteria for {attr!r}:", text)
             if attr in normalized:
                 raise ValueError("criteria attribute names must be distinct")
             normalized[attr] = tuple(sorted(set(values)))
@@ -130,7 +133,7 @@ class OperatorProfile:
     def __post_init__(self):
         if not self.addresses:
             raise ValueError("operator needs at least one address")
-        if len(set(self.addresses)) != len(self.addresses):
+        if len(self.addresses) > 1 and len(set(self.addresses)) != len(self.addresses):
             raise ValueError("operator addresses must be distinct")
 
     @property
@@ -282,7 +285,7 @@ class SystemOperator:
 
 
 class Operator:
-    """Data provider: encodes, randomizes, encrypts and commits one response."""
+    """One data provider, stepped through the one-operator calls; run_survey holds a population as profiles."""
 
     def __init__(self, profile: OperatorProfile, rng: np.random.Generator):
         self.profile = profile
@@ -338,47 +341,39 @@ def evaluate_criteria(profile: OperatorProfile, criteria: FilterCriteria) -> boo
 
 
 def commit_population(
-    operators: Sequence[Operator], contract: SurveyContract, config_bytes: bytes, expected_digest: Digest,
-    psk: PreSharedKey, n1: Nonce, n2: Nonce, rng: np.random.Generator,
-) -> list[tuple[Ciphertext, Digest]]:
-    """Operators, in arrival order, each verify the configuration, encrypt and commit.
+    profiles: Sequence[OperatorProfile], contract: SurveyContract, config_bytes: bytes, expected_digest: Digest,
+    psk: PreSharedKey, n1: Nonce, n2: Nonce, rng: np.random.Generator, own_rng: np.random.Generator,
+) -> tuple[list[Ciphertext], list[Digest]]:
+    """Operators, in arrival order, each verify the configuration, encrypt and commit; returns their ciphertexts and commitments.
 
-    They share the report generator `rng` and one own generator. Each is drawn
+    They share the report generator `rng` and the own generator `own_rng`. Each is drawn
     from once, with the bytes of one draw per operator (see simulate): report i
     is row i of one (N, n) draw, nonce i bytes [12i, 12i + 12) of one own draw.
     A survey has one psk, so all encrypt under one session key: operator 0
     parses the configuration and derives s1, s2 and sk once for the
     population, after its digest check, and the SessionKey builds its AES-GCM
     object once. Their commitments then reach the ledger in one `commit_responses`
-    call, which commits them in order; an operator whose commitment the ledger took
-    holds its ciphertext, also when a later one is refused.
+    call, which commits them in order: a refused one raises, and those before it stay committed.
     """
-    if any(operator._rng is not operators[0]._rng for operator in operators):
-        raise ValueError("a population's operators must share one own generator")
-    if len(operators) > 1 and operators[0]._rng is rng:
+    if len(profiles) > 1 and own_rng is rng:
         raise ValueError("the own generator doubles as the report generator for more than one operator")
     ciphertexts, commitments = [], []
-    for i, operator in enumerate(operators):
-        if digest(config_bytes) != expected_digest:
+    for i in range(len(profiles)):
+        if digest(config_bytes).value != expected_digest.value:
             raise ConfigIntegrityError(
                 "configuration bytes do not match the on-ledger digest; refusing to participate"
             )
         if i == 0:  # verified bytes: draw for the whole population, before anyone commits
             config = parse_config_file(config_bytes)
             sk = derive_session_key(hmac_derive(psk, n1), hmac_derive(psk, n2))
-            choices = [other.profile.true_choice for other in operators]
+            choices = [profile.true_choice for profile in profiles]
             plaintexts = encode_bit_matrix(randomize_batch(choices, config.query.n, config.privacy, rng))
-            nonces = operator._rng.bytes(CIPHER_NONCE_LEN * len(operators))
+            nonces = own_rng.bytes(CIPHER_NONCE_LEN * len(profiles))
         nonce = nonces[i * CIPHER_NONCE_LEN : (i + 1) * CIPHER_NONCE_LEN]
         ciphertexts.append(encrypt(sk, plaintexts[i], nonce))
         commitments.append(digest(ciphertexts[-1].serialize()))
-    before = len(contract.commitments)
-    try:
-        ledger_mod.commit_responses(contract, [operator.profile.active_address for operator in operators], commitments)
-    finally:  # an operator holds its ciphertext once the ledger took its commitment
-        for operator, ciphertext in zip(operators, ciphertexts[: len(contract.commitments) - before]):
-            operator.ciphertext = ciphertext
-    return list(zip(ciphertexts, commitments))
+    ledger_mod.commit_responses(contract, [profile.active_address for profile in profiles], commitments)
+    return ciphertexts, commitments
 
 
 def operator_prepare_and_commit(
@@ -394,9 +389,12 @@ def operator_prepare_and_commit(
     """Verify the configuration, randomize, encrypt, and commit on-ledger: the population of one.
 
     Draws the report from `rng`, then the cipher nonce from the operator's own
-    generator, which may be `rng` itself.
+    generator, which may be `rng` itself. The operator holds its ciphertext once the ledger took it.
     """
-    return commit_population([operator], contract, config_bytes, expected_digest, psk, n1, n2, rng)[0]
+    (operator.ciphertext,), (commitment,) = commit_population(
+        [operator.profile], contract, config_bytes, expected_digest, psk, n1, n2, rng, operator._rng
+    )
+    return operator.ciphertext, commitment
 
 
 def build_and_finalize_filter(
@@ -420,42 +418,80 @@ def build_and_finalize_filter(
             f"profile list ({len(profiles_by_arrival)}) does not cover commitments ({len(arrival)})"
         )
     for address, profile in zip(arrival, profiles_by_arrival):
-        if profile.active_address != address:
+        if profile.active_address.value != address.value:
             raise ProtocolError(f"profile {profile.operator_id} does not match arrival {address}")
-    marked: set[Address] = set()
+    marked: list[Address] = []
     for address, profile in zip(arrival, profiles_by_arrival):
         if len(marked) == contract.required_responses:
             break
         if evaluate_criteria(profile, criteria):
-            marked.add(address)
+            marked.append(address)
     if len(marked) < contract.required_responses:
         raise InsufficientEligibleError(
             f"only {len(marked)} eligible commitments, need {contract.required_responses}"
         )
-    bits = tuple(1 if address in marked else 0 for address in contract.commitments.addresses_sorted())
-    filter_vector = FilterVector(bits)
+    bits = [0] * len(arrival)
+    for index in contract.commitments.indices_of(marked):
+        bits[index] = 1
+    filter_vector = FilterVector(tuple(bits))
     filter_bytes = encode_bit_vector(filter_vector.bits)
     ledger_mod.finalize_filter(contract, digest(filter_bytes))
     store.put(filter_uri(contract), filter_bytes)
     return filter_vector
 
 
+def deliver_population(
+    profiles: Sequence[OperatorProfile], ciphertexts: Sequence[Ciphertext | None],
+    filter_vector: FilterVector, commitments: ledger_mod.CommitmentIndex,
+) -> tuple[list[int], list[Ciphertext]]:
+    """Each operator whose filter bit is set sends its index and prepared ciphertext (or None): a loop of
+    `operator_deliver`, so the first operator that cannot deliver raises. Returns what was sent, in order."""
+    bits, size = filter_vector.bits, len(filter_vector.bits)
+    addresses = [profile.active_address for profile in profiles]
+    indices, sent = [], []
+    for address, index, ciphertext in zip(addresses, commitments.indices_of(addresses), ciphertexts, strict=True):
+        if index is None:
+            raise ProtocolError(f"operator address {address} absent from commitment index")
+        if index >= size:
+            raise ProtocolError(f"filter of {size} bits holds no bit for index {index}")
+        if bits[index] != 1:
+            continue
+        if ciphertext is None:
+            raise ProtocolError("operator has no prepared ciphertext to deliver")
+        indices.append(index)
+        sent.append(ciphertext)
+    return indices, sent
+
+
 def operator_deliver(
     operator: Operator, filter_vector: FilterVector, commitments: ledger_mod.CommitmentIndex
 ) -> DeliveryMessage | None:
     """Send (index, ciphertext) if this operator's filter bit is set."""
-    address = operator.profile.active_address
-    try:
-        index = commitments.index_of(address)
-    except KeyError as exc:
-        raise ProtocolError(f"operator address {address} absent from commitment index") from exc
-    if index >= len(filter_vector.bits):
-        raise ProtocolError(f"filter of {len(filter_vector.bits)} bits holds no bit for index {index}")
-    if filter_vector.bits[index] != 1:
-        return None
-    if operator.ciphertext is None:
-        raise ProtocolError("operator has no prepared ciphertext to deliver")
-    return DeliveryMessage(index, operator.ciphertext)
+    indices, sent = deliver_population([operator.profile], [operator.ciphertext], filter_vector, commitments)
+    return DeliveryMessage(indices[0], sent[0]) if indices else None
+
+
+def verify_deliveries(
+    authority: Authority, indices: Sequence[int], ciphertexts: Sequence[Ciphertext],
+    commitments: ledger_mod.CommitmentIndex, filter_vector: FilterVector,
+) -> list[DeliveryVerdict]:
+    """Check each delivery's eligibility and on-ledger commitment before accepting it: a loop of
+    `authority_verify_delivery`, with the same verdicts in order and the same deliveries accepted."""
+    count, bits, accepted, expected = len(commitments), filter_vector.bits, authority.accepted, commitments.digests_sorted()
+    verdicts = []
+    for index, ciphertext in zip(indices, ciphertexts, strict=True):
+        if type(index) is not int or not 0 <= index < count:  # a bool is an int, yet no index
+            verdicts.append(DeliveryVerdict.OUT_OF_RANGE)
+        elif index >= len(bits) or bits[index] != 1:
+            verdicts.append(DeliveryVerdict.INELIGIBLE)
+        elif not isinstance(ciphertext, Ciphertext) or digest(ciphertext.serialize()).value != expected[index].value:
+            verdicts.append(DeliveryVerdict.HASH_MISMATCH)
+        elif index in accepted:
+            verdicts.append(DeliveryVerdict.DUPLICATE)
+        else:
+            accepted[index] = ciphertext
+            verdicts.append(DeliveryVerdict.ACCEPTED)
+    return verdicts
 
 
 def authority_verify_delivery(
@@ -465,17 +501,7 @@ def authority_verify_delivery(
     filter_vector: FilterVector,
 ) -> DeliveryVerdict:
     """Check eligibility and the on-ledger commitment before accepting."""
-    if type(msg.index) is not int or not 0 <= msg.index < len(commitments):  # a bool is an int, yet no index
-        return DeliveryVerdict.OUT_OF_RANGE
-    if msg.index >= len(filter_vector.bits) or filter_vector.bits[msg.index] != 1:
-        return DeliveryVerdict.INELIGIBLE
-    _, expected = commitments.at(msg.index)
-    if not isinstance(msg.ciphertext, Ciphertext) or digest(msg.ciphertext.serialize()) != expected:
-        return DeliveryVerdict.HASH_MISMATCH
-    if msg.index in authority.accepted:
-        return DeliveryVerdict.DUPLICATE
-    authority.accepted[msg.index] = msg.ciphertext
-    return DeliveryVerdict.ACCEPTED
+    return verify_deliveries(authority, (msg.index,), (msg.ciphertext,), commitments, filter_vector)[0]
 
 
 def authority_deposit_and_await_reveal(authority: Authority, contract: SurveyContract) -> None:
@@ -602,8 +628,9 @@ def run_survey(
     operator i; entries may repeat, a shared generator being consumed in
     arrival order, and each run of consecutive operators sharing one commits
     as one population (commit_population). Cipher nonces come from
-    infra_rng after setup, so no entry may be infra_rng. Raises
-    ProtocolError (with the trace attached) if the survey cannot complete.
+    infra_rng after setup, so no entry may be infra_rng. The population is its profiles and
+    their ciphertexts, and each later phase takes it in one call; delivery still ends at the
+    first rejection. Raises ProtocolError (with the trace attached) if the survey cannot complete.
     """
     if len(operator_rngs) != len(profiles):
         raise ValueError("need exactly one random stream per operator profile")
@@ -621,39 +648,35 @@ def run_survey(
         trace.step("sysop", "create-contract", f"id={contract.contract_id.hex[:16]} nr={config.required_responses} fee={config.fee}")
         trace.step("sysop", "distribute-psk", f"recipients={len(sysop.registry)}")
 
-        operators = [Operator(profile, infra_rng) for profile in profiles]
-        operator_ids = tuple(profile.operator_id for profile in profiles)
         config_bytes = store.get(contract.config_uri)
+        ciphertexts: list[Ciphertext] = []
         try:
-            for _, run in itertools.groupby(zip(operators, operator_rngs), key=lambda pair: id(pair[1])):
-                population, rngs = zip(*run)
-                psk = sysop.issue_psk(contract, population[0].profile.operator_id)
-                commit_population(
+            for _, run in itertools.groupby(operator_rngs, key=id):
+                start = len(ciphertexts)
+                population = profiles[start : start + len(list(run))]
+                psk = sysop.issue_psk(contract, population[0].operator_id)
+                ciphertexts += commit_population(
                     population, contract, config_bytes, contract.config_digest, psk,
-                    contract.n1, contract.n2, rngs[0],
-                )
+                    contract.n1, contract.n2, operator_rngs[start], infra_rng,
+                )[0]
         finally:  # a line per operator that committed, in arrival order, also when a later one failed
             commitments = contract.commitments.arrival_digests()
-            trace.record("operator", "commit", "{} commitment={.hex:.16}", operator_ids[: len(commitments)], commitments)
+            operator_ids = tuple(profile.operator_id for profile in profiles[: len(commitments)])
+            trace.record("operator", "commit", "{} commitment={.hex:.16}", operator_ids, commitments)
 
         filter_vector = build_and_finalize_filter(
-            sysop, contract, list(profiles), config.criteria, store=store
+            sysop, contract, profiles, config.criteria, store=store
         )
         trace.step("sysop", "finalize-filter", f"eligible={filter_vector.popcount} of {len(filter_vector.bits)}")
 
-        indices, verdicts = [], []
-        try:
-            for operator in operators:
-                msg = operator_deliver(operator, filter_vector, contract.commitments)
-                if msg is None:
-                    continue
-                verdict = authority_verify_delivery(authority, msg, contract.commitments, filter_vector)
-                indices.append(msg.index)
-                verdicts.append(verdict)
-                if verdict != DeliveryVerdict.ACCEPTED:
-                    raise ProtocolError(f"honest delivery at index {msg.index} rejected: {verdict.value}")
-        finally:  # a line per verdict, the rejected one included
-            trace.record("authority", "verify-delivery", "index={} verdict={.value}", tuple(indices), tuple(verdicts))
+        indices, sent = deliver_population(profiles, ciphertexts, filter_vector, contract.commitments)
+        verdicts = verify_deliveries(authority, indices, sent, contract.commitments, filter_vector)
+        end = len(verdicts)  # operators deliver in turn, so the first rejection ends delivery
+        if verdicts.count(DeliveryVerdict.ACCEPTED) != end:
+            end = next(i for i, verdict in enumerate(verdicts) if verdict != DeliveryVerdict.ACCEPTED) + 1
+        trace.record("authority", "verify-delivery", "index={} verdict={.value}", indices[:end], verdicts[:end])
+        if end and verdicts[end - 1] != DeliveryVerdict.ACCEPTED:
+            raise ProtocolError(f"honest delivery at index {indices[end - 1]} rejected: {verdicts[end - 1].value}")
 
         authority_deposit_and_await_reveal(authority, contract)
         trace.step("authority", "deposit", f"amount={contract.fee}")

@@ -199,6 +199,16 @@ class TestDemoCommand:
         assert captured.out == ""
         assert captured.err == "error: criteria for 'region' must be a list of strings\n"
 
+    def test_a_lone_surrogate_in_the_criteria_is_one_error_line(self, tmp_path, capsys):
+        criteria = tmp_path / "criteria.json"
+        criteria.write_text('{"region": ["\\ud800"]}')  # JSON's escape for a lone surrogate
+        assert main(["demo", "--criteria-file", str(criteria)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: criteria for 'region': '\\ud800' holds a lone surrogate, which UTF-8 cannot encode\n"
+        )
+
     def test_criteria_filtering_works(self, tmp_path, capsys):
         criteria = tmp_path / "criteria.json"
         criteria.write_text('{"region": ["NSW"]}')

@@ -25,6 +25,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             QuerySpec(["only"])
 
+    def test_query_spec_rejects_a_label_holding_a_lone_surrogate(self):
+        with pytest.raises(ValueError, match=r"^choice label 'b\\ud800' holds a lone surrogate"):
+            QuerySpec(["a", "b\ud800"])
+
     def test_query_spec_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             QuerySpec(["a", "b", "a"])

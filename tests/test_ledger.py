@@ -75,7 +75,8 @@ def settle_to_deposit(contract, commitments):
 def contract_state(contract):
     """Every field of a contract by value, its commitments, and its log's bytes."""
     fields = {k: v for k, v in vars(contract).items() if k not in ("commitments", "log")}
-    return copy.deepcopy(fields), list(contract.commitments), contract.log.to_bytes()
+    index = contract.commitments
+    return copy.deepcopy(fields), index.addresses_sorted(), index.digests_sorted(), contract.log.to_bytes()
 
 
 def terms_of(contract):
@@ -161,7 +162,7 @@ class TestCommit:
         contract, _ = make_contract()
         for b in (0x0A, 0x03, 0x07):
             commit_response(contract, addr(b), digest(bytes([b])))
-        ordered = [a for a, _ in contract.commitments]
+        ordered = list(contract.commitments.addresses_sorted())
         assert ordered == [addr(0x03), addr(0x07), addr(0x0A)]
         assert contract.commitments.index_of(addr(0x07)) == 1
         assert contract.commitments.arrival_order() == (addr(0x0A), addr(0x03), addr(0x07))
@@ -699,20 +700,21 @@ class TestCommitmentIndex:
             index.index_of(addr(3))
 
     def test_interleaved_reads_keep_byte_order_and_arrival(self):
-        # reads between adds must see every add so far, in ascending byte order
-        index = CommitmentIndex()
+        # reads between commits must see every commit so far, in ascending byte order
+        contract, _ = make_contract()
+        index = contract.commitments
         rng = np.random.default_rng(31)
         arrived = []
         for _ in range(40):
             address = Address(rng.bytes(20))
-            index.add(address, digest(address.value))
+            commit_response(contract, address, digest(address.value))
             arrived.append(address)
             ranked = sorted(arrived, key=lambda a: a.value)
             probe = arrived[int(rng.integers(len(arrived)))]
             assert index.index_of(probe) == ranked.index(probe)
-            assert index.at(ranked.index(probe)) == (probe, digest(probe.value))
+            assert index.indices_of([probe, addr(0xEE)]) == [ranked.index(probe), None]
             assert index.addresses_sorted() == tuple(ranked)
-            assert [a for a, _ in index] == ranked
+            assert index.digests_sorted() == tuple(digest(a.value) for a in ranked)
             assert index.arrival_order() == tuple(arrived)
         assert index.addresses_sorted() == tuple(sorted(arrived, key=lambda a: a.value))
 

@@ -1,15 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from privmarket.envelope import decode_bit_stream, derive_session_key, digest
+from privmarket.envelope import Ciphertext, decode_bit_stream, derive_session_key, digest
 from privmarket.ldp import PrivacyParams, QuerySpec, accumulate_counts, estimate_frequencies
 from privmarket.ledger import Address, ContractPhase, EventKind, LedgerError, equal_split, payout, verify_event_chain
 from privmarket.protocol import (
     ArtifactStore,
     Authority,
     ConfigIntegrityError,
+    DeliveryMessage,
     DeliveryVerdict,
     FilterCriteria,
     FilterVector,
@@ -24,6 +27,7 @@ from privmarket.protocol import (
     authority_verify_delivery,
     build_and_finalize_filter,
     commit_population,
+    deliver_population,
     evaluate_criteria,
     filter_uri,
     operator_deliver,
@@ -35,6 +39,7 @@ from privmarket.protocol import (
     setup_survey,
     sysop_payout,
     sysop_reveal_secret,
+    verify_deliveries,
 )
 
 
@@ -202,6 +207,12 @@ class TestCriteria:
         config = small_config(criteria=FilterCriteria([("region", [])]))
         assert parse_config_file(render_config_file(config)) == config
 
+    @pytest.mark.parametrize("predicate", [("region", ["NSW", "\ud800"]), ("\udfff", ["NSW"])])
+    def test_a_lone_surrogate_is_refused(self, predicate):
+        # accepted, it would make render_config_file raise UnicodeEncodeError
+        with pytest.raises(ValueError, match=r"'\\ud(800|fff)' holds a lone surrogate, which UTF-8 cannot encode$"):
+            FilterCriteria([predicate])
+
     # criteria names and values: strings, the empty string among them, and numbers, which are refused
     CRITERIA_TEXT = st.text(max_size=4) | st.integers(-2, 2)
 
@@ -211,11 +222,25 @@ class TestCriteria:
         nr=st.integers(1, 1 << 70),
         fee=st.integers(0, 1 << 70),
         f=st.floats(0.0, 1.0, exclude_max=True),
+        surrogate=st.none() | st.tuples(st.integers(0, 99), st.characters(categories=["Cs"])),
     )
-    @settings(deadline=None, max_examples=200)
-    def test_every_accepted_configuration_survives_render_and_parse(self, labels, predicates, nr, fee, f):
+    @settings(deadline=None, max_examples=300)
+    def test_every_accepted_configuration_survives_render_and_parse(self, labels, predicates, nr, fee, f, surrogate):
+        def build():
+            return SurveyConfiguration(QuerySpec(labels), FilterCriteria(predicates), nr, fee, PrivacyParams(f))
+
+        if surrogate is not None:  # a label, or a criteria name or value, ends in a lone surrogate: refused
+            k, char = surrogate
+            if k % 2 or not predicates:
+                labels[k % len(labels)] += char
+            else:
+                attr, values = predicates[k % len(predicates)]
+                predicates[k % len(predicates)] = (attr, values + [char]) if k % 4 else (f"{attr}{char}", values)
+            with pytest.raises(ValueError):
+                build()
+            return
         try:
-            config = SurveyConfiguration(QuerySpec(labels), FilterCriteria(predicates), nr, fee, PrivacyParams(f))
+            config = build()
         except ValueError:
             reject()
         assert parse_config_file(render_config_file(config)) == config
@@ -320,9 +345,8 @@ class TestCommitPopulation:
     def test_one_draw_each_equals_one_operator_at_a_time(self):
         reports, own = np.random.default_rng(1), np.random.default_rng(2)
         profiles, contract, config_bytes, psk = self._survey(7)
-        batch = commit_population(
-            [Operator(p, own) for p in profiles], contract, config_bytes,
-            contract.config_digest, psk, contract.n1, contract.n2, reports,
+        ciphertexts, commitments = commit_population(
+            profiles, contract, config_bytes, contract.config_digest, psk, contract.n1, contract.n2, reports, own,
         )
         ref_reports, ref_own = np.random.default_rng(1), np.random.default_rng(2)
         ref_profiles, ref_contract, _, ref_psk = self._survey(7)
@@ -333,7 +357,7 @@ class TestCommitPopulation:
             )
             for p in ref_profiles
         ]
-        assert batch == one_by_one
+        assert list(zip(ciphertexts, commitments)) == one_by_one
         assert contract.log.to_bytes() == ref_contract.log.to_bytes()
         assert reports.bit_generator.state == ref_reports.bit_generator.state
         assert own.bit_generator.state == ref_own.bit_generator.state
@@ -344,8 +368,8 @@ class TestCommitPopulation:
         profiles, contract, config_bytes, psk = self._survey(3)
         with pytest.raises(ConfigIntegrityError):
             commit_population(
-                [Operator(p, own) for p in profiles], contract, config_bytes + b" ",
-                contract.config_digest, psk, contract.n1, contract.n2, reports,
+                profiles, contract, config_bytes + b" ", contract.config_digest, psk, contract.n1, contract.n2,
+                reports, own,
             )
         assert (reports.bit_generator.state, own.bit_generator.state) == states
         assert len(contract.log) == 1  # no Committed event
@@ -353,16 +377,10 @@ class TestCommitPopulation:
     def test_generators_must_not_interleave(self):
         profiles, contract, config_bytes, psk = self._survey(2)
         shared = np.random.default_rng(0)
-        populations = {
-            "share one own generator": [Operator(profiles[0], shared), Operator(profiles[1], np.random.default_rng(1))],
-            "doubles as the report generator": [Operator(p, shared) for p in profiles],
-        }
-        for message, operators in populations.items():
-            with pytest.raises(ValueError, match=message):
-                commit_population(
-                    operators, contract, config_bytes, contract.config_digest, psk,
-                    contract.n1, contract.n2, shared,
-                )
+        with pytest.raises(ValueError, match="doubles as the report generator"):
+            commit_population(
+                profiles, contract, config_bytes, contract.config_digest, psk, contract.n1, contract.n2, shared, shared,
+            )
         assert len(contract.log) == 1
 
 
@@ -394,7 +412,7 @@ class TestFilter:
         fv = build_and_finalize_filter(sysop, contract, profiles, crit, store=store)
         assert fv.popcount == 2
         winners = {addr(0x0A), addr(0x0B)}
-        for i, (address, _) in enumerate(contract.commitments):
+        for i, address in enumerate(contract.commitments.addresses_sorted()):
             assert fv.bits[i] == (1 if address in winners else 0)
 
     def test_last_eligible_arrival_misses_out(self):
@@ -463,7 +481,7 @@ class TestDelivery:
             index = contract.commitments.index_of(operator.profile.active_address)
             if fv.bits[index] == 1:
                 assert msg is not None and msg.index == index
-                assert contract.commitments.at(msg.index)[0] == operator.profile.active_address
+                assert contract.commitments.addresses_sorted()[msg.index] == operator.profile.active_address
             else:
                 assert msg is None
 
@@ -557,6 +575,112 @@ class TestDelivery:
         assert authority_verify_delivery(authority, msg, contract.commitments, fv) \
             == DeliveryVerdict.DUPLICATE
         assert len(authority.accepted) == 1
+
+
+@functools.cache
+def filtered_survey():
+    """A 6-operator survey whose filter marks 3; deliveries neither change it nor its operators."""
+    _, _, _, contract, operators, fv = run_to_filter(nr=3, count=6, f=0.5)
+    return contract, operators, fv
+
+
+def tampered(ciphertext):
+    body = bytearray(ciphertext.body)
+    body[0] ^= 0x01
+    return Ciphertext(ciphertext.cipher_nonce, bytes(body))
+
+
+# an index: in range, out of range, or not an int (a bool among them)
+DRAWN_INDEX = st.integers(-2, 8) | st.sampled_from([1 << 70, 1.0, "1", None, True, False])
+# a body: some operator's ciphertext, a tampered one, its bare bytes, or nothing usable
+DRAWN_BODY = st.tuples(st.sampled_from(["own", "tampered", "bytes"]), st.integers(0, 5)) | st.sampled_from([None, b""])
+# the survey's filter, or one too short to cover the commitments
+DRAWN_FILTER_LENGTH = st.sampled_from([None, 0, 1, 5])
+
+
+def body_of(drawn, operators):
+    if not isinstance(drawn, tuple):
+        return drawn
+    kind, i = drawn
+    ciphertext = operators[i].ciphertext
+    return {"own": ciphertext, "tampered": tampered(ciphertext), "bytes": ciphertext.serialize()}[kind]
+
+
+def filter_of(length, fv):
+    return fv if length is None else FilterVector(fv.bits[:length])
+
+
+def outcome(run):
+    """What `run` returned, or the type and message of what it raised."""
+    try:
+        return run(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestPopulationFormsAreLoops:
+    @given(
+        messages=st.lists(st.tuples(DRAWN_INDEX, DRAWN_BODY) | st.integers(0, 5), max_size=10),
+        length=DRAWN_FILTER_LENGTH,
+        accepted_before=st.lists(st.integers(0, 5), max_size=2),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_verify_deliveries_is_a_loop_of_authority_verify_delivery(self, messages, length, accepted_before):
+        contract, operators, fv = filtered_survey()
+        fv = filter_of(length, fv)
+        # a bare number i is operator i's own delivery, so that lists repeat deliveries that verify
+        messages = [
+            DeliveryMessage(contract.commitments.index_of(operators[m].profile.active_address), operators[m].ciphertext)
+            if isinstance(m, int) else DeliveryMessage(m[0], body_of(m[1], operators))
+            for m in messages
+        ]
+
+        def authority():
+            party = Authority(Address(b"\xaa" * 20), small_config(nr=3, f=0.5))
+            party.accepted.update((i, operators[i].ciphertext) for i in accepted_before)
+            return party
+
+        loop_party, batch_party = authority(), authority()
+        loop = outcome(lambda: [authority_verify_delivery(loop_party, m, contract.commitments, fv) for m in messages])
+        batch = outcome(lambda: verify_deliveries(
+            batch_party, [m.index for m in messages], [m.ciphertext for m in messages], contract.commitments, fv,
+        ))
+        assert batch == loop
+        assert list(batch_party.accepted.items()) == list(loop_party.accepted.items())
+
+    @given(
+        senders=st.lists(st.tuples(st.integers(0, 6), DRAWN_BODY | st.just("prepared")), max_size=8),
+        length=DRAWN_FILTER_LENGTH,
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_deliver_population_is_a_loop_of_operator_deliver(self, senders, length):
+        # sender 6 never committed; a sender holds its prepared ciphertext, another body, or none
+        contract, operators, fv = filtered_survey()
+        fv = filter_of(length, fv)
+        stranger = Operator(profile(0x77), np.random.default_rng(0))
+        senders = [
+            (operators[i] if i < 6 else stranger, operators[i].ciphertext if body == "prepared" and i < 6
+             else None if body == "prepared" else body_of(body, operators))
+            for i, body in senders
+        ]
+
+        def loop():
+            sent = []
+            for operator, ciphertext in senders:
+                single = Operator(operator.profile, operator._rng)
+                single.ciphertext = ciphertext
+                msg = operator_deliver(single, fv, contract.commitments)
+                if msg is not None:
+                    sent.append((msg.index, msg.ciphertext))
+            return sent
+
+        def batch():
+            indices, sent = deliver_population(
+                [operator.profile for operator, _ in senders], [c for _, c in senders], fv, contract.commitments,
+            )
+            return list(zip(indices, sent))
+
+        assert outcome(batch) == outcome(loop)
 
 
 class TestDepositAndSettle:
