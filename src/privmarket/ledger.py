@@ -449,7 +449,8 @@ def commit_responses(contract: SurveyContract, addresses: Sequence[Address], com
             10, b"commitment", _BYTES_TAG, Digest.LENGTH, c, prev,
         )
         prev = digest(event_bytes).value
-        events.append(LedgerEvent(sequence_no, EventKind.COMMITTED, MappingProxyType({"address": a, "commitment": c}), prev, event_bytes))
+        payload = MappingProxyType({"address": a, "commitment": c})
+        events.append(LedgerEvent(sequence_no, EventKind.COMMITTED, payload, prev, event_bytes))
         digests[a] = commitment
         arrival.append(address)
 
@@ -539,15 +540,14 @@ def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[Address
     share = equal_split(contract.fee, contract.required_responses)
     total = share * contract.required_responses
     payees = [a for a, bit in zip(contract.commitments.addresses_sorted(), filter_bits) if bit]
-    amount = share.to_bytes(8, "big")
+    amount = struct.pack(">Q", share)
     contract.log.append(EventKind.PAID_OUT, {"distribution": b"".join([a.value + amount for a in payees]), "total": total})
     contract._credit(contract.sysop, -total)
     distribution, deltas = dict.fromkeys(payees, share), contract.balance_deltas
-    if deltas.keys().isdisjoint(distribution.keys()):  # two views: it probes only the few existing deltas
-        deltas.update(distribution)  # reuses the hashes distribution holds
-    else:  # a payee is also the authority or the system operator
-        for address in payees:
-            contract._credit(address, share)
+    # payees that already have a delta (a party paid as an operator too); the smaller view is the one walked
+    earlier = {a: deltas[a] + share for a in distribution.keys() & deltas.keys()}
+    deltas.update(distribution)  # reuses the hashes distribution holds
+    deltas.update(earlier)
     contract.phase = ContractPhase.SETTLED
     return distribution
 

@@ -344,7 +344,7 @@ def commit_population(
     profiles: Sequence[OperatorProfile], contract: SurveyContract, config_bytes: bytes, expected_digest: Digest,
     psk: PreSharedKey, n1: Nonce, n2: Nonce, rng: np.random.Generator, own_rng: np.random.Generator,
 ) -> tuple[list[Ciphertext], list[Digest]]:
-    """Operators, in arrival order, each verify the configuration, encrypt and commit; returns their ciphertexts and commitments.
+    """Operators, in arrival order, each verify the configuration, encrypt and commit: (ciphertexts, commitments).
 
     They share the report generator `rng` and the own generator `own_rng`. Each is drawn
     from once, with the bytes of one draw per operator (see simulate): report i
@@ -477,7 +477,8 @@ def verify_deliveries(
 ) -> list[DeliveryVerdict]:
     """Check each delivery's eligibility and on-ledger commitment before accepting it: a loop of
     `authority_verify_delivery`, with the same verdicts in order and the same deliveries accepted."""
-    count, bits, accepted, expected = len(commitments), filter_vector.bits, authority.accepted, commitments.digests_sorted()
+    count, bits, accepted = len(commitments), filter_vector.bits, authority.accepted
+    expected = commitments.digests_sorted()
     verdicts = []
     for index, ciphertext in zip(indices, ciphertexts, strict=True):
         if type(index) is not int or not 0 <= index < count:  # a bool is an int, yet no index
@@ -671,9 +672,8 @@ def run_survey(
 
         indices, sent = deliver_population(profiles, ciphertexts, filter_vector, contract.commitments)
         verdicts = verify_deliveries(authority, indices, sent, contract.commitments, filter_vector)
-        end = len(verdicts)  # operators deliver in turn, so the first rejection ends delivery
-        if verdicts.count(DeliveryVerdict.ACCEPTED) != end:
-            end = next(i for i, verdict in enumerate(verdicts) if verdict != DeliveryVerdict.ACCEPTED) + 1
+        # operators deliver in turn, so the first rejection ends delivery
+        end = next((i + 1 for i, verdict in enumerate(verdicts) if verdict != DeliveryVerdict.ACCEPTED), len(verdicts))
         trace.record("authority", "verify-delivery", "index={} verdict={.value}", indices[:end], verdicts[:end])
         if end and verdicts[end - 1] != DeliveryVerdict.ACCEPTED:
             raise ProtocolError(f"honest delivery at index {indices[end - 1]} rejected: {verdicts[end - 1].value}")

@@ -360,6 +360,15 @@ class TestPayout:
         assert contract.balance_deltas[SYSOP] == 20
         assert all(contract.balance_deltas[a] == 40 for a in addresses)
 
+    def test_a_payee_that_is_also_a_party_keeps_its_earlier_delta(self):
+        contract, s2 = make_contract(nr=3, fee=100)
+        bits = settle_to_deposit(contract, [(a, digest(a.value)) for a in (SYSOP, AUTHORITY, addr(1))])
+        reveal_secret(contract, s2)
+        assert payout(contract, bits) == {addr(1): 26, AUTHORITY: 26, SYSOP: 26}
+        assert contract.balance_deltas == {AUTHORITY: -100 + 26, SYSOP: 100 - 78 + 26, addr(1): 26}
+        assert list(contract.balance_deltas) == [AUTHORITY, SYSOP, addr(1)]
+        assert contract.escrow_balance + sum(contract.balance_deltas.values()) == 0
+
     def test_the_share_is_not_the_callers(self):
         contract, bits, _ = self._revealed_contract()
         before = contract_state(contract)

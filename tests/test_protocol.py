@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from privmarket.envelope import Ciphertext, decode_bit_stream, derive_session_key, digest
 from privmarket.ldp import PrivacyParams, QuerySpec, accumulate_counts, estimate_frequencies
+from privmarket import protocol
 from privmarket.ledger import Address, ContractPhase, EventKind, LedgerError, equal_split, payout, verify_event_chain
 from privmarket.protocol import (
     ArtifactStore,
@@ -943,6 +944,28 @@ class TestRunSurvey:
         assert list(outcome.trace) == rendered_at_once == list(outcome.trace)
         assert len(outcome.trace) == 2 + 5 + 1 + 3 + 2 + 3 + 1
         assert "op-01" in outcome.trace[2]
+
+    def test_delivery_ends_at_the_first_rejection_with_the_loops_trace(self, monkeypatch):
+        # the population commits in one call; arrival 1 then delivers a body other than the one it
+        # committed, and arrival 2 never delivers
+        def run():
+            profiles = [profile(i + 1, choice=i % 4) for i in range(5)]
+            return run_survey(small_config(nr=3, f=0.5), profiles, operator_rngs=[np.random.default_rng(6)] * 5,
+                              infra_rng=np.random.default_rng(7))
+
+        honest = list(run().trace)
+        commit = protocol.commit_population
+
+        def tampering(*args):
+            ciphertexts, commitments = commit(*args)
+            return [*ciphertexts[:1], tampered(ciphertexts[1]), *ciphertexts[2:]], commitments
+
+        monkeypatch.setattr(protocol, "commit_population", tampering)
+        with pytest.raises(ProtocolError, match="rejected: hash_mismatch$") as excinfo:
+            run()
+        verified = [i for i, line in enumerate(honest) if " verify-delivery " in line]
+        rejected = honest[verified[1]].replace("verdict=accepted", "verdict=hash_mismatch")
+        assert excinfo.value.trace == honest[: verified[1]] + [rejected]
 
     def test_infra_rng_may_not_randomize_operators(self):
         infra = np.random.default_rng(0)
