@@ -80,9 +80,9 @@ class FixedBytes:
         object.__setattr__(self, "value", _expect_len(self.LABEL, self.value, self.LENGTH))
 
     @classmethod
-    def _made(cls, value: bytes):
-        made = object.__new__(cls)
-        made.__dict__["value"] = value  # where the frozen field lives: cheaper than object.__setattr__
+    def _made(cls, value: bytes, _new=object.__new__, _set=object.__setattr__):  # bound once: runs for every digest
+        made = _new(cls)
+        _set(made, "value", value)
         return made
 
     def __hash__(self) -> int:
@@ -134,10 +134,10 @@ class Ciphertext:
         object.__setattr__(self, "body", bytes(self.body))
 
     @classmethod
-    def _made(cls, cipher_nonce: bytes, body: bytes) -> "Ciphertext":
-        made = object.__new__(cls)
-        fields = made.__dict__
-        fields["cipher_nonce"], fields["body"] = cipher_nonce, body
+    def _made(cls, cipher_nonce: bytes, body: bytes, _new=object.__new__, _set=object.__setattr__) -> "Ciphertext":
+        made = _new(cls)
+        _set(made, "cipher_nonce", cipher_nonce)
+        _set(made, "body", body)
         return made
 
     def serialize(self) -> bytes:
