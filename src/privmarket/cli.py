@@ -38,6 +38,17 @@ def _populations(text: str) -> tuple[int, ...]:
     return values
 
 
+def _set_flags(value, **flags: tuple[str, object]):
+    """`value` with each field set in turn to its flag's value: a value the constructor refuses raises a
+    ValueError that names the flag and the value."""
+    for name, (flag, given) in flags.items():
+        try:
+            value = dataclasses.replace(value, **{name: given})
+        except ValueError as exc:
+            raise ValueError(f"{flag} {given}: {exc}") from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privmarket",
@@ -84,19 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:  # every configuration is checked before any trial runs
-        configs = [
-            ExperimentConfig(
-                population=population,
-                n_choices=args.choices,
-                mean=args.mean,
-                sd=args.sd,
-                privacy=PrivacyParams(args.f),
-                seed=args.seed,
-                trials=args.trials,
-                mode=Mode(args.mode),
-            )
-            for population in args.populations
-        ]
+        base = _set_flags(
+            ExperimentConfig(population=1, privacy=_set_flags(PrivacyParams(), f=("--f", args.f)), mode=Mode(args.mode)),
+            n_choices=("--choices", args.choices),
+            mean=("--mean", args.mean),
+            sd=("--sd", args.sd),
+            seed=("--seed", args.seed),
+            trials=("--trials", args.trials),
+        )
+        configs = [_set_flags(base, population=("--populations", population)) for population in args.populations]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -113,21 +120,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _load_criteria(path: str | None) -> FilterCriteria:
     if path is None:
         return FilterCriteria.empty()
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError("criteria file must hold a JSON object")
-    return FilterCriteria(raw.items())  # which checks each value is a list of strings
+    try:
+        raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError("expected a JSON object")
+        return FilterCriteria(raw.items())  # which checks each value is a list of strings
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"--criteria-file {path}: {exc}") from None
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     try:  # every flag is checked before the criteria file is read
-        experiment = ExperimentConfig(population=args.operators, privacy=PrivacyParams(args.f), seed=args.seed)
-        config = SurveyConfiguration(
-            query=default_query(experiment.n_choices),
-            criteria=FilterCriteria(),
-            required_responses=args.nr,
-            fee=args.fee,
-            privacy=experiment.privacy,
+        privacy = _set_flags(PrivacyParams(), f=("--f", args.f))
+        experiment = _set_flags(
+            ExperimentConfig(population=1, privacy=privacy), population=("--operators", args.operators), seed=("--seed", args.seed)
+        )
+        config = _set_flags(
+            SurveyConfiguration(default_query(experiment.n_choices), FilterCriteria(), 1, 0, privacy),
+            required_responses=("--nr", args.nr),
+            fee=("--fee", args.fee),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -182,7 +193,7 @@ def cmd_inspect_ledger(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     try:
-        privacy = PrivacyParams(args.f)
+        privacy = _set_flags(PrivacyParams(), f=("--f", args.f))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

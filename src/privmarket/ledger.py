@@ -23,12 +23,16 @@ strict: keys must be strictly ascending (no repeats), strings valid UTF-8,
 and nothing may trail a record, so every accepted log re-serializes to
 exactly its input bytes.
 
-An event is a tuple holding its event_bytes, encoded once by `append` or sliced
-from a canonical input by `from_bytes`, and a read-only payload in ascending key
-order; `to_bytes` joins and `verify_event_chain` hashes those bytes. `from_bytes`
-walks a record field by field, with every check, until its shape (kind, field
-count, body length) has been walked twice, then decodes the shape with one
-compiled struct; a record it does not fit is walked, so only the walk raises.
+A log holds its records and nothing else: packed by `append` and
+`commit_responses`, or sliced from a canonical input by `from_bytes`.
+`to_bytes` joins them, `verify_event_chain` hashes their slices and
+`check_transfer_safety` reads their kind bytes. `from_bytes` walks a record
+field by field, with every check, until its shape (kind, field count, body
+length) has been walked twice, then checks the shape with one compiled struct;
+a record it does not fit is walked, so only the walk raises. Reading an event
+(`log.events[i]`, iterating, `text_dump`) decodes its record the same way into
+a `LedgerEvent` with a read-only payload in ascending key order, and keeps
+nothing decoded.
 
 All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
@@ -43,7 +47,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import KW_ONLY, dataclass, field, fields
-from operator import attrgetter, itemgetter
+from operator import attrgetter, call, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, get_type_hints
 
@@ -172,6 +176,16 @@ def _decode_body(body: bytes, index: int) -> LedgerEvent:
     return LedgerEvent(sequence_no, kind, MappingProxyType(payload), body[pos + 32 :], body[: pos + 32])
 
 
+def _walk(record: bytes, index: int) -> LedgerEvent:
+    """`_decode_body` of one record (u32 body_len | body), every failure a LogFormatError naming `index`."""
+    try:
+        return _decode_body(record[4:], index)
+    except (struct.error, IndexError):
+        raise LogFormatError(index, "truncated field") from None
+    except UnicodeDecodeError:
+        raise LogFormatError(index, "payload key or string is not valid UTF-8") from None
+
+
 def _field_format(key: bytes, raw: int | bytes) -> str:
     """The struct format of one payload field: u16 key_len, key, u8 tag, then a u64 or u32 len and the raw bytes."""
     return f"H{len(key)}sBQ" if type(raw) is int else f"H{len(key)}sBI{len(raw)}s"
@@ -181,41 +195,108 @@ def _field_format(key: bytes, raw: int | bytes) -> str:
 _COMMITTED = struct.Struct(
     ">IBH" + _field_format(b"address", bytes(ADDRESS_LEN)) + _field_format(b"commitment", bytes(Digest.LENGTH)) + "32s"
 )
+_COMMITTED_LEN = _U32.pack(_COMMITTED.size + 32)  # the u32 body_len of every COMMITTED record
 
 
-def _compile_layout(event: LedgerEvent) -> Callable[[bytes, int], LedgerEvent | None]:
-    """A decoder for records with the walked `event`'s skeleton; it returns None for any other."""
+def _compile_layout(event: LedgerEvent) -> Callable[[bytes, int], Sequence | None]:
+    """A reader for records with the walked `event`'s skeleton: their payload values, then sequence_no,
+    event_hash and prev_hash. It returns None for a record of any other skeleton, or one whose str is not UTF-8."""
     fmt, expect = ">IIBH", [None, None, event.kind, len(event.payload)]  # None marks a non-skeleton item
-    for key, value in event.payload.items():
+    strs = []  # which payload values are str
+    for i, (key, value) in enumerate(event.payload.items()):
         kb, raw = key.encode("utf-8"), value.encode("utf-8") if type(value) is str else value
         tag = _INT_TAG if type(value) is int else _BYTES_TAG if raw is value else _STR_TAG
         fmt += _field_format(kb, raw)
         expect += [len(kb), kb, tag] + ([] if tag == _INT_TAG else [len(raw)]) + [None]
-    unpack = struct.Struct(fmt + "32x32s").unpack_from
+        strs += [i] * (tag == _STR_TAG)
+    unpack = struct.Struct(fmt + "32s32s").unpack_from
     skeleton_of = itemgetter(*[i for i, e in enumerate(expect) if e is not None])
-    fields_of = itemgetter(*[i for i, e in enumerate(expect) if e is None][2:], 1, len(expect))  # values, seq, hash
-    skeleton, keys, kind, size = skeleton_of(expect), tuple(event.payload), event.kind, 4 + len(event.event_bytes)
-    strs = [key for key, value in event.payload.items() if type(value) is str]
+    # the payload values, sequence_no, event_hash and prev_hash (the last two items)
+    values_of = itemgetter(*[i for i, e in enumerate(expect) if e is None][2:], 1, len(expect) + 1, len(expect))
+    skeleton = skeleton_of(expect)
 
-    def decode(data: bytes, offset: int) -> LedgerEvent | None:
+    def read(data: bytes, offset: int) -> Sequence | None:
         record = unpack(data, offset)
         if skeleton_of(record) != skeleton:
             return None
-        fields = fields_of(record)
-        payload = dict(zip(keys, fields))  # zip stops at the last key
-        try:
-            for key in strs:
-                payload[key] = payload[key].decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        return LedgerEvent(fields[-2], kind, MappingProxyType(payload), fields[-1], data[offset + 4 : offset + size])
+        values = values_of(record)
+        if strs:
+            values = list(values)
+            try:
+                for i in strs:
+                    values[i] = values[i].decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+        return values
 
-    return decode
+    return read
+
+
+def _split(data: bytes) -> Iterator[bytes]:
+    """Each record (u32 body_len | body) of `data` in turn; one that is cut short raises LogFormatError."""
+    offset = index = 0
+    while offset < len(data):
+        if len(data) - offset < 4:
+            raise LogFormatError(index, "truncated record length prefix")
+        end = offset + 4 + _U32.unpack_from(data, offset)[0]
+        if end > len(data):
+            raise LogFormatError(index, "record extends past end of data")
+        yield data[offset:end]
+        offset, index = end, index + 1
+
+
+def _scan(records: Iterable[bytes]) -> Iterator[tuple[bytes, LedgerEvent, Sequence | None, Callable | None]]:
+    """Check each record in turn: read it through a compiled layout, or else walk it.
+
+    Yields the record with its walked event, None and None; or with the walked event of its layout, the values
+    the layout read and the layout's dump line. The layout that read the record before is tried first; then the
+    one kept for the record's shape (body length, kind, field count), which is None once a record of the shape
+    was walked, a layout once a second one was, and False once that layout missed. A record no layout fits is
+    walked, so only the walk raises, with its own message and record index.
+    """
+    layouts: dict = {}
+    layout = None  # the last one that read a record: (record size, reader, walked event, dump line)
+    for index, record in enumerate(records):
+        values = layout and len(record) == layout[0] and layout[1](record, 0)
+        if not values:
+            shape = _SHAPE.unpack_from(record) if len(record) >= _SHAPE.size else None
+            layout = layouts.get(shape)
+            values = layout and layout[1](record, 0)
+            if not values:
+                event = _walk(record, index)
+                layouts[shape] = None if shape not in layouts else layout is None and (
+                    len(record), _compile_layout(event), event, _dump_line(event)
+                )
+                yield record, event, None, None
+                continue
+        yield record, layout[2], values, layout[3]
+
+
+def _events(records: Iterable[bytes]) -> Iterator[LedgerEvent]:
+    """The events of checked records, each decoded in turn."""
+    for record, event, values, _ in _scan(records):
+        if values is None:
+            yield event
+        else:  # zip stops at the last key
+            payload = MappingProxyType(dict(zip(event.payload, values)))
+            yield LedgerEvent(values[-3], event.kind, payload, values[-2], record[4:-32])
 
 
 def _token(text: str) -> str:
     """A key or str value as one dump token: its quoted, escaped repr unless it is plain printable text."""
     return text if text.isidentifier() or (text.isprintable() and _UNPLAIN.isdisjoint(text)) else repr(text)
+
+
+def _dump_line(event: LedgerEvent) -> Callable[[Sequence], str]:
+    """The text-dump line of events with `event`'s kind, keys and value types, from their payload values,
+    sequence_no, event_hash and prev_hash."""
+    keys = [_token(key).replace("{", "{{").replace("}", "}}") for key in event.payload]  # braces escaped for format
+    n = len(keys)
+    fields = " ".join([f"{key}={{{i}}}" for i, key in enumerate(keys)])
+    template = f"{{{n}}} {_EVENT_NAMES[event.kind]} event={{{n + 1}}} prev={{{n + 2}}} {fields}".format
+    shows = [bytes.hex if type(v) is bytes else _token if type(v) is str else format for v in event.payload.values()]
+    shows += [format, bytes.hex, bytes.hex]  # sequence_no, event_hash, prev_hash
+    return lambda values: template(*map(call, shows, values))
 
 
 class LedgerEvent(NamedTuple):
@@ -233,86 +314,82 @@ class LedgerEvent(NamedTuple):
         return digest(self.event_bytes).value
 
     def describe(self) -> str:
-        fields = " ".join([f"{_token(k)}={v.hex() if type(v) is bytes else _token(v) if type(v) is str else v}"
-                           for k, v in self.payload.items()])
-        hashes = f"event={self.event_hash.hex()} prev={self.event_bytes[-32:].hex()}"  # prev_hash, without a call
-        return f"{self.sequence_no} {_EVENT_NAMES[self.kind]} {hashes} {fields}"
+        return _dump_line(self)([*self.payload.values(), self.sequence_no, self.event_hash, self.prev_hash])
 
 
-class EventLog:
-    """Append-only sequence of hash-chained events."""
+class EventLog(Sequence[LedgerEvent]):
+    """Append-only sequence of hash-chained events, held as their canonical records and nothing else.
+
+    Reading an event, by index, slice or iteration, decodes it from its record.
+    """
 
     def __init__(self):
-        self.events: list[LedgerEvent] = []
+        self._records: list[bytes] = []  # u32 body_len | event_bytes | event_hash
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(_events(self._records[index]))
+        return _walk(self._records[index], index)
 
     def __iter__(self) -> Iterator[LedgerEvent]:
-        return iter(self.events)
+        return _events(self._records)
+
+    @property
+    def events(self) -> EventLog:
+        """The log itself: its events, each decoded when read."""
+        return self
 
     def append(self, kind: EventKind, payload: Payload) -> LedgerEvent:
-        prev = self.events[-1].event_hash if self.events else GENESIS_PREV
+        records = self._records
         payload = MappingProxyType(dict(sorted(payload.items())))  # a copy: the caller's dict may change later
-        event_bytes = _EVENT_HEAD.pack(len(self.events), kind) + _encode_payload(payload) + prev
-        event = LedgerEvent(len(self.events), kind, payload, digest(event_bytes).value, event_bytes)
-        self.events.append(event)
+        event_bytes = _EVENT_HEAD.pack(len(records), kind) + _encode_payload(payload) + _prev(records)
+        event = LedgerEvent(len(records), kind, payload, digest(event_bytes).value, event_bytes)
+        records.append(_U32.pack(len(event_bytes) + 32) + event_bytes + event.event_hash)
         return event
 
     def to_bytes(self) -> bytes:
-        return b"".join(_U32.pack(len(e.event_bytes) + 32) + e.event_bytes + e.event_hash for e in self.events)
+        return b"".join(self._records)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
-        log, offset = cls(), 0
-        layouts: dict = {}  # shape -> None after one walk, then its decoder, then False once that missed
-        while offset < len(data):
-            shape = _SHAPE.unpack_from(data, offset) if len(data) - offset >= _SHAPE.size else None
-            decode = layouts.get(shape)
-            event = decode(data, offset) if decode and offset + 4 + shape[0] <= len(data) else None
-            if event is None:
-                index = len(log.events)
-                if len(data) - offset < 4:
-                    raise LogFormatError(index, "truncated record length prefix")
-                end = offset + 4 + _U32.unpack_from(data, offset)[0]
-                if end > len(data):
-                    raise LogFormatError(index, "record extends past end of data")
-                try:
-                    event = _decode_body(data[offset + 4 : end], index)
-                except (struct.error, IndexError):
-                    raise LogFormatError(index, "truncated field") from None
-                except UnicodeDecodeError:
-                    raise LogFormatError(index, "payload key or string is not valid UTF-8") from None
-                layouts[shape] = None if shape not in layouts else decode is None and _compile_layout(event)
-            log.events.append(event)
-            offset += 36 + len(event.event_bytes)
+        log = cls()
+        log._records = [scanned[0] for scanned in _scan(_split(data))]
         return log
 
     def text_dump(self) -> str:
-        return "\n".join([*map(LedgerEvent.describe, self.events), ""])
+        lines = [event.describe() if values is None else line(values) for _, event, values, line in _scan(self._records)]
+        return "\n".join([*lines, ""])
+
+
+def _prev(records: list[bytes]) -> bytes:
+    """The hash the next event links to: the last record's tail, or the genesis prev_hash."""
+    return records[-1][-32:] if records else GENESIS_PREV
 
 
 def verify_event_chain(log: EventLog) -> tuple[bool, int | None]:
-    """Recompute every hash and link; returns (ok, first bad index)."""
+    """Recompute every hash and link from the records; returns (ok, first bad index)."""
     prev = GENESIS_PREV
-    for i, event in enumerate(log.events):
-        if event.sequence_no != i or event.prev_hash != prev or event.compute_hash() != event.event_hash:
+    for i, record in enumerate(log._records):
+        event_hash = record[-32:]
+        if _U32.unpack_from(record, 4)[0] != i or record[-64:-32] != prev or digest(record[4:-32]).value != event_hash:
             return False, i
-        prev = event.event_hash
+        prev = event_hash
     return True, None
 
 
 def check_transfer_safety(log: EventLog) -> bool:
-    """No payment to the system operator, and no reveal, before a deposit."""
-    deposited_at: int | None = None
-    for i, event in enumerate(log.events):
-        if event.kind == EventKind.DEPOSITED and deposited_at is None:
-            deposited_at = i
-        elif event.kind == EventKind.REVEALED and deposited_at is None:
+    """No payment to the system operator, and no reveal, before a deposit. Only TRANSFERRED records are decoded."""
+    for i, record in enumerate(log._records):
+        kind = record[8]  # after body_len and sequence_no
+        if kind == EventKind.DEPOSITED:
+            return True  # from the first deposit on, reveals and transfers are allowed
+        if kind == EventKind.REVEALED:
             return False
-        elif event.kind == EventKind.TRANSFERRED and event.payload.get("to_role") == "sysop":
-            if deposited_at is None:
-                return False
+        if kind == EventKind.TRANSFERRED and _walk(record, i).payload.get("to_role") == "sysop":
+            return False
     return True
 
 
@@ -436,21 +513,20 @@ def commit_responses(contract: SurveyContract, addresses: Sequence[Address], com
         raise LedgerError(
             f"cannot commit in phase {contract.phase.name}: no more responses are accepted"
         )
-    events, digests, arrival = contract.log.events, contract.commitments._digests, contract.commitments._arrival
-    prev = events[-1].event_hash if events else GENESIS_PREV
+    records, digests, arrival = contract.log._records, contract.commitments._digests, contract.commitments._arrival
+    prev = _prev(records)
     for address, commitment in zip(addresses, commitments):
         if not isinstance(address, Address) or not isinstance(commitment, Digest):
             raise LedgerError(f"commit needs an Address and a Digest, got {type(address).__name__}, {type(commitment).__name__}")
-        sequence_no, a, c = len(events), address.value, commitment.value
+        a = address.value
         if a in digests:
             raise LedgerError(f"address {address} already committed (first commitment wins)")
         event_bytes = _COMMITTED.pack(  # two fields, each key_len, key, tag, value length, value
-            sequence_no, EventKind.COMMITTED, 2, 7, b"address", _BYTES_TAG, ADDRESS_LEN, a,
-            10, b"commitment", _BYTES_TAG, Digest.LENGTH, c, prev,
+            len(records), EventKind.COMMITTED, 2, 7, b"address", _BYTES_TAG, ADDRESS_LEN, a,
+            10, b"commitment", _BYTES_TAG, Digest.LENGTH, commitment.value, prev,
         )
         prev = digest(event_bytes).value
-        payload = MappingProxyType({"address": a, "commitment": c})
-        events.append(LedgerEvent(sequence_no, EventKind.COMMITTED, payload, prev, event_bytes))
+        records.append(b"".join((_COMMITTED_LEN, event_bytes, prev)))
         digests[a] = commitment
         arrival.append(address)
 

@@ -6,6 +6,11 @@ encodes and randomizes it, `envelope.decode_bit_matrix` and
 one respondent and one record at a time, written independently of the batch
 code, so a test can compare the two row by row. `reference_survey` runs a
 whole survey that way, one operator and one command at a time.
+
+`ledger.EventLog` holds only its records' bytes. `verify_event_chain`,
+`check_transfer_safety` and `describe` here read a log the way the ledger
+did when it kept one decoded `LedgerEvent` per event: event by event, from
+the decoded fields.
 """
 
 from __future__ import annotations
@@ -230,3 +235,35 @@ def reference_survey(config, profiles, operator_rngs, infra_rng) -> ReferenceOut
         exc.trace = trace
         raise
     return ReferenceOutcome(contract, trace, estimate, vectors, tuple(failed))
+
+
+def verify_event_chain(log: ledger.EventLog) -> tuple[bool, int | None]:
+    """Recompute every hash and link from the decoded events; returns (ok, first bad index)."""
+    prev = ledger.GENESIS_PREV
+    for i, event in enumerate(log.events):
+        if event.sequence_no != i or event.prev_hash != prev or event.compute_hash() != event.event_hash:
+            return False, i
+        prev = event.event_hash
+    return True, None
+
+
+def check_transfer_safety(log: ledger.EventLog) -> bool:
+    """No payment to the system operator, and no reveal, before a deposit."""
+    deposited_at: int | None = None
+    for i, event in enumerate(log.events):
+        if event.kind == ledger.EventKind.DEPOSITED and deposited_at is None:
+            deposited_at = i
+        elif event.kind == ledger.EventKind.REVEALED and deposited_at is None:
+            return False
+        elif event.kind == ledger.EventKind.TRANSFERRED and event.payload.get("to_role") == "sysop":
+            if deposited_at is None:
+                return False
+    return True
+
+
+def describe(event: ledger.LedgerEvent) -> str:
+    """One event's line of the text dump."""
+    fields = " ".join([f"{ledger._token(k)}={v.hex() if type(v) is bytes else ledger._token(v) if type(v) is str else v}"
+                       for k, v in event.payload.items()])
+    hashes = f"event={event.event_hash.hex()} prev={event.event_bytes[-32:].hex()}"
+    return f"{event.sequence_no} {ledger._EVENT_NAMES[event.kind]} {hashes} {fields}"

@@ -197,7 +197,7 @@ class TestDemoCommand:
         assert main(["demo", "--criteria-file", str(criteria)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: criteria for 'region' must be a list of strings\n"
+        assert captured.err == f"error: --criteria-file {criteria}: criteria for 'region' must be a list of strings\n"
 
     def test_a_lone_surrogate_in_the_criteria_is_one_error_line(self, tmp_path, capsys):
         criteria = tmp_path / "criteria.json"
@@ -206,8 +206,32 @@ class TestDemoCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: criteria for 'region': '\\ud800' holds a lone surrogate, which UTF-8 cannot encode\n"
+            f"error: --criteria-file {criteria}: criteria for 'region': '\\ud800' holds a lone surrogate,"
+            " which UTF-8 cannot encode\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"region": ["NSW"]\n,,}', "Expecting property name enclosed in double quotes: line 2 column 2 (char 20)"),
+            ('{"region"\n}', "Expecting ':' delimiter: line 2 column 1 (char 10)"),
+            ('["NSW"]', "expected a JSON object"),
+        ],
+        ids=["extra-comma", "missing-colon", "not-an-object"],
+    )
+    def test_a_malformed_criteria_file_names_the_flag_and_path(self, tmp_path, capsys, text, message):
+        criteria = tmp_path / "criteria.json"
+        criteria.write_text(text)
+        assert main(["demo", "--criteria-file", str(criteria)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --criteria-file {criteria}: {message}\n"
+
+    def test_a_missing_criteria_file_names_the_flag_and_path(self, tmp_path, capsys):
+        criteria = tmp_path / "absent.json"
+        assert main(["demo", "--criteria-file", str(criteria)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --criteria-file {criteria}: ") and err.count("\n") == 1
 
     def test_criteria_filtering_works(self, tmp_path, capsys):
         criteria = tmp_path / "criteria.json"
@@ -418,6 +442,29 @@ class TestBadFlagValues:
     def test_constructor_checked_flag_is_one_error_line(self, tmp_path, capsys, argv):
         err = self.run(tmp_path, capsys, argv)
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # each flag a constructor checks, with the error line that names it and its value
+    FLAG_ERRORS = [
+        (["demo", "--operators", "0"], "--operators 0: population must be at least 1"),
+        (["demo", "--nr", "0"], "--nr 0: required response count must be at least 1"),
+        (["demo", "--fee", "-1"], "--fee -1: fee must be non-negative"),
+        (["demo", "--f", "1.5"], "--f 1.5: flip probability must satisfy 0 <= f < 1, got 1.5"),
+        (["demo", "--seed", "-1"], "--seed -1: seed must be non-negative"),
+        (["demo", "--nr", "0", "--operators", "0"], "--operators 0: population must be at least 1"),
+        (["estimate", "--f", "-0.5"], "--f -0.5: flip probability must satisfy 0 <= f < 1, got -0.5"),
+        (["simulate", "--populations", "0"], "--populations 0: population must be at least 1"),
+        (["simulate", "--populations", "100,0"], "--populations 0: population must be at least 1"),
+        (["simulate", "--trials", "0"], "--trials 0: need at least one trial"),
+        (["simulate", "--choices", "1"], "--choices 1: need at least 2 choices"),
+        (["simulate", "--sd", "0"], "--sd 0.0: standard deviation must be finite and positive, got 0.0"),
+        (["simulate", "--mean", "inf"], "--mean inf: mean must be finite, got inf"),
+        (["simulate", "--seed", "-1"], "--seed -1: seed must be non-negative"),
+        (["simulate", "--f", "1"], "--f 1.0: flip probability must satisfy 0 <= f < 1, got 1.0"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", FLAG_ERRORS, ids=[" ".join(argv) for argv, _ in FLAG_ERRORS])
+    def test_a_refused_flag_value_is_named_with_its_flag(self, tmp_path, capsys, argv, message):
+        assert self.run(tmp_path, capsys, argv) == f"error: {message}\n"
 
     def test_population_that_is_not_an_integer_is_a_usage_error(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["simulate", "--populations", "5,x"])
