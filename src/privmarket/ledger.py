@@ -208,10 +208,11 @@ def _compile_layout(event: LedgerEvent) -> Callable[[bytes, int], Sequence | Non
         tag = _INT_TAG if type(value) is int else _BYTES_TAG if raw is value else _STR_TAG
         fmt += _field_format(kb, raw)
         expect += [len(kb), kb, tag] + ([] if tag == _INT_TAG else [len(raw)]) + [None]
-        strs += [i] * (tag == _STR_TAG)
+        if tag == _STR_TAG:
+            strs.append(i)
     unpack = struct.Struct(fmt + "32s32s").unpack_from
     skeleton_of = itemgetter(*[i for i, e in enumerate(expect) if e is not None])
-    # the payload values, sequence_no, event_hash and prev_hash (the last two items)
+    # the payload values, then sequence_no (item 1), event_hash and prev_hash (the last two items, read by 32s32s)
     values_of = itemgetter(*[i for i, e in enumerate(expect) if e is None][2:], 1, len(expect) + 1, len(expect))
     skeleton = skeleton_of(expect)
 
