@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import KW_ONLY, dataclass, field, fields
-from operator import attrgetter, call, itemgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, get_type_hints
 
@@ -199,8 +199,8 @@ _COMMITTED_LEN = _U32.pack(_COMMITTED.size + 32)  # the u32 body_len of every CO
 
 
 def _compile_layout(event: LedgerEvent) -> Callable[[bytes, int], Sequence | None]:
-    """A reader for records with the walked `event`'s skeleton: their payload values, then sequence_no,
-    event_hash and prev_hash. It returns None for a record of any other skeleton, or one whose str is not UTF-8."""
+    """A reader for records with the walked `event`'s skeleton: their payload values, then sequence_no and
+    event_hash. It returns None for a record of any other skeleton, or one whose str is not UTF-8."""
     fmt, expect = ">IIBH", [None, None, event.kind, len(event.payload)]  # None marks a non-skeleton item
     strs = []  # which payload values are str
     for i, (key, value) in enumerate(event.payload.items()):
@@ -210,10 +210,9 @@ def _compile_layout(event: LedgerEvent) -> Callable[[bytes, int], Sequence | Non
         expect += [len(kb), kb, tag] + ([] if tag == _INT_TAG else [len(raw)]) + [None]
         if tag == _STR_TAG:
             strs.append(i)
-    unpack = struct.Struct(fmt + "32s32s").unpack_from
+    unpack = struct.Struct(fmt + "32x32s").unpack_from
     skeleton_of = itemgetter(*[i for i, e in enumerate(expect) if e is not None])
-    # the payload values, then sequence_no (item 1), event_hash and prev_hash (the last two items, read by 32s32s)
-    values_of = itemgetter(*[i for i, e in enumerate(expect) if e is None][2:], 1, len(expect) + 1, len(expect))
+    values_of = itemgetter(*[i for i, e in enumerate(expect) if e is None][2:], 1, len(expect))  # values, seq, hash
     skeleton = skeleton_of(expect)
 
     def read(data: bytes, offset: int) -> Sequence | None:
@@ -246,58 +245,40 @@ def _split(data: bytes) -> Iterator[bytes]:
         offset, index = end, index + 1
 
 
-def _scan(records: Iterable[bytes]) -> Iterator[tuple[bytes, LedgerEvent, Sequence | None, Callable | None]]:
-    """Check each record in turn: read it through a compiled layout, or else walk it.
+def _scan(records: Iterable[bytes]) -> Iterator[tuple[bytes, LedgerEvent, Sequence | None]]:
+    """Check each record in turn: read it through the compiled layout kept for its shape, or else walk it.
 
-    Yields the record with its walked event, None and None; or with the walked event of its layout, the values
-    the layout read and the layout's dump line. The layout that read the record before is tried first; then the
-    one kept for the record's shape (body length, kind, field count), which is None once a record of the shape
+    Yields the record with its walked event and None, or with the walked event of its layout and the values the
+    layout read. The layout kept for a shape (body length, kind, field count) is None once a record of the shape
     was walked, a layout once a second one was, and False once that layout missed. A record no layout fits is
     walked, so only the walk raises, with its own message and record index.
     """
     layouts: dict = {}
-    layout = None  # the last one that read a record: (record size, reader, walked event, dump line)
     for index, record in enumerate(records):
-        values = layout and len(record) == layout[0] and layout[1](record, 0)
-        if not values:
-            shape = _SHAPE.unpack_from(record) if len(record) >= _SHAPE.size else None
-            layout = layouts.get(shape)
-            values = layout and layout[1](record, 0)
-            if not values:
-                event = _walk(record, index)
-                layouts[shape] = None if shape not in layouts else layout is None and (
-                    len(record), _compile_layout(event), event, _dump_line(event)
-                )
-                yield record, event, None, None
-                continue
-        yield record, layout[2], values, layout[3]
+        shape = _SHAPE.unpack_from(record) if len(record) >= _SHAPE.size else None
+        layout = layouts.get(shape)  # (reader, walked event)
+        values = layout and layout[0](record, 0)
+        if values:
+            yield record, layout[1], values
+        else:
+            event = _walk(record, index)
+            layouts[shape] = None if shape not in layouts else layout is None and (_compile_layout(event), event)
+            yield record, event, None
 
 
 def _events(records: Iterable[bytes]) -> Iterator[LedgerEvent]:
     """The events of checked records, each decoded in turn."""
-    for record, event, values, _ in _scan(records):
+    for record, event, values in _scan(records):
         if values is None:
             yield event
         else:  # zip stops at the last key
             payload = MappingProxyType(dict(zip(event.payload, values)))
-            yield LedgerEvent(values[-3], event.kind, payload, values[-2], record[4:-32])
+            yield LedgerEvent(values[-2], event.kind, payload, values[-1], record[4:-32])
 
 
 def _token(text: str) -> str:
     """A key or str value as one dump token: its quoted, escaped repr unless it is plain printable text."""
     return text if text.isidentifier() or (text.isprintable() and _UNPLAIN.isdisjoint(text)) else repr(text)
-
-
-def _dump_line(event: LedgerEvent) -> Callable[[Sequence], str]:
-    """The text-dump line of events with `event`'s kind, keys and value types, from their payload values,
-    sequence_no, event_hash and prev_hash."""
-    keys = [_token(key).replace("{", "{{").replace("}", "}}") for key in event.payload]  # braces escaped for format
-    n = len(keys)
-    fields = " ".join([f"{key}={{{i}}}" for i, key in enumerate(keys)])
-    template = f"{{{n}}} {_EVENT_NAMES[event.kind]} event={{{n + 1}}} prev={{{n + 2}}} {fields}".format
-    shows = [bytes.hex if type(v) is bytes else _token if type(v) is str else format for v in event.payload.values()]
-    shows += [format, bytes.hex, bytes.hex]  # sequence_no, event_hash, prev_hash
-    return lambda values: template(*map(call, shows, values))
 
 
 class LedgerEvent(NamedTuple):
@@ -315,7 +296,10 @@ class LedgerEvent(NamedTuple):
         return digest(self.event_bytes).value
 
     def describe(self) -> str:
-        return _dump_line(self)([*self.payload.values(), self.sequence_no, self.event_hash, self.prev_hash])
+        fields = " ".join([f"{_token(k)}={v.hex() if type(v) is bytes else _token(v) if type(v) is str else v}"
+                           for k, v in self.payload.items()])
+        hashes = f"event={self.event_hash.hex()} prev={self.event_bytes[-32:].hex()}"  # prev_hash, without a call
+        return f"{self.sequence_no} {_EVENT_NAMES[self.kind]} {hashes} {fields}"
 
 
 class EventLog(Sequence[LedgerEvent]):
@@ -357,12 +341,11 @@ class EventLog(Sequence[LedgerEvent]):
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
         log = cls()
-        log._records = [scanned[0] for scanned in _scan(_split(data))]
+        log._records = [record for record, _, _ in _scan(_split(data))]
         return log
 
     def text_dump(self) -> str:
-        lines = [event.describe() if values is None else line(values) for _, event, values, line in _scan(self._records)]
-        return "\n".join([*lines, ""])
+        return "\n".join([*map(LedgerEvent.describe, self), ""])
 
 
 def _prev(records: list[bytes]) -> bytes:
