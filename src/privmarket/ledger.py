@@ -245,13 +245,14 @@ def _split(data: bytes) -> Iterator[bytes]:
         offset, index = end, index + 1
 
 
-def _scan(records: Iterable[bytes]) -> Iterator[tuple[bytes, LedgerEvent, Sequence | None]]:
+def _scan(records: Iterable[bytes]) -> Iterator[tuple[bytes, LedgerEvent, Sequence]]:
     """Check each record in turn: read it through the compiled layout kept for its shape, or else walk it.
 
-    Yields the record with its walked event and None, or with the walked event of its layout and the values the
-    layout read. The layout kept for a shape (body length, kind, field count) is None once a record of the shape
-    was walked, a layout once a second one was, and False once that layout missed. A record no layout fits is
-    walked, so only the walk raises, with its own message and record index.
+    Yields the record, a walked event of its kind and keys (its own, or its layout's), and its payload values
+    in key order followed by its sequence_no and event_hash. The layout kept for a shape (body length, kind,
+    field count) is None once a record of the shape was walked, a layout once a second one was, and False once
+    that layout missed. A record no layout fits is walked, so only the walk raises, with its own message and
+    record index.
     """
     layouts: dict = {}
     for index, record in enumerate(records):
@@ -263,22 +264,26 @@ def _scan(records: Iterable[bytes]) -> Iterator[tuple[bytes, LedgerEvent, Sequen
         else:
             event = _walk(record, index)
             layouts[shape] = None if shape not in layouts else layout is None and (_compile_layout(event), event)
-            yield record, event, None
+            yield record, event, [*event.payload.values(), event.sequence_no, event.event_hash]
 
 
 def _events(records: Iterable[bytes]) -> Iterator[LedgerEvent]:
     """The events of checked records, each decoded in turn."""
     for record, event, values in _scan(records):
-        if values is None:
-            yield event
-        else:  # zip stops at the last key
-            payload = MappingProxyType(dict(zip(event.payload, values)))
-            yield LedgerEvent(values[-2], event.kind, payload, values[-1], record[4:-32])
+        payload = MappingProxyType(dict(zip(event.payload, values)))  # zip stops at the last key
+        yield LedgerEvent(values[-2], event.kind, payload, values[-1], record[4:-32])
 
 
 def _token(text: str) -> str:
     """A key or str value as one dump token: its quoted, escaped repr unless it is plain printable text."""
     return text if text.isidentifier() or (text.isprintable() and _UNPLAIN.isdisjoint(text)) else repr(text)
+
+
+def _dump_line(kind: EventKind, keys: Iterable[str], values: Sequence, prev_hash: bytes) -> str:
+    """One event's line of the text dump, from its payload values in `keys` order, then sequence_no and event_hash."""
+    fields = " ".join([f"{_token(k)}={v.hex() if type(v) is bytes else _token(v) if type(v) is str else v}"
+                       for k, v in zip(keys, values)])  # zip stops at the last key
+    return f"{values[-2]} {_EVENT_NAMES[kind]} event={values[-1].hex()} prev={prev_hash.hex()} {fields}"
 
 
 class LedgerEvent(NamedTuple):
@@ -296,10 +301,8 @@ class LedgerEvent(NamedTuple):
         return digest(self.event_bytes).value
 
     def describe(self) -> str:
-        fields = " ".join([f"{_token(k)}={v.hex() if type(v) is bytes else _token(v) if type(v) is str else v}"
-                           for k, v in self.payload.items()])
-        hashes = f"event={self.event_hash.hex()} prev={self.event_bytes[-32:].hex()}"  # prev_hash, without a call
-        return f"{self.sequence_no} {_EVENT_NAMES[self.kind]} {hashes} {fields}"
+        values = [*self.payload.values(), self.sequence_no, self.event_hash]
+        return _dump_line(self.kind, self.payload, values, self.prev_hash)
 
 
 class EventLog(Sequence[LedgerEvent]):
@@ -345,7 +348,9 @@ class EventLog(Sequence[LedgerEvent]):
         return log
 
     def text_dump(self) -> str:
-        return "\n".join([*map(LedgerEvent.describe, self), ""])
+        lines = [_dump_line(event.kind, event.payload, values, record[-64:-32])  # record[-64:-32] is prev_hash
+                 for record, event, values in _scan(self._records)]
+        return "\n".join([*lines, ""])
 
 
 def _prev(records: list[bytes]) -> bytes:
