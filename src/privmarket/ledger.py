@@ -30,9 +30,10 @@ A log holds its records and nothing else: packed by `append` and
 field by field, with every check, until its shape (kind, field count, body
 length) has been walked twice, then checks the shape with one compiled struct;
 a record it does not fit is walked, so only the walk raises. Reading an event
-(`log.events[i]`, iterating, `text_dump`) decodes its record the same way into
-a `LedgerEvent` with a read-only payload in ascending key order, and keeps
-nothing decoded.
+(`log.events[i]`, iterating) decodes its record the same way into a
+`LedgerEvent` with a read-only payload in ascending key order; `text_dump`
+formats each line from the values a layout read, with `describe`'s formatter.
+Nothing decoded is kept.
 
 All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
