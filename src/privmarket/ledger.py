@@ -26,14 +26,15 @@ exactly its input bytes.
 A log holds its records and nothing else: packed by `append` and
 `commit_responses`, or sliced from a canonical input by `from_bytes`.
 `to_bytes` joins them, `verify_event_chain` hashes their slices and
-`check_transfer_safety` reads their kind bytes. `from_bytes` walks a record
-field by field, with every check, until its shape (kind, field count, body
-length) has been walked twice, then checks the shape with one compiled struct;
-a record it does not fit is walked, so only the walk raises. Reading an event
-(`log.events[i]`, iterating) decodes its record the same way into a
-`LedgerEvent` with a read-only payload in ascending key order; `text_dump`
-formats each line from the values a layout read, with `describe`'s formatter.
-Nothing decoded is kept.
+`check_transfer_safety` reads their kind bytes. One record layout packs
+records and reads them. `from_bytes` walks the first record of each shape
+(kind, field count, body length) field by field, with every check, and reads
+the shape's later records through the layout built from it; a record the
+layout does not fit is walked, and the layout stays, so only the walk raises.
+Reading an event (`log.events[i]`, iterating) decodes its record the same way
+into a `LedgerEvent` with a read-only payload in ascending key order;
+`text_dump` formats each line from the values a layout read, with
+`describe`'s formatter. Nothing decoded is kept.
 
 All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
@@ -50,7 +51,7 @@ import struct
 from dataclasses import KW_ONLY, dataclass, field, fields
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, get_type_hints
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, get_type_hints
 
 from .envelope import Digest, FixedBytes, Nonce, Secret, digest, encode_bit_vector
 
@@ -111,7 +112,6 @@ _STR_TAG = 0x03
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_EVENT_HEAD = struct.Struct(">IB")  # sequence_no, kind
 _BODY_HEAD = struct.Struct(">IBH")  # sequence_no, kind, field_count
 _INT_FIELD = struct.Struct(">BQ")  # tag, value
 _BLOB_FIELD = struct.Struct(">BI")  # tag, length
@@ -119,27 +119,6 @@ _KINDS = {kind.value: kind for kind in EventKind}
 _SHAPE = struct.Struct(">I4xBH")  # a record's body length, kind and field count
 _UNPLAIN = frozenset(" =\"'")  # in a dump token, these could fake a field or a quoted token
 _RAW = attrgetter("value")  # an Address's or Digest's raw bytes
-
-
-def _encode_payload(payload: Mapping[str, PayloadValue]) -> bytes:
-    parts = [_U16.pack(len(payload))]
-    for key in sorted(payload):
-        kb = key.encode("utf-8")
-        value = payload[key]
-        if isinstance(value, bool):
-            raise TypeError("payload values must be int, bytes or str")
-        if isinstance(value, int):
-            if value < 0 or value >= 1 << 64:
-                raise ValueError(f"payload int out of u64 range: {value}")
-            parts += (_U16.pack(len(kb)), kb, _INT_FIELD.pack(_INT_TAG, value))
-        elif isinstance(value, bytes):  # immutable, like every payload value
-            parts += (_U16.pack(len(kb)), kb, _BLOB_FIELD.pack(_BYTES_TAG, len(value)), value)
-        elif isinstance(value, str):
-            sb = value.encode("utf-8")
-            parts += (_U16.pack(len(kb)), kb, _BLOB_FIELD.pack(_STR_TAG, len(sb)), sb)
-        else:
-            raise TypeError(f"unsupported payload value type: {type(value)!r}")
-    return b"".join(parts)
 
 
 def _decode_body(body: bytes, index: int) -> LedgerEvent:
@@ -169,7 +148,7 @@ def _decode_body(body: bytes, index: int) -> LedgerEvent:
         else:
             raise LogFormatError(index, f"unknown payload tag 0x{tag:02x}")
         payload[key.decode("utf-8")] = value
-    # ascending and distinct keys: the only order _encode_payload writes
+    # ascending and distinct keys: the only order a layout writes
     if len(payload) != count or list(payload) != sorted(payload):
         raise LogFormatError(index, "payload keys not in strictly ascending order")
     if len(body) - pos != 64:
@@ -187,50 +166,74 @@ def _walk(record: bytes, index: int) -> LedgerEvent:
         raise LogFormatError(index, "payload key or string is not valid UTF-8") from None
 
 
-def _field_format(key: bytes, raw: int | bytes) -> str:
-    """The struct format of one payload field: u16 key_len, key, u8 tag, then a u64 or u32 len and the raw bytes."""
-    return f"H{len(key)}sBQ" if type(raw) is int else f"H{len(key)}sBI{len(raw)}s"
+class _Layout:
+    """One record skeleton, which packs records and reads them: the kind, the keys in ascending order, and each
+    value's tag and encoded length, held as the constant byte pieces between the values.
 
+    Built from a payload, whose values it checks as `EventLog.append` requires. A record fits the layout when it
+    holds these pieces, whatever its sequence_no, values, prev_hash and event_hash.
+    """
 
-# a COMMITTED event's event_bytes: sequence_no, kind, field count, the address and commitment fields, prev_hash
-_COMMITTED = struct.Struct(
-    ">IBH" + _field_format(b"address", bytes(ADDRESS_LEN)) + _field_format(b"commitment", bytes(Digest.LENGTH)) + "32s"
-)
-_COMMITTED_LEN = _U32.pack(_COMMITTED.size + 32)  # the u32 body_len of every COMMITTED record
+    def __init__(self, kind: EventKind, payload: Mapping[str, PayloadValue]):
+        self.kind, self.keys = kind, sorted(payload)
+        # event_bytes' struct arguments: sequence_no, then each piece and the value after it (None), prev_hash last
+        self._args, fmt, piece = [None], "I", struct.pack(">BH", kind, len(self.keys))
+        for key in self.keys:
+            kb, value = key.encode("utf-8"), payload[key]
+            piece += _U16.pack(len(kb)) + kb
+            if isinstance(value, bool):
+                raise TypeError("payload values must be int, bytes or str")
+            if isinstance(value, int):
+                if value < 0 or value >= 1 << 64:
+                    raise ValueError(f"payload int out of u64 range: {value}")
+                piece, value_fmt = piece + bytes([_INT_TAG]), "Q"
+            elif isinstance(value, (bytes, str)):  # bytes are immutable, like every payload value
+                tag, raw = (_BYTES_TAG, value) if isinstance(value, bytes) else (_STR_TAG, value.encode("utf-8"))
+                piece, value_fmt = piece + _BLOB_FIELD.pack(tag, len(raw)), f"{len(raw)}s"
+            else:
+                raise TypeError(f"unsupported payload value type: {type(value)!r}")
+            self._args += (piece, None)
+            fmt += f"{len(piece)}s{value_fmt}"
+            piece = b""
+        self._args += (piece, None)  # before prev_hash: empty, or the kind and field count of an empty payload
+        fmt += f"{len(piece)}s32s"
+        self._strs = [i for i, key in enumerate(self.keys) if isinstance(payload[key], str)]  # which values are str
+        event_bytes = struct.Struct(">" + fmt)
+        self._pack, self._head = event_bytes.pack, _U32.pack(event_bytes.size + 32)  # _head: the u32 body_len
+        # a whole record's fields: body_len, then the event_bytes arguments, then event_hash at index `last`
+        self._unpack, last = struct.Struct(">4s" + fmt + "32s").unpack, len(self._args) + 1
+        self._skeleton_of, self._skeleton = itemgetter(*range(0, last - 1, 2)), (self._head, *self._args[1::2])
+        self._values_of = itemgetter(*range(3, last - 2, 2), 1, last)  # payload values, sequence_no, event_hash
 
+    def record(self, sequence_no: int, values: Sequence[PayloadValue], prev: bytes) -> bytes:
+        """The record (u32 body_len | event_bytes | event_hash) of these payload values in key order, each of the
+        layout's type and encoded length: struct would pad or cut a value of another length."""
+        if self._strs:
+            values = [v.encode("utf-8") if i in self._strs else v for i, v in enumerate(values)]
+        args = self._args.copy()
+        args[0], args[2::2] = sequence_no, (*values, prev)
+        event_bytes = self._pack(*args)
+        return b"".join((self._head, event_bytes, digest(event_bytes).value))
 
-def _compile_layout(event: LedgerEvent) -> Callable[[bytes, int], Sequence | None]:
-    """A reader for records with the walked `event`'s skeleton: their payload values, then sequence_no and
-    event_hash. It returns None for a record of any other skeleton, or one whose str is not UTF-8."""
-    fmt, expect = ">IIBH", [None, None, event.kind, len(event.payload)]  # None marks a non-skeleton item
-    strs = []  # which payload values are str
-    for i, (key, value) in enumerate(event.payload.items()):
-        kb, raw = key.encode("utf-8"), value.encode("utf-8") if type(value) is str else value
-        tag = _INT_TAG if type(value) is int else _BYTES_TAG if raw is value else _STR_TAG
-        fmt += _field_format(kb, raw)
-        expect += [len(kb), kb, tag] + ([] if tag == _INT_TAG else [len(raw)]) + [None]
-        if tag == _STR_TAG:
-            strs.append(i)
-    unpack = struct.Struct(fmt + "32x32s").unpack_from
-    skeleton_of = itemgetter(*[i for i, e in enumerate(expect) if e is not None])
-    values_of = itemgetter(*[i for i, e in enumerate(expect) if e is None][2:], 1, len(expect))  # values, seq, hash
-    skeleton = skeleton_of(expect)
-
-    def read(data: bytes, offset: int) -> Sequence | None:
-        record = unpack(data, offset)
-        if skeleton_of(record) != skeleton:
+    def read(self, record: bytes) -> Sequence | None:
+        """A record's payload values in key order, then its sequence_no and event_hash; None for a record of the
+        layout's length that does not fit it, or one whose str is not UTF-8."""
+        fields = self._unpack(record)
+        if self._skeleton_of(fields) != self._skeleton:
             return None
-        values = values_of(record)
-        if strs:
+        values = self._values_of(fields)
+        if self._strs:
             values = list(values)
             try:
-                for i in strs:
+                for i in self._strs:
                     values[i] = values[i].decode("utf-8")
             except UnicodeDecodeError:
                 return None
         return values
 
-    return read
+
+# the layout of every COMMITTED event: an address and a response commitment
+_COMMITTED = _Layout(EventKind.COMMITTED, {"address": bytes(ADDRESS_LEN), "commitment": bytes(Digest.LENGTH)})
 
 
 def _split(data: bytes) -> Iterator[bytes]:
@@ -246,33 +249,27 @@ def _split(data: bytes) -> Iterator[bytes]:
         offset, index = end, index + 1
 
 
-def _scan(records: Iterable[bytes]) -> Iterator[tuple[bytes, LedgerEvent, Sequence]]:
-    """Check each record in turn: read it through the compiled layout kept for its shape, or else walk it.
+def _scan(records: Iterable[bytes]) -> Iterator[tuple[bytes, EventKind, Iterable[str], Sequence]]:
+    """Check each record in turn, and yield it with its kind, its keys and its values: the payload values in
+    key order, then sequence_no and event_hash.
 
-    Yields the record, a walked event of its kind and keys (its own, or its layout's), and its payload values
-    in key order followed by its sequence_no and event_hash. The layout kept for a shape (body length, kind,
-    field count) is None once a record of the shape was walked, a layout once a second one was, and False once
-    that layout missed. A record no layout fits is walked, so only the walk raises, with its own message and
-    record index.
+    A record is read through the layout kept for its shape (body length, kind, field count), which is built
+    from the first record of that shape, walked. A record the layout does not fit is walked, and the layout
+    stays; so only the walk raises, with its own message and record index.
     """
-    layouts: dict = {}
+    layouts: dict[tuple | None, _Layout] = {}
     for index, record in enumerate(records):
         shape = _SHAPE.unpack_from(record) if len(record) >= _SHAPE.size else None
-        layout = layouts.get(shape)  # (reader, walked event)
-        values = layout and layout[0](record, 0)
+        layout = layouts.get(shape)
+        values = layout and layout.read(record)
         if values:
-            yield record, layout[1], values
+            kind, keys = layout.kind, layout.keys
         else:
             event = _walk(record, index)
-            layouts[shape] = None if shape not in layouts else layout is None and (_compile_layout(event), event)
-            yield record, event, [*event.payload.values(), event.sequence_no, event.event_hash]
-
-
-def _events(records: Iterable[bytes]) -> Iterator[LedgerEvent]:
-    """The events of checked records, each decoded in turn."""
-    for record, event, values in _scan(records):
-        payload = MappingProxyType(dict(zip(event.payload, values)))  # zip stops at the last key
-        yield LedgerEvent(values[-2], event.kind, payload, values[-1], record[4:-32])
+            kind, keys, values = event.kind, event.payload, [*event.payload.values(), event.sequence_no, event.event_hash]
+            if layout is None:
+                layouts[shape] = _Layout(kind, event.payload)
+        yield record, kind, keys, values
 
 
 def _token(text: str) -> str:
@@ -320,11 +317,13 @@ class EventLog(Sequence[LedgerEvent]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(_events(self._records[index]))
+            return [self[i] for i in range(len(self))[index]]
         return _walk(self._records[index], index)
 
     def __iter__(self) -> Iterator[LedgerEvent]:
-        return _events(self._records)
+        for record, kind, keys, values in _scan(self._records):
+            payload = MappingProxyType(dict(zip(keys, values)))  # zip stops at the last key
+            yield LedgerEvent(values[-2], kind, payload, values[-1], record[4:-32])
 
     @property
     def events(self) -> EventLog:
@@ -332,12 +331,10 @@ class EventLog(Sequence[LedgerEvent]):
         return self
 
     def append(self, kind: EventKind, payload: Payload) -> LedgerEvent:
-        records = self._records
-        payload = MappingProxyType(dict(sorted(payload.items())))  # a copy: the caller's dict may change later
-        event_bytes = _EVENT_HEAD.pack(len(records), kind) + _encode_payload(payload) + _prev(records)
-        event = LedgerEvent(len(records), kind, payload, digest(event_bytes).value, event_bytes)
-        records.append(_U32.pack(len(event_bytes) + 32) + event_bytes + event.event_hash)
-        return event
+        payload = dict(sorted(payload.items()))  # a copy: the caller's dict may change later
+        record = _Layout(kind, payload).record(len(self), list(payload.values()), _prev(self._records))
+        self._records.append(record)
+        return LedgerEvent(len(self) - 1, kind, MappingProxyType(payload), record[-32:], record[4:-32])
 
     def to_bytes(self) -> bytes:
         return b"".join(self._records)
@@ -345,12 +342,12 @@ class EventLog(Sequence[LedgerEvent]):
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
         log = cls()
-        log._records = [record for record, _, _ in _scan(_split(data))]
+        log._records = [record for record, _, _, _ in _scan(_split(data))]
         return log
 
     def text_dump(self) -> str:
-        lines = [_dump_line(event.kind, event.payload, values, record[-64:-32])  # record[-64:-32] is prev_hash
-                 for record, event, values in _scan(self._records)]
+        lines = [_dump_line(kind, keys, values, record[-64:-32])  # record[-64:-32] is prev_hash
+                 for record, kind, keys, values in _scan(self._records)]
         return "\n".join([*lines, ""])
 
 
@@ -474,8 +471,8 @@ class SurveyContract:
             payload[name] = value.value if isinstance(value, FixedBytes) else value
         if self.required_responses < 1:
             raise ValueError("required response count must be at least 1")
-        self.contract_id = digest(_encode_payload(payload))
-        self.log.append(EventKind.CREATED, payload)
+        created = self.log.append(EventKind.CREATED, payload)
+        self.contract_id = digest(created.event_bytes[5:-32])  # the payload: after sequence_no and kind
 
     @property
     def escrow_address(self) -> Address:
@@ -495,7 +492,7 @@ def commit_responses(contract: SurveyContract, addresses: Sequence[Address], com
     """Store each address's response commitment in turn, first come first served: a loop of `commit_response`.
 
     Each pair is its own command with that function's checks: the first pair refused raises,
-    and the pairs before it stay committed. Every COMMITTED event is packed by one struct.
+    and the pairs before it stay committed. Every COMMITTED event is packed by one layout.
     """
     if len(addresses) != len(commitments):
         raise LedgerError(f"commit needs one commitment per address, got {len(addresses)} and {len(commitments)}")
@@ -511,12 +508,9 @@ def commit_responses(contract: SurveyContract, addresses: Sequence[Address], com
         a = address.value
         if a in digests:
             raise LedgerError(f"address {address} already committed (first commitment wins)")
-        event_bytes = _COMMITTED.pack(  # two fields, each key_len, key, tag, value length, value
-            len(records), EventKind.COMMITTED, 2, 7, b"address", _BYTES_TAG, ADDRESS_LEN, a,
-            10, b"commitment", _BYTES_TAG, Digest.LENGTH, commitment.value, prev,
-        )
-        prev = digest(event_bytes).value
-        records.append(b"".join((_COMMITTED_LEN, event_bytes, prev)))
+        record = _COMMITTED.record(len(records), (a, commitment.value), prev)
+        records.append(record)
+        prev = record[-32:]
         digests[a] = commitment
         arrival.append(address)
 

@@ -115,6 +115,9 @@ class SurveyConfiguration:
             raise ValueError("required response count must be at least 1")
         if self.fee < 0:
             raise ValueError("fee must be non-negative")
+        for term, value in (("required response count", self.required_responses), ("fee", self.fee)):
+            if value >= 1 << 64:  # the ledger records both as u64
+                raise ValueError(f"{term} must be below 2**64")
 
 
 @dataclass

@@ -10,7 +10,8 @@ whole survey that way, one operator and one command at a time.
 `ledger.EventLog` holds only its records' bytes. `verify_event_chain`,
 `check_transfer_safety` and `describe` here read a log the way the ledger
 did when it kept one decoded `LedgerEvent` per event: event by event, from
-the decoded fields.
+the decoded fields. `encode_payload` writes a payload field by field, apart
+from the record layouts the ledger packs with.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from privmarket.envelope import (
 )
 from privmarket.ldp import FrequencyEstimate, PrivacyParams, accumulate_counts, estimate_frequencies
 from privmarket.protocol import (
-    ArtifactStore, Authority, ConfigIntegrityError, DeliveryVerdict, FilterVector, InsufficientEligibleError,
-    Operator, ProtocolError, SystemOperator, authority_deposit_and_await_reveal, authority_verify_delivery,
-    evaluate_criteria, operator_deliver, parse_config_file, setup_survey, sysop_reveal_secret,
+    ArtifactStore, Authority, ConfigIntegrityError, DeliveryVerdict, InsufficientEligibleError, ProtocolError,
+    SystemOperator, authority_deposit_and_await_reveal, evaluate_criteria, parse_config_file, setup_survey,
+    sysop_reveal_secret,
 )
 
 
@@ -144,10 +145,11 @@ def reference_survey(config, profiles, operator_rngs, infra_rng) -> ReferenceOut
     Generators are drawn from in the order the `simulate` and `commit_population` docstrings
     document: the authority's and the system operator's addresses, then the key material, then
     per operator in arrival order one length-n uniform draw from its own report generator and
-    12 cipher-nonce bytes from `infra_rng`. The filter and the payout are built by their own
-    loops here, from the rules: first come first served up to NR eligible, bits and payees in
-    ascending address order. A survey that cannot complete raises the ProtocolError that
-    run_survey raises, with the trace so far.
+    12 cipher-nonce bytes from `infra_rng`. The filter, the deliveries and their checks, and the
+    payout are built by their own loops here, from the rules: first come first served up to NR
+    eligible; bits, filter indices and payees in ascending address order; a delivery accepted
+    once, when it hashes to the commitment at its index. A survey that cannot complete raises
+    the ProtocolError that run_survey raises, with the trace so far.
     """
     trace: list[str] = []
 
@@ -165,7 +167,7 @@ def reference_survey(config, profiles, operator_rngs, infra_rng) -> ReferenceOut
         line("sysop", "distribute-psk", f"recipients={len(sysop.registry)}")
 
         config_bytes = store.get(contract.config_uri)
-        operators = []
+        prepared, committed = [], {}  # (raw address, ciphertext) in arrival order; raw address -> commitment
         for profile, rng in zip(profiles, operator_rngs):
             if digest(config_bytes) != contract.config_digest:
                 raise ConfigIntegrityError("configuration bytes do not match the on-ledger digest")
@@ -176,9 +178,8 @@ def reference_survey(config, profiles, operator_rngs, infra_rng) -> ReferenceOut
             ciphertext = encrypt(sk, canonical_encode_response(report), infra_rng.bytes(12))
             commitment = digest(ciphertext.serialize())
             ledger.commit_response(contract, profile.active_address, commitment)
-            operator = Operator(profile, infra_rng)
-            operator.ciphertext = ciphertext
-            operators.append(operator)
+            prepared.append((profile.active_address.value, ciphertext))
+            committed[profile.active_address.value] = commitment
             line("operator", "commit", f"{profile.operator_id} commitment={commitment.hex[:16]}")
 
         marked = []
@@ -192,17 +193,22 @@ def reference_survey(config, profiles, operator_rngs, infra_rng) -> ReferenceOut
         ascending = sorted(profile.active_address.value for profile in profiles)
         bits = tuple(int(raw in marked) for raw in ascending)
         ledger.finalize_filter(contract, digest(encode_bit_vector(bits)))
-        filter_vector = FilterVector(bits)
         line("sysop", "finalize-filter", f"eligible={sum(bits)} of {len(bits)}")
 
-        for operator in operators:
-            msg = operator_deliver(operator, filter_vector, contract.commitments)
-            if msg is None:
+        for raw, ciphertext in prepared:  # an operator whose filter bit is set delivers; the authority checks it
+            index = ascending.index(raw)
+            if not bits[index]:
                 continue
-            verdict = authority_verify_delivery(authority, msg, contract.commitments, filter_vector)
-            line("authority", "verify-delivery", f"index={msg.index} verdict={verdict.value}")
+            if digest(ciphertext.serialize()) != committed[raw]:
+                verdict = DeliveryVerdict.HASH_MISMATCH
+            elif index in authority.accepted:
+                verdict = DeliveryVerdict.DUPLICATE
+            else:
+                authority.accepted[index] = ciphertext
+                verdict = DeliveryVerdict.ACCEPTED
+            line("authority", "verify-delivery", f"index={index} verdict={verdict.value}")
             if verdict != DeliveryVerdict.ACCEPTED:
-                raise ProtocolError(f"honest delivery at index {msg.index} rejected: {verdict.value}")
+                raise ProtocolError(f"honest delivery at index {index} rejected: {verdict.value}")
 
         authority_deposit_and_await_reveal(authority, contract)
         line("authority", "deposit", f"amount={contract.fee}")
@@ -235,6 +241,29 @@ def reference_survey(config, profiles, operator_rngs, infra_rng) -> ReferenceOut
         exc.trace = trace
         raise
     return ReferenceOutcome(contract, trace, estimate, vectors, tuple(failed))
+
+
+def encode_payload(payload) -> bytes:
+    """A payload's canonical bytes: u16 field_count, then per field in ascending key order u16 key_len, the
+    utf8 key, a u8 tag and the value (0x01 u64; 0x02 bytes and 0x03 utf8 str, each after a u32 length)."""
+    parts = [struct.pack(">H", len(payload))]
+    for key in sorted(payload):
+        kb = key.encode("utf-8")
+        value = payload[key]
+        if isinstance(value, bool):
+            raise TypeError("payload values must be int, bytes or str")
+        if isinstance(value, int):
+            if value < 0 or value >= 1 << 64:
+                raise ValueError(f"payload int out of u64 range: {value}")
+            parts += (struct.pack(">H", len(kb)), kb, struct.pack(">BQ", 0x01, value))
+        elif isinstance(value, bytes):
+            parts += (struct.pack(">H", len(kb)), kb, struct.pack(">BI", 0x02, len(value)), value)
+        elif isinstance(value, str):
+            sb = value.encode("utf-8")
+            parts += (struct.pack(">H", len(kb)), kb, struct.pack(">BI", 0x03, len(sb)), sb)
+        else:
+            raise TypeError(f"unsupported payload value type: {type(value)!r}")
+    return b"".join(parts)
 
 
 def verify_event_chain(log: ledger.EventLog) -> tuple[bool, int | None]:

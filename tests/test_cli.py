@@ -8,8 +8,9 @@ from privmarket import cli
 from privmarket.cli import main
 from privmarket.envelope import digest, encode_bit_vector
 from privmarket.ldp import PrivacyParams
-from privmarket.ledger import EventKind, EventLog, _encode_payload
+from privmarket.ledger import EventKind, EventLog
 from privmarket.simulate import ExperimentConfig, Mode, run_full_protocol_experiment
+from reference import encode_payload
 
 
 def read_all(directory):
@@ -128,6 +129,12 @@ class TestDemoCommand:
         assert "chain: OK" in out
         names = {p.name for p in (tmp_path / "d").iterdir()}
         assert names == {"trace.txt", "events.bin", "events.txt"}
+
+    def test_the_largest_u64_fee_settles(self, capsys):
+        assert main(["demo", "--fee", "18446744073709551615"]) == 0
+        out = capsys.readouterr().out
+        assert "fee=18446744073709551615" in out
+        assert "final phase: SETTLED" in out
 
     def test_demo_deterministic(self, tmp_path):
         flags = ["demo", "--operators", "4", "--nr", "2", "--seed", "13"]
@@ -377,7 +384,7 @@ class TestReadPathPins:
         log = EventLog.from_bytes(data)
         assert log.to_bytes() == data
         for event in log:  # the stored bytes re-encode from the parsed fields and hash to the event hash
-            fields = event.sequence_no.to_bytes(4, "big") + bytes([event.kind]) + _encode_payload(event.payload)
+            fields = event.sequence_no.to_bytes(4, "big") + bytes([event.kind]) + encode_payload(event.payload)
             assert fields + event.prev_hash == event.event_bytes
             assert digest(fields + event.prev_hash).value == event.event_hash
 
@@ -449,6 +456,9 @@ class TestBadFlagValues:
         (["demo", "--nr", "0"], "--nr 0: required response count must be at least 1"),
         (["demo", "--fee", "-1"], "--fee -1: fee must be non-negative"),
         (["demo", "--f", "1.5"], "--f 1.5: flip probability must satisfy 0 <= f < 1, got 1.5"),
+        (["demo", "--fee", "18446744073709551616"], "--fee 18446744073709551616: fee must be below 2**64"),
+        (["demo", "--nr", "18446744073709551616"],
+         "--nr 18446744073709551616: required response count must be below 2**64"),
         (["demo", "--seed", "-1"], "--seed -1: seed must be non-negative"),
         (["demo", "--nr", "0", "--operators", "0"], "--operators 0: population must be at least 1"),
         (["estimate", "--f", "-0.5"], "--f -0.5: flip probability must satisfy 0 <= f < 1, got -0.5"),

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import struct
 from types import MappingProxyType
 
@@ -20,7 +21,6 @@ from privmarket.ledger import (
     LedgerError,
     LogFormatError,
     SurveyContract,
-    _encode_payload,
     abort,
     check_transfer_safety,
     commit_response,
@@ -32,6 +32,7 @@ from privmarket.ledger import (
     verify_event_chain,
 )
 from privmarket.simulate import ExperimentConfig, run_full_protocol_experiment
+from reference import encode_payload
 
 RNG = np.random.default_rng(2718)
 
@@ -86,7 +87,7 @@ def terms_of(contract):
 
 def reencoded(event) -> bytes:
     """The canonical encoding of an event's fields, made afresh (the hash covers these bytes)."""
-    return struct.pack(">IB", event.sequence_no, event.kind) + _encode_payload(event.payload) + event.prev_hash
+    return struct.pack(">IB", event.sequence_no, event.kind) + encode_payload(event.payload) + event.prev_hash
 
 
 class TestCreate:
@@ -116,7 +117,7 @@ class TestCreate:
         created = contract.log.events[0]
         assert sorted(created.payload) == sorted(terms)
         assert dict(created.payload) == {k: v.value if isinstance(v, FixedBytes) else v for k, v in terms.items()}
-        assert contract.contract_id == digest(_encode_payload(created.payload))
+        assert contract.contract_id == digest(encode_payload(created.payload))
         again = SurveyContract(**terms)
         assert again.contract_id == contract.contract_id
         assert again.log.to_bytes() == contract.log.to_bytes()
@@ -620,6 +621,51 @@ class TestReadOnlyEvents:
         assert len(log) == 0
 
 
+# keys of equal length, and one that is not ASCII
+PAYLOAD_KEYS = st.sampled_from(["ab", "ba", "cd", "key", "kez", "é"])
+PAYLOAD_VALUES = st.one_of(
+    st.sampled_from([0, 2**64 - 1]),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 20, 32]).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+    st.text(st.characters(codec="ascii"), max_size=6),
+    st.text(st.characters(codec="utf-8"), max_size=6),
+)
+# (value, the error append raises for it)
+REFUSED_VALUES = [
+    (True, TypeError("payload values must be int, bytes or str")),
+    (-1, ValueError("payload int out of u64 range: -1")),
+    (2**64, ValueError("payload int out of u64 range: 18446744073709551616")),
+    (1.5, TypeError("unsupported payload value type: <class 'float'>")),
+    (bytearray(b"ab"), TypeError("unsupported payload value type: <class 'bytearray'>")),
+    (None, TypeError("unsupported payload value type: <class 'NoneType'>")),
+]
+
+
+class TestAppendWritesTheReferenceEncoding:
+    @given(
+        st.lists(st.dictionaries(PAYLOAD_KEYS, PAYLOAD_VALUES, max_size=4), min_size=1, max_size=4),
+        st.sampled_from(list(EventKind)),
+        PAYLOAD_KEYS,
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_each_record_is_the_field_by_field_encoding(self, payloads, kind, refused_key):
+        log, prev = EventLog(), b"\x00" * 32
+        for payload in payloads:
+            before = log.to_bytes()
+            event_bytes = struct.pack(">IB", len(log), kind) + encode_payload(payload) + prev
+            prev = hashlib.sha256(event_bytes).digest()
+            log.append(kind, payload)
+            assert log.to_bytes() == before + struct.pack(">I", len(event_bytes) + 32) + event_bytes + prev
+        data = log.to_bytes()
+        for value, error in REFUSED_VALUES:
+            refused = {**payloads[-1], refused_key: value}
+            for encode in (encode_payload, functools.partial(log.append, kind)):
+                with pytest.raises(type(error)) as excinfo:
+                    encode(refused)
+                assert str(excinfo.value) == str(error)
+            assert log.to_bytes() == data
+
+
 def split_records(data: bytes) -> list[bytes]:
     """The length-prefixed records of a log's bytes, each with its u32 prefix."""
     records, offset = [], 0
@@ -850,23 +896,17 @@ class TestLayoutPath:
         with pytest.raises(LogFormatError, match="^record 0: payload key or string is not valid UTF-8$"):
             EventLog.from_bytes(data)
         data = bytearray(log.to_bytes())
-        data[-66] = 0xFF  # in the last record's str value, which the layout compiled from record 1 decodes
+        data[-66] = 0xFF  # in the last record's str value, which the layout built from record 0 decodes
         with pytest.raises(LogFormatError, match="^record 2: payload key or string is not valid UTF-8$"):
             EventLog.from_bytes(bytes(data))
 
     def test_repeated_shapes_take_the_layout(self, monkeypatch):
         import privmarket.ledger as ledger
 
-        hits, compile_layout = [], ledger._compile_layout
-
-        def counting(event):
-            decode = compile_layout(event)
-            return lambda data, offset: hits.append(event.kind) or decode(data, offset)
-
-        monkeypatch.setattr(ledger, "_compile_layout", counting)
+        walked, walk = [], ledger._walk
+        monkeypatch.setattr(ledger, "_walk", lambda record, index: walked.append(index) or walk(record, index))
         data = survey_log()
         log = EventLog.from_bytes(data)
         assert log.to_bytes() == data
-        # the first two Committed records are walked; the layout decodes the other 18
-        assert hits == [EventKind.COMMITTED] * 18
-
+        # 26 records in 7 shapes: the first of each shape is walked, and its layout reads the other 19 Committed
+        assert walked == [0, 1, 21, 22, 23, 24, 25]

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -860,6 +861,15 @@ class TestRunSurvey:
         assert list(outcome.aggregation.estimate.raw_estimates) == [float(h) for h in histogram]
         assert outcome.contract.phase == ContractPhase.SETTLED
         assert verify_event_chain(outcome.contract.log) == (True, None)
+
+    @pytest.mark.parametrize("term, message", [
+        ("fee", "fee must be below 2**64"),
+        ("nr", "required response count must be below 2**64"),
+    ])
+    def test_terms_the_ledger_cannot_record_are_refused(self, term, message):
+        # the ledger records the fee and NR as u64: a larger term is refused before a survey starts
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{term: 2**64})
 
     def test_exactly_nr_accepted_and_decrypted(self):
         profiles = [profile(i + 1, choice=i % 4) for i in range(6)]
