@@ -21,10 +21,16 @@ Normative byte layouts (inputs to hashing and commitments, bit-exact):
 Digests render as lowercase hex everywhere (logs, CSV, CLI).
 
 Lengths and types are checked where bytes come from outside: the public
-constructors of FixedBytes (and ledger.Address) and Ciphertext, and
-encrypt's nonce. Ciphertexts travel between parties as objects, so nothing
-parses serialized ones. What digest, hmac_derive, derive_session_key and
-encrypt return is built unchecked (`_made`).
+constructors of FixedBytes (and ledger.Address) and Ciphertext, and the
+nonce block of encrypt_population (once per block). Ciphertexts travel
+between parties as objects, so nothing parses serialized ones. What digest,
+hmac_derive, derive_session_key and encrypt_population return is built
+unchecked (`_made`).
+
+SHA-256 has one home: `sha256` returns the raw 32 bytes, for a hash that is
+only compared or chained; `digest` wraps them in a Digest, for one that is
+kept. AES-GCM seals and opens a population in one call each (the key's
+AES-GCM object bound once); `encrypt` and `decrypt` are their one-row calls.
 """
 
 from __future__ import annotations
@@ -68,9 +74,9 @@ def _expect_len(name: str, value: bytes, expected: int) -> bytes:
     return bytes(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedBytes:
-    """Exactly LENGTH bytes; subclasses differ only in LENGTH and LABEL."""
+    """Exactly LENGTH bytes; subclasses differ only in LENGTH and LABEL, and declare `__slots__ = ()`."""
 
     value: bytes
     LENGTH: ClassVar[int]
@@ -90,18 +96,23 @@ class FixedBytes:
 
 
 class PreSharedKey(FixedBytes):
+    __slots__ = ()
     LENGTH, LABEL = 32, "pre-shared key"
 
 
 class Nonce(FixedBytes):
+    __slots__ = ()
     LENGTH, LABEL = 16, "nonce"
 
 
 class Secret(FixedBytes):
+    __slots__ = ()
     LENGTH, LABEL = 32, "secret"
 
 
 class SessionKey(FixedBytes):
+    """The one FixedBytes with an instance dict: it holds the cached AES-GCM object."""
+
     LENGTH, LABEL = 32, "session key"
 
     @functools.cached_property
@@ -111,6 +122,7 @@ class SessionKey(FixedBytes):
 
 
 class Digest(FixedBytes):
+    __slots__ = ()
     LENGTH, LABEL = 32, "digest"
 
     @property
@@ -118,7 +130,7 @@ class Digest(FixedBytes):
         return self.value.hex()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ciphertext:
     """AES-GCM envelope; body is payload plus the 16-byte tag."""
 
@@ -156,26 +168,54 @@ def hmac_derive(psk: PreSharedKey, nonce: Nonce) -> Secret:
 
 def derive_session_key(s1: Secret, s2: Secret) -> SessionKey:
     """SHA-256 over the 64-byte concatenation s1 || s2, in that order."""
-    return SessionKey._made(hashlib.sha256(s1.value + s2.value).digest())
+    return SessionKey._made(sha256(s1.value + s2.value))
+
+
+def sha256(data: bytes, _new=hashlib.sha256) -> bytes:
+    """The raw 32-byte SHA-256 of the exact input bytes."""
+    return _new(data).digest()
 
 
 def digest(data: bytes) -> Digest:
-    """SHA-256 of the exact input bytes."""
-    return Digest._made(hashlib.sha256(data).digest())
+    """SHA-256 of the exact input bytes, as a Digest to keep."""
+    return Digest._made(sha256(data))
+
+
+def encrypt_population(sk: SessionKey, plaintexts: Sequence[bytes], nonces: bytes) -> list[Ciphertext]:
+    """AES-256-GCM of each plaintext under row i of the nonce block, its bytes [12i, 12i + 12).
+
+    The block is checked once: bytes, exactly 12 per plaintext. Each nonce must be unique per
+    (key, message) pair.
+    """
+    block = _expect_len("cipher nonce", nonces, CIPHER_NONCE_LEN * len(plaintexts))
+    seal, made = sk._aead.encrypt, Ciphertext._made
+    rows = [block[i : i + CIPHER_NONCE_LEN] for i in range(0, len(block), CIPHER_NONCE_LEN)]
+    return [made(nonce, seal(nonce, bytes(plaintext), None)) for nonce, plaintext in zip(rows, plaintexts)]
+
+
+def decrypt_population(sk: SessionKey, ciphertexts: Sequence[Ciphertext]) -> tuple[list[bytes], tuple[int, ...]]:
+    """Open each ciphertext: (the plaintexts that authenticate, in input order; the positions of the others)."""
+    open_, opened, failed = sk._aead.decrypt, [], []
+    for position, c in enumerate(ciphertexts):
+        try:
+            opened.append(open_(c.cipher_nonce, c.body, None))
+        except InvalidTag:  # wrong key, wrong nonce or tampered bytes
+            failed.append(position)
+    return opened, tuple(failed)
 
 
 def encrypt(sk: SessionKey, plaintext: bytes, cipher_nonce: bytes) -> Ciphertext:
-    """AES-256-GCM. The nonce must be unique per (key, message) pair."""
-    nonce = _expect_len("cipher nonce", cipher_nonce, CIPHER_NONCE_LEN)
-    return Ciphertext._made(nonce, sk._aead.encrypt(nonce, bytes(plaintext), None))
+    """AES-256-GCM of one plaintext: the one-row call of encrypt_population."""
+    return encrypt_population(sk, [plaintext], cipher_nonce)[0]
 
 
 def decrypt(sk: SessionKey, c: Ciphertext) -> bytes:
-    """Recover the plaintext; raises DecryptionError on any authentication failure."""
-    try:
-        return sk._aead.decrypt(c.cipher_nonce, c.body, None)
-    except InvalidTag as exc:
-        raise DecryptionError("ciphertext failed authentication") from exc
+    """Recover one plaintext: the one-row call of decrypt_population. Raises DecryptionError on any
+    authentication failure."""
+    opened, _ = decrypt_population(sk, [c])
+    if not opened:
+        raise DecryptionError("ciphertext failed authentication")
+    return opened[0]
 
 
 def encode_bit_matrix(bits: np.ndarray) -> list[bytes]:

@@ -23,8 +23,9 @@ strict: keys must be strictly ascending (no repeats), strings valid UTF-8,
 and nothing may trail a record, so every accepted log re-serializes to
 exactly its input bytes.
 
-A log holds its records and nothing else: packed by `append` and
-`commit_responses`, or sliced from a canonical input by `from_bytes`.
+A log holds its records: packed by `append` (through one layout per payload
+shape, up to LAYOUTS_KEPT of them kept with the log) and `commit_responses`,
+or sliced from a canonical input by `from_bytes`.
 `to_bytes` joins them, `verify_event_chain` hashes their slices and
 `check_transfer_safety` reads their kind bytes. One record layout packs
 records and reads them. `from_bytes` walks the first record of each shape
@@ -53,10 +54,11 @@ from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, get_type_hints
 
-from .envelope import Digest, FixedBytes, Nonce, Secret, digest, encode_bit_vector
+from .envelope import Digest, FixedBytes, Nonce, Secret, digest, encode_bit_vector, sha256
 
 ADDRESS_LEN = 20
 GENESIS_PREV = b"\x00" * 32
+LAYOUTS_KEPT = 64  # per log; a survey appends fewer than 10 shapes, a log of ever-new shapes drops its layouts here
 OPERATOR_SHARE_PCT = 80
 
 PayloadValue = int | bytes | str
@@ -76,6 +78,7 @@ class LogFormatError(Exception):
 
 
 class Address(FixedBytes):
+    __slots__ = ()
     LENGTH, LABEL = ADDRESS_LEN, "address"
 
     def __str__(self) -> str:
@@ -170,8 +173,8 @@ class _Layout:
     """One record skeleton, which packs records and reads them: the kind, the keys in ascending order, and each
     value's tag and encoded length, held as the constant byte pieces between the values.
 
-    Built from a payload, whose values it checks as `EventLog.append` requires. A record fits the layout when it
-    holds these pieces, whatever its sequence_no, values, prev_hash and event_hash.
+    Built from a payload, whose values it checks as `EventLog.append` requires; `record` checks each int again.
+    A record fits the layout when it holds these pieces, whatever its sequence_no, values, prev_hash and event_hash.
     """
 
     def __init__(self, kind: EventKind, payload: Mapping[str, PayloadValue]):
@@ -198,6 +201,7 @@ class _Layout:
         self._args += (piece, None)  # before prev_hash: empty, or the kind and field count of an empty payload
         fmt += f"{len(piece)}s32s"
         self._strs = [i for i, key in enumerate(self.keys) if isinstance(payload[key], str)]  # which values are str
+        self._ints = [i for i, key in enumerate(self.keys) if isinstance(payload[key], int)]
         event_bytes = struct.Struct(">" + fmt)
         self._pack, self._head = event_bytes.pack, _U32.pack(event_bytes.size + 32)  # _head: the u32 body_len
         # a whole record's fields: body_len, then the event_bytes arguments, then event_hash at index `last`
@@ -207,13 +211,17 @@ class _Layout:
 
     def record(self, sequence_no: int, values: Sequence[PayloadValue], prev: bytes) -> bytes:
         """The record (u32 body_len | event_bytes | event_hash) of these payload values in key order, each of the
-        layout's type and encoded length: struct would pad or cut a value of another length."""
+        layout's type and encoded length: struct would pad or cut a value of another length. An int outside u64
+        raises append's ValueError."""
+        for i in self._ints:
+            if not 0 <= values[i] < 1 << 64:
+                raise ValueError(f"payload int out of u64 range: {values[i]}")
         if self._strs:
             values = [v.encode("utf-8") if i in self._strs else v for i, v in enumerate(values)]
         args = self._args.copy()
         args[0], args[2::2] = sequence_no, (*values, prev)
         event_bytes = self._pack(*args)
-        return b"".join((self._head, event_bytes, digest(event_bytes).value))
+        return self._head + event_bytes + sha256(event_bytes)
 
     def read(self, record: bytes) -> Sequence | None:
         """A record's payload values in key order, then its sequence_no and event_hash; None for a record of the
@@ -296,7 +304,7 @@ class LedgerEvent(NamedTuple):
         return self.event_bytes[-32:]
 
     def compute_hash(self) -> bytes:
-        return digest(self.event_bytes).value
+        return sha256(self.event_bytes)
 
     def describe(self) -> str:
         values = [*self.payload.values(), self.sequence_no, self.event_hash]
@@ -304,13 +312,14 @@ class LedgerEvent(NamedTuple):
 
 
 class EventLog(Sequence[LedgerEvent]):
-    """Append-only sequence of hash-chained events, held as their canonical records and nothing else.
+    """Append-only sequence of hash-chained events, held as their canonical records (and append's layouts).
 
     Reading an event, by index, slice or iteration, decodes it from its record.
     """
 
     def __init__(self):
         self._records: list[bytes] = []  # u32 body_len | event_bytes | event_hash
+        self._layouts: dict[tuple, _Layout] = {}  # append's layout per payload shape (see _width)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -332,7 +341,17 @@ class EventLog(Sequence[LedgerEvent]):
 
     def append(self, kind: EventKind, payload: Payload) -> LedgerEvent:
         payload = dict(sorted(payload.items()))  # a copy: the caller's dict may change later
-        record = _Layout(kind, payload).record(len(self), list(payload.values()), _prev(self._records))
+        values = list(payload.values())
+        try:
+            shape = (kind, tuple(payload), tuple(map(_width, values)))
+        except UnicodeEncodeError:  # a str that does not encode: _Layout raises it, or an earlier key's error
+            shape = None
+        layout = self._layouts.get(shape)
+        if layout is None:  # the first payload of its shape checks every value as it builds the layout
+            if len(self._layouts) == LAYOUTS_KEPT:
+                self._layouts.clear()
+            layout = self._layouts[shape] = _Layout(kind, payload)
+        record = layout.record(len(self), values, _prev(self._records))
         self._records.append(record)
         return LedgerEvent(len(self) - 1, kind, MappingProxyType(payload), record[-32:], record[4:-32])
 
@@ -351,6 +370,17 @@ class EventLog(Sequence[LedgerEvent]):
         return "\n".join([*lines, ""])
 
 
+def _width(value: PayloadValue) -> tuple[type, int]:
+    """A payload value's part of its layout's shape: its type, and the encoded length of bytes or str.
+
+    Values of one shape pass the same type and length checks, so a layout built from the first checks them
+    for the others; only an int's range is left, which `_Layout.record` checks.
+    """
+    if isinstance(value, str):
+        return type(value), len(value.encode("utf-8"))
+    return type(value), len(value) if isinstance(value, bytes) else 0
+
+
 def _prev(records: list[bytes]) -> bytes:
     """The hash the next event links to: the last record's tail, or the genesis prev_hash."""
     return records[-1][-32:] if records else GENESIS_PREV
@@ -361,7 +391,7 @@ def verify_event_chain(log: EventLog) -> tuple[bool, int | None]:
     prev = GENESIS_PREV
     for i, record in enumerate(log._records):
         event_hash = record[-32:]
-        if _U32.unpack_from(record, 4)[0] != i or record[-64:-32] != prev or digest(record[4:-32]).value != event_hash:
+        if _U32.unpack_from(record, 4)[0] != i or record[-64:-32] != prev or sha256(record[4:-32]) != event_hash:
             return False, i
         prev = event_hash
     return True, None
@@ -567,7 +597,7 @@ def reveal_secret(contract: SurveyContract, s2_candidate: Secret) -> None:
         raise LedgerError(f"cannot reveal in phase {contract.phase.name}")
     if not isinstance(s2_candidate, Secret):
         raise LedgerError(f"revealed secret must be a Secret, not {type(s2_candidate).__name__}")
-    if digest(s2_candidate.value) != contract.h_s2:
+    if sha256(s2_candidate.value) != contract.h_s2.value:
         raise LedgerError("revealed secret does not match the stored hash")
     contract.log.append(EventKind.REVEALED, {"s2": s2_candidate.value})
     contract.revealed_s2 = s2_candidate
@@ -593,7 +623,7 @@ def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[Address
         filter_bytes = encode_bit_vector(filter_bits)
     except ValueError as exc:  # a bit other than 0 or 1
         raise LedgerError(f"supplied filter is not a bit vector: {exc}") from exc
-    if contract.filter_digest is None or digest(filter_bytes) != contract.filter_digest:
+    if contract.filter_digest is None or sha256(filter_bytes) != contract.filter_digest.value:
         raise LedgerError("supplied filter does not match the recorded filter hash")
     if len(filter_bits) != len(contract.commitments) or sum(filter_bits) != contract.required_responses:
         raise LedgerError(f"filter must mark exactly {contract.required_responses} of the commitments")

@@ -35,14 +35,14 @@ from .envelope import (
     PreSharedKey,
     Secret,
     decode_bit_matrix,
-    decrypt,
+    decrypt_population,
     derive_session_key,
     digest,
     encode_bit_matrix,
     encode_bit_vector,
-    encrypt,
+    encrypt_population,
     hmac_derive,
-    DecryptionError,
+    sha256,
 )
 from .ldp import (
     FrequencyEstimate,
@@ -120,7 +120,7 @@ class SurveyConfiguration:
                 raise ValueError(f"{term} must be below 2**64")
 
 
-@dataclass
+@dataclass(slots=True)
 class OperatorProfile:
     """A data provider as the system operator knows it.
 
@@ -349,32 +349,32 @@ def commit_population(
 ) -> tuple[list[Ciphertext], list[Digest]]:
     """Operators, in arrival order, each verify the configuration, encrypt and commit: (ciphertexts, commitments).
 
-    They share the report generator `rng` and the own generator `own_rng`. Each is drawn
+    Each operator first checks the configuration bytes against the on-ledger digest. They share
+    the report generator `rng` and the own generator `own_rng`. Each is drawn
     from once, with the bytes of one draw per operator (see simulate): report i
     is row i of one (N, n) draw, nonce i bytes [12i, 12i + 12) of one own draw.
-    A survey has one psk, so all encrypt under one session key: operator 0
-    parses the configuration and derives s1, s2 and sk once for the
-    population, after its digest check, and the SessionKey builds its AES-GCM
-    object once. Their commitments then reach the ledger in one `commit_responses`
-    call, which commits them in order: a refused one raises, and those before it stay committed.
+    A survey has one psk, so all encrypt under one session key: the configuration
+    is parsed and s1, s2 and sk derived once for the population, and its
+    plaintexts are sealed in one `encrypt_population` call. Their commitments then reach the
+    ledger in one `commit_responses` call, which commits them in order: a refused one raises,
+    and those before it stay committed.
     """
     if len(profiles) > 1 and own_rng is rng:
         raise ValueError("the own generator doubles as the report generator for more than one operator")
-    ciphertexts, commitments = [], []
-    for i in range(len(profiles)):
-        if digest(config_bytes).value != expected_digest.value:
+    expected = expected_digest.value
+    for _ in profiles:
+        if sha256(config_bytes) != expected:
             raise ConfigIntegrityError(
                 "configuration bytes do not match the on-ledger digest; refusing to participate"
             )
-        if i == 0:  # verified bytes: draw for the whole population, before anyone commits
-            config = parse_config_file(config_bytes)
-            sk = derive_session_key(hmac_derive(psk, n1), hmac_derive(psk, n2))
-            choices = [profile.true_choice for profile in profiles]
-            plaintexts = encode_bit_matrix(randomize_batch(choices, config.query.n, config.privacy, rng))
-            nonces = own_rng.bytes(CIPHER_NONCE_LEN * len(profiles))
-        nonce = nonces[i * CIPHER_NONCE_LEN : (i + 1) * CIPHER_NONCE_LEN]
-        ciphertexts.append(encrypt(sk, plaintexts[i], nonce))
-        commitments.append(digest(ciphertexts[-1].serialize()))
+    ciphertexts = []
+    if profiles:  # verified bytes: draw for the whole population, before anyone commits
+        config = parse_config_file(config_bytes)
+        sk = derive_session_key(hmac_derive(psk, n1), hmac_derive(psk, n2))
+        choices = [profile.true_choice for profile in profiles]
+        plaintexts = encode_bit_matrix(randomize_batch(choices, config.query.n, config.privacy, rng))
+        ciphertexts = encrypt_population(sk, plaintexts, own_rng.bytes(CIPHER_NONCE_LEN * len(profiles)))
+    commitments = [digest(c.serialize()) for c in ciphertexts]
     ledger_mod.commit_responses(contract, [profile.active_address for profile in profiles], commitments)
     return ciphertexts, commitments
 
@@ -488,7 +488,7 @@ def verify_deliveries(
             verdicts.append(DeliveryVerdict.OUT_OF_RANGE)
         elif index >= len(bits) or bits[index] != 1:
             verdicts.append(DeliveryVerdict.INELIGIBLE)
-        elif not isinstance(ciphertext, Ciphertext) or digest(ciphertext.serialize()).value != expected[index].value:
+        elif not isinstance(ciphertext, Ciphertext) or sha256(ciphertext.serialize()) != expected[index].value:
             verdicts.append(DeliveryVerdict.HASH_MISMATCH)
         elif index in accepted:
             verdicts.append(DeliveryVerdict.DUPLICATE)
@@ -534,8 +534,8 @@ def settle_and_decrypt(
 ) -> AggregationOutcome:
     """Reconstruct the session key from the reveal and aggregate the deliveries that open.
 
-    Each delivery is authenticated on its own, then all decode in one pass.
-    The fee is paid by now, so one that fails to decrypt or decode is only
+    Each delivery is authenticated on its own, all in one `decrypt_population` call, then all
+    decode in one pass. The fee is paid by now, so one that fails to decrypt or decode is only
     listed in failed_indices; ProtocolError means that none opened.
     """
     if contract.phase not in (ContractPhase.REVEALED, ContractPhase.SETTLED):
@@ -548,19 +548,15 @@ def settle_and_decrypt(
         )
     assert contract.revealed_s2 is not None
     sk = derive_session_key(contract.s1, contract.revealed_s2)
-    opened: dict[int, bytes] = {}
-    for index in sorted(accepted):
-        try:
-            opened[index] = decrypt(sk, accepted[index])
-        except DecryptionError:
-            continue  # listed in failed_indices
-    vectors, undecodable = decode_bit_matrix(list(opened.values()), authority.config.query.n)
+    indices = sorted(accepted)
+    plaintexts, unopened = decrypt_population(sk, [accepted[index] for index in indices])
+    vectors, undecodable = decode_bit_matrix(plaintexts, authority.config.query.n)
     if not len(vectors):
         raise ProtocolError(f"none of the {len(accepted)} deliveries decrypted and decoded")
-    failed = accepted.keys() - opened.keys()
-    if undecodable:  # only then list the indices: one more 10k-entry list per settlement raised peak RSS
-        indices = list(opened)
-        failed |= {indices[position] for position in undecodable}
+    failed = {indices[position] for position in unopened}
+    if undecodable:  # positions among the opened deliveries
+        opened = [index for index in indices if index not in failed]
+        failed |= {opened[position] for position in undecodable}
     estimate = estimate_frequencies(accumulate_counts(vectors), authority.config.privacy)
     return AggregationOutcome(vectors, estimate, tuple(sorted(failed)))
 

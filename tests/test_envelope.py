@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,14 +20,18 @@ from privmarket.envelope import (
     decode_bit_matrix,
     decode_bit_stream,
     decrypt,
+    decrypt_population,
     derive_session_key,
     digest,
     encode_bit_vector,
     encrypt,
+    encrypt_population,
     hmac_derive,
     hmac_sha256,
+    sha256,
 )
 from privmarket.ledger import Address
+from privmarket.protocol import OperatorProfile
 from reference import (
     ResponseVector,
     canonical_encode_response,
@@ -82,6 +88,30 @@ class TestNewtypes:
             assert hash(m) == hash(k)
 
 
+class TestSlots:
+    """Per-operator value types hold their fields in slots; a subclass that forgets `__slots__ = ()` gets a dict."""
+
+    FROZEN = [
+        Address(b"\x01" * 20),
+        Digest(b"\x02" * 32),
+        Nonce(b"\x03" * 16),
+        Secret(b"\x04" * 32),
+        PreSharedKey(b"\x05" * 32),
+        Ciphertext(b"\x06" * 12, b"\x07" * 16),
+    ]
+
+    @pytest.mark.parametrize("instance", [*FROZEN, OperatorProfile("op", (Address(b"\x01" * 20),))],
+                             ids=lambda instance: type(instance).__name__)
+    def test_no_instance_dict(self, instance):
+        assert not hasattr(instance, "__dict__")
+
+    @pytest.mark.parametrize("instance", FROZEN, ids=lambda instance: type(instance).__name__)
+    def test_frozen_ones_refuse_assignment(self, instance):
+        field = dataclasses.fields(instance)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, field, getattr(instance, field))
+
+
 class TestHmacDerive:
     def test_rfc4231_case_1(self):
         # published HMAC-SHA-256 vector: 20 bytes of 0x0b, "Hi There"
@@ -128,6 +158,12 @@ class TestDigest:
 
     def test_stable(self):
         assert digest(b"payload") == digest(b"payload")
+
+    @pytest.mark.parametrize("data", [b"", b"abc", b"\x00" * 64])
+    def test_raw_hash_is_the_digest_value(self, data):
+        # the known-answer inputs above and the zero-secrets session key input
+        assert sha256(data) == digest(data).value == hashlib.sha256(data).digest()
+        assert type(sha256(data)) is bytes
 
 
 class TestAead:
@@ -183,6 +219,76 @@ class TestAead:
         data = c.serialize()
         assert data == c.cipher_nonce + c.body
         assert Ciphertext(data[:12], data[12:]) == c
+
+
+PLAINTEXT_LISTS = st.lists(st.binary(max_size=64), max_size=12)
+
+
+class TestPopulationAead:
+    """encrypt_population and decrypt_population are loops of their one-row calls, byte for byte."""
+
+    @given(PLAINTEXT_LISTS, st.binary(min_size=32, max_size=32), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_population_calls_equal_a_loop_of_one_row_calls(self, plaintexts, key, data):
+        sk = SessionKey(key)
+        nonces = [data.draw(st.binary(min_size=12, max_size=12)) for _ in plaintexts]
+        sealed = encrypt_population(sk, plaintexts, b"".join(nonces))
+        assert sealed == [encrypt(sk, p, n) for p, n in zip(plaintexts, nonces)]
+        # and each row is the library's AES-GCM under its own nonce
+        library = AESGCM(key)
+        assert [c.serialize() for c in sealed] == [n + library.encrypt(n, p, None) for p, n in zip(plaintexts, nonces)]
+        assert decrypt_population(sk, sealed) == ([decrypt(sk, c) for c in sealed], ())
+        assert decrypt_population(sk, sealed)[0] == plaintexts
+
+    @given(PLAINTEXT_LISTS, st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_what_does_not_open_is_a_position(self, plaintexts, data):
+        sk = SessionKey(b"\x31" * 32)
+        sealed = encrypt_population(sk, plaintexts, bytes(range(12)) * len(plaintexts))
+        damaged = set(data.draw(st.sets(st.integers(0, len(sealed) - 1))) if sealed else ())
+        received = []
+        for position, c in enumerate(sealed):
+            if position in damaged:
+                if data.draw(st.booleans()):  # a tampered body
+                    body = bytearray(c.body)
+                    body[data.draw(st.integers(0, len(body) - 1))] ^= data.draw(st.integers(1, 255))
+                    c = Ciphertext(c.cipher_nonce, bytes(body))
+                else:  # a foreign nonce
+                    c = Ciphertext(b"\xee" * 12, c.body)
+            received.append(c)
+        opened, failed = decrypt_population(sk, received)
+        assert failed == tuple(sorted(damaged))
+        assert opened == [p for position, p in enumerate(plaintexts) if position not in damaged]
+        for position, c in enumerate(received):
+            if position in damaged:
+                with pytest.raises(DecryptionError, match="^ciphertext failed authentication$"):
+                    decrypt(sk, c)
+
+    @pytest.mark.parametrize("rows,block,message", [
+        (1, b"\x00" * 11, "cipher nonce must be exactly 12 bytes, got 11"),
+        (1, b"\x00" * 13, "cipher nonce must be exactly 12 bytes, got 13"),
+        (1, "\x00" * 12, "cipher nonce must be bytes"),
+        (1, None, "cipher nonce must be bytes"),
+        (2, b"\x00" * 23, "cipher nonce must be exactly 24 bytes, got 23"),
+        (2, b"\x00" * 25, "cipher nonce must be exactly 24 bytes, got 25"),
+        (2, b"", "cipher nonce must be exactly 24 bytes, got 0"),
+        (2, "\x00" * 24, "cipher nonce must be bytes"),
+        (2, [0] * 24, "cipher nonce must be bytes"),
+        (0, b"\x00" * 12, "cipher nonce must be exactly 0 bytes, got 12"),
+    ])
+    def test_a_bad_nonce_block_raises_the_one_row_error(self, rows, block, message):
+        # the block is checked once, with the one-row call's ValueError and message
+        sk = SessionKey(b"\x00" * 32)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            encrypt_population(sk, [b"a"] * rows, block)
+        if rows == 1:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                encrypt(sk, b"a", block)
+
+    def test_an_empty_population_seals_and_opens_nothing(self):
+        sk = SessionKey(b"\x00" * 32)
+        assert encrypt_population(sk, [], b"") == []
+        assert decrypt_population(sk, []) == ([], ())
 
 
 class TestEscrowSoundness:

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import struct
+import weakref
 from types import MappingProxyType
 
 import numpy as np
@@ -899,6 +900,56 @@ class TestLayoutPath:
         data[-66] = 0xFF  # in the last record's str value, which the layout built from record 0 decodes
         with pytest.raises(LogFormatError, match="^record 2: payload key or string is not valid UTF-8$"):
             EventLog.from_bytes(bytes(data))
+
+    def test_same_shape_appends_build_one_layout(self, monkeypatch):
+        import privmarket.ledger as ledger
+
+        built, layout = [], ledger._Layout
+
+        def counted(kind, payload):
+            built.append(list(payload))
+            return layout(kind, payload)
+
+        monkeypatch.setattr(ledger, "_Layout", counted)
+        log = EventLog()
+        for i in range(10_000):
+            log.append(EventKind.COMMITTED, {"address": i.to_bytes(20, "big"), "value": i})
+        assert built == [["address", "value"]]
+        # another encoded length is another shape
+        log.append(EventKind.COMMITTED, {"address": b"\x01" * 19, "value": 1})
+        assert len(built) == 2
+
+    def test_a_log_of_ever_new_shapes_keeps_few_layouts(self, monkeypatch):
+        import privmarket.ledger as ledger
+
+        built, layout = [], ledger._Layout
+
+        def counted(kind, payload):
+            made = layout(kind, payload)
+            built.append(weakref.ref(made))
+            return made
+
+        monkeypatch.setattr(ledger, "_Layout", counted)
+        log = EventLog()
+        for i in range(1_000):
+            log.append(EventKind.COMMITTED, {f"k{i:07d}": i.to_bytes(20, "big"), "value": i})
+        assert len(built) == 1_000
+        assert sum(ref() is not None for ref in built) <= ledger.LAYOUTS_KEPT
+
+    @pytest.mark.parametrize("value", [True, -1, 2**64, 1.5, bytearray(b"ab"), "\ud800", None])
+    def test_a_cached_shape_still_checks_every_value(self, value):
+        # a refused value raises as on a fresh log, also where the log holds a layout for the payload's keys
+        for cached in (7, "y", b"ab"):
+            payload = {"n": 5, "s": "ab", "refused": cached}
+            log = EventLog()
+            log.append(EventKind.TRANSFERRED, payload)
+            before = log.to_bytes()
+            with pytest.raises((TypeError, ValueError)) as fresh:
+                EventLog().append(EventKind.TRANSFERRED, {**payload, "refused": value})
+            with pytest.raises(type(fresh.value)) as excinfo:
+                log.append(EventKind.TRANSFERRED, {**payload, "refused": value})
+            assert str(excinfo.value) == str(fresh.value)
+            assert log.to_bytes() == before
 
     def test_repeated_shapes_take_the_layout(self, monkeypatch):
         import privmarket.ledger as ledger

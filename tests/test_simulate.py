@@ -5,7 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from privmarket import protocol
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+from privmarket import envelope
 from privmarket.ldp import PrivacyParams
 from privmarket.ledger import Address, verify_event_chain
 from privmarket.protocol import FilterCriteria, OperatorProfile, SurveyConfiguration, run_survey
@@ -153,15 +155,20 @@ class TestFullProtocolExperiment:
 
     def test_cipher_nonces_are_distinct(self, monkeypatch):
         # every operator encrypts under the one session key, so a repeated
-        # AES-GCM nonce would break confidentiality
+        # AES-GCM nonce would break confidentiality; the nonces are recorded
+        # where they reach AES-GCM, whichever envelope call seals them
         nonces = []
-        encrypt = protocol.encrypt
 
-        def recording_encrypt(sk, plaintext, cipher_nonce):
-            nonces.append(cipher_nonce)
-            return encrypt(sk, plaintext, cipher_nonce)
+        class RecordingAESGCM:
+            def __init__(self, key):
+                self._aead = AESGCM(key)
+                self.decrypt = self._aead.decrypt
 
-        monkeypatch.setattr(protocol, "encrypt", recording_encrypt)
+            def encrypt(self, nonce, data, associated_data):
+                nonces.append(bytes(nonce))
+                return self._aead.encrypt(nonce, data, associated_data)
+
+        monkeypatch.setattr(envelope, "AESGCM", RecordingAESGCM)
         run_full_protocol_experiment(ExperimentConfig(population=1000, seed=31))
         assert len(nonces) == 1000
         assert len(set(nonces)) == 1000
