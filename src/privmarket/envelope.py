@@ -29,13 +29,12 @@ unchecked (`_made`).
 
 SHA-256 has one home: `sha256` returns the raw 32 bytes, for a hash that is
 only compared or chained; `digest` wraps them in a Digest, for one that is
-kept. AES-GCM seals and opens a population in one call each (the key's
-AES-GCM object bound once); `encrypt` and `decrypt` are their one-row calls.
+kept. AES-GCM seals and opens a population in one call each (one AES-GCM
+object per call); `encrypt` and `decrypt` are their one-row calls.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import hmac as _hmac
 import struct
@@ -111,14 +110,8 @@ class Secret(FixedBytes):
 
 
 class SessionKey(FixedBytes):
-    """The one FixedBytes with an instance dict: it holds the cached AES-GCM object."""
-
+    __slots__ = ()
     LENGTH, LABEL = 32, "session key"
-
-    @functools.cached_property
-    def _aead(self) -> AESGCM:
-        """This key's AES-GCM object, built on first use and kept with the key."""
-        return AESGCM(self.value)
 
 
 class Digest(FixedBytes):
@@ -188,14 +181,14 @@ def encrypt_population(sk: SessionKey, plaintexts: Sequence[bytes], nonces: byte
     (key, message) pair.
     """
     block = _expect_len("cipher nonce", nonces, CIPHER_NONCE_LEN * len(plaintexts))
-    seal, made = sk._aead.encrypt, Ciphertext._made
+    seal, made = AESGCM(sk.value).encrypt, Ciphertext._made
     rows = [block[i : i + CIPHER_NONCE_LEN] for i in range(0, len(block), CIPHER_NONCE_LEN)]
     return [made(nonce, seal(nonce, bytes(plaintext), None)) for nonce, plaintext in zip(rows, plaintexts)]
 
 
 def decrypt_population(sk: SessionKey, ciphertexts: Sequence[Ciphertext]) -> tuple[list[bytes], tuple[int, ...]]:
     """Open each ciphertext: (the plaintexts that authenticate, in input order; the positions of the others)."""
-    open_, opened, failed = sk._aead.decrypt, [], []
+    open_, opened, failed = AESGCM(sk.value).decrypt, [], []
     for position, c in enumerate(ciphertexts):
         try:
             opened.append(open_(c.cipher_nonce, c.body, None))

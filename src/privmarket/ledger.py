@@ -23,19 +23,18 @@ strict: keys must be strictly ascending (no repeats), strings valid UTF-8,
 and nothing may trail a record, so every accepted log re-serializes to
 exactly its input bytes.
 
-A log holds its records: packed by `append` (through one layout per payload
-shape, up to LAYOUTS_KEPT of them kept with the log) and `commit_responses`,
-or sliced from a canonical input by `from_bytes`.
-`to_bytes` joins them, `verify_event_chain` hashes their slices and
-`check_transfer_safety` reads their kind bytes. One record layout packs
-records and reads them. `from_bytes` walks the first record of each shape
-(kind, field count, body length) field by field, with every check, and reads
-the shape's later records through the layout built from it; a record the
-layout does not fit is walked, and the layout stays, so only the walk raises.
+A log holds its records: packed by `append` (through a layout built for its
+one record) and `commit_responses`, or sliced from a canonical input by
+`from_bytes`. `to_bytes` joins them, `verify_event_chain` hashes their slices
+and `check_transfer_safety` reads their kind bytes. One record layout packs
+records and reads them. The only layout kept is the Committed one, since a
+survey writes one Committed record per operator and every other kind once.
+`from_bytes` reads each record that fits it through that layout and walks
+every other record field by field, with every check, so only the walk raises.
 Reading an event (`log.events[i]`, iterating) decodes its record the same way
 into a `LedgerEvent` with a read-only payload in ascending key order;
-`text_dump` formats each line from the values a layout read, with
-`describe`'s formatter. Nothing decoded is kept.
+`text_dump` formats each line from the values the layout or the walk read,
+with `describe`'s formatter. Nothing decoded is kept.
 
 All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
@@ -58,7 +57,6 @@ from .envelope import Digest, FixedBytes, Nonce, Secret, digest, encode_bit_vect
 
 ADDRESS_LEN = 20
 GENESIS_PREV = b"\x00" * 32
-LAYOUTS_KEPT = 64  # per log; a survey appends fewer than 10 shapes, a log of ever-new shapes drops its layouts here
 OPERATOR_SHARE_PCT = 80
 
 PayloadValue = int | bytes | str
@@ -119,7 +117,6 @@ _BODY_HEAD = struct.Struct(">IBH")  # sequence_no, kind, field_count
 _INT_FIELD = struct.Struct(">BQ")  # tag, value
 _BLOB_FIELD = struct.Struct(">BI")  # tag, length
 _KINDS = {kind.value: kind for kind in EventKind}
-_SHAPE = struct.Struct(">I4xBH")  # a record's body length, kind and field count
 _UNPLAIN = frozenset(" =\"'")  # in a dump token, these could fake a field or a quoted token
 _RAW = attrgetter("value")  # an Address's or Digest's raw bytes
 
@@ -173,8 +170,8 @@ class _Layout:
     """One record skeleton, which packs records and reads them: the kind, the keys in ascending order, and each
     value's tag and encoded length, held as the constant byte pieces between the values.
 
-    Built from a payload, whose values it checks as `EventLog.append` requires; `record` checks each int again.
-    A record fits the layout when it holds these pieces, whatever its sequence_no, values, prev_hash and event_hash.
+    Built from a payload, whose values it checks as `EventLog.append` requires. A record fits the layout when it
+    has the layout's length and holds these pieces, whatever its sequence_no, values, prev_hash and event_hash.
     """
 
     def __init__(self, kind: EventKind, payload: Mapping[str, PayloadValue]):
@@ -201,21 +198,18 @@ class _Layout:
         self._args += (piece, None)  # before prev_hash: empty, or the kind and field count of an empty payload
         fmt += f"{len(piece)}s32s"
         self._strs = [i for i, key in enumerate(self.keys) if isinstance(payload[key], str)]  # which values are str
-        self._ints = [i for i, key in enumerate(self.keys) if isinstance(payload[key], int)]
         event_bytes = struct.Struct(">" + fmt)
         self._pack, self._head = event_bytes.pack, _U32.pack(event_bytes.size + 32)  # _head: the u32 body_len
         # a whole record's fields: body_len, then the event_bytes arguments, then event_hash at index `last`
-        self._unpack, last = struct.Struct(">4s" + fmt + "32s").unpack, len(self._args) + 1
+        whole, last = struct.Struct(">4s" + fmt + "32s"), len(self._args) + 1
+        self._unpack, self._size = whole.unpack, whole.size
         self._skeleton_of, self._skeleton = itemgetter(*range(0, last - 1, 2)), (self._head, *self._args[1::2])
         self._values_of = itemgetter(*range(3, last - 2, 2), 1, last)  # payload values, sequence_no, event_hash
 
     def record(self, sequence_no: int, values: Sequence[PayloadValue], prev: bytes) -> bytes:
         """The record (u32 body_len | event_bytes | event_hash) of these payload values in key order, each of the
-        layout's type and encoded length: struct would pad or cut a value of another length. An int outside u64
-        raises append's ValueError."""
-        for i in self._ints:
-            if not 0 <= values[i] < 1 << 64:
-                raise ValueError(f"payload int out of u64 range: {values[i]}")
+        layout's type and encoded length, and each int within u64, as the layout's own payload was checked:
+        struct would pad or cut a value of another length."""
         if self._strs:
             values = [v.encode("utf-8") if i in self._strs else v for i, v in enumerate(values)]
         args = self._args.copy()
@@ -224,8 +218,10 @@ class _Layout:
         return self._head + event_bytes + sha256(event_bytes)
 
     def read(self, record: bytes) -> Sequence | None:
-        """A record's payload values in key order, then its sequence_no and event_hash; None for a record of the
-        layout's length that does not fit it, or one whose str is not UTF-8."""
+        """A record's payload values in key order, then its sequence_no and event_hash; None for a record that
+        does not fit the layout, or one whose str is not UTF-8."""
+        if len(record) != self._size:
+            return None
         fields = self._unpack(record)
         if self._skeleton_of(fields) != self._skeleton:
             return None
@@ -261,22 +257,16 @@ def _scan(records: Iterable[bytes]) -> Iterator[tuple[bytes, EventKind, Iterable
     """Check each record in turn, and yield it with its kind, its keys and its values: the payload values in
     key order, then sequence_no and event_hash.
 
-    A record is read through the layout kept for its shape (body length, kind, field count), which is built
-    from the first record of that shape, walked. A record the layout does not fit is walked, and the layout
-    stays; so only the walk raises, with its own message and record index.
+    A record that fits the Committed layout is read through it; every other record is walked, so only the
+    walk raises, with its own message and record index.
     """
-    layouts: dict[tuple | None, _Layout] = {}
     for index, record in enumerate(records):
-        shape = _SHAPE.unpack_from(record) if len(record) >= _SHAPE.size else None
-        layout = layouts.get(shape)
-        values = layout and layout.read(record)
+        values = _COMMITTED.read(record)
         if values:
-            kind, keys = layout.kind, layout.keys
+            kind, keys = _COMMITTED.kind, _COMMITTED.keys
         else:
             event = _walk(record, index)
             kind, keys, values = event.kind, event.payload, [*event.payload.values(), event.sequence_no, event.event_hash]
-            if layout is None:
-                layouts[shape] = _Layout(kind, event.payload)
         yield record, kind, keys, values
 
 
@@ -312,14 +302,13 @@ class LedgerEvent(NamedTuple):
 
 
 class EventLog(Sequence[LedgerEvent]):
-    """Append-only sequence of hash-chained events, held as their canonical records (and append's layouts).
+    """Append-only sequence of hash-chained events, held as their canonical records.
 
     Reading an event, by index, slice or iteration, decodes it from its record.
     """
 
     def __init__(self):
         self._records: list[bytes] = []  # u32 body_len | event_bytes | event_hash
-        self._layouts: dict[tuple, _Layout] = {}  # append's layout per payload shape (see _width)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -341,17 +330,7 @@ class EventLog(Sequence[LedgerEvent]):
 
     def append(self, kind: EventKind, payload: Payload) -> LedgerEvent:
         payload = dict(sorted(payload.items()))  # a copy: the caller's dict may change later
-        values = list(payload.values())
-        try:
-            shape = (kind, tuple(payload), tuple(map(_width, values)))
-        except UnicodeEncodeError:  # a str that does not encode: _Layout raises it, or an earlier key's error
-            shape = None
-        layout = self._layouts.get(shape)
-        if layout is None:  # the first payload of its shape checks every value as it builds the layout
-            if len(self._layouts) == LAYOUTS_KEPT:
-                self._layouts.clear()
-            layout = self._layouts[shape] = _Layout(kind, payload)
-        record = layout.record(len(self), values, _prev(self._records))
+        record = _Layout(kind, payload).record(len(self), list(payload.values()), _prev(self._records))
         self._records.append(record)
         return LedgerEvent(len(self) - 1, kind, MappingProxyType(payload), record[-32:], record[4:-32])
 
@@ -368,17 +347,6 @@ class EventLog(Sequence[LedgerEvent]):
         lines = [_dump_line(kind, keys, values, record[-64:-32])  # record[-64:-32] is prev_hash
                  for record, kind, keys, values in _scan(self._records)]
         return "\n".join([*lines, ""])
-
-
-def _width(value: PayloadValue) -> tuple[type, int]:
-    """A payload value's part of its layout's shape: its type, and the encoded length of bytes or str.
-
-    Values of one shape pass the same type and length checks, so a layout built from the first checks them
-    for the others; only an int's range is left, which `_Layout.record` checks.
-    """
-    if isinstance(value, str):
-        return type(value), len(value.encode("utf-8"))
-    return type(value), len(value) if isinstance(value, bytes) else 0
 
 
 def _prev(records: list[bytes]) -> bytes:

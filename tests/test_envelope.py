@@ -98,6 +98,7 @@ class TestSlots:
         Secret(b"\x04" * 32),
         PreSharedKey(b"\x05" * 32),
         Ciphertext(b"\x06" * 12, b"\x07" * 16),
+        SessionKey(b"\x08" * 32),
     ]
 
     @pytest.mark.parametrize("instance", [*FROZEN, OperatorProfile("op", (Address(b"\x01" * 20),))],

@@ -3,7 +3,6 @@ import dataclasses
 import functools
 import hashlib
 import struct
-import weakref
 from types import MappingProxyType
 
 import numpy as np
@@ -31,6 +30,7 @@ from privmarket.ledger import (
     payout,
     reveal_secret,
     verify_event_chain,
+    _walk,
 )
 from privmarket.simulate import ExperimentConfig, run_full_protocol_experiment
 from reference import encode_payload
@@ -787,13 +787,14 @@ class TestCommitmentIndex:
 
 
 def parsed_record_by_record(data: bytes):
-    """Each record of `data` parsed alone (so never through a compiled layout): the events, and
-    (index, message) of the first record that fails alone, or None."""
+    """Each record of `data` parsed alone and walked (so never read through the Committed layout): the
+    events, and (index, message) of the first record that fails alone, or None."""
     events, offset = [], 0
     while offset < len(data):
         end = offset + 4 + int.from_bytes(data[offset : offset + 4], "big")
         try:
-            events += EventLog.from_bytes(data[offset:end]).events
+            EventLog.from_bytes(data[offset:end])  # a record cut short fails here, in the split
+            events.append(_walk(data[offset:end], 0))
         except LogFormatError as exc:
             assert exc.record_index == 0
             return events, (len(events), str(exc).partition(": ")[2])
@@ -856,8 +857,8 @@ def survey_log() -> bytes:
 
 
 class TestLayoutPath:
-    """`from_bytes` decodes repeated shapes through compiled layouts; each record parsed alone
-    is always walked, so the two must agree event by event and error by error."""
+    """`from_bytes` reads the records that fit the Committed layout through it and walks the others;
+    each record parsed alone is always walked, so the two must agree event by event and error by error."""
 
     @given(mixed_shape_logs())
     @settings(deadline=None, max_examples=300)
@@ -880,13 +881,25 @@ class TestLayoutPath:
         mutated[data.draw(st.integers(0, len(mutated) - 1))] ^= data.draw(st.integers(1, 255))
         assert_parses_as_its_records_alone(bytes(mutated))
 
-    @pytest.mark.parametrize("new_key_every_record", [False, True], ids=["two-alternating-shapes", "new-keys"])
-    def test_10k_records_of_equal_kind_and_length(self, new_key_every_record):
-        log = EventLog()
+    # shapes: the records' alternating (first key, second key, second value's byte length or 0 for an int),
+    # or None for new keys in every record
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [("address", "value", 0), ("addrezz", "valuf", 0)],
+            None,
+            # every other record has the Committed layout's length and misses it by its key bytes alone
+            [("address", "commitment", 32), ("addrezz", "commitmenX", 32)],
+        ],
+        ids=["two-alternating-shapes", "new-keys", "committed-length-other-keys"],
+    )
+    def test_10k_records_of_equal_kind_and_length(self, shapes):
+        log, appended = EventLog(), []
         for i in range(10_000):
-            keys = (f"k{i:07d}", "value") if new_key_every_record else [("address", "value"), ("addrezz", "valuf")][i % 2]
-            log.append(EventKind.COMMITTED, {keys[0]: i.to_bytes(20, "big"), keys[1]: i})
-        assert list(EventLog.from_bytes(log.to_bytes()).events) == list(log.events)
+            first, second, width = shapes[i % 2] if shapes else (f"k{i:07d}", "value", 0)
+            payload = {first: i.to_bytes(20, "big"), second: i.to_bytes(width, "big") if width else i}
+            appended.append(log.append(EventKind.COMMITTED, payload))
+        assert list(EventLog.from_bytes(log.to_bytes()).events) == appended
         assert_parses_as_its_records_alone(log.to_bytes())
 
     def test_a_str_that_is_not_utf8_fails_on_a_compiled_layout_too(self):
@@ -897,44 +910,9 @@ class TestLayoutPath:
         with pytest.raises(LogFormatError, match="^record 0: payload key or string is not valid UTF-8$"):
             EventLog.from_bytes(data)
         data = bytearray(log.to_bytes())
-        data[-66] = 0xFF  # in the last record's str value, which the layout built from record 0 decodes
+        data[-66] = 0xFF  # in the last record's str value, after two records that parse
         with pytest.raises(LogFormatError, match="^record 2: payload key or string is not valid UTF-8$"):
             EventLog.from_bytes(bytes(data))
-
-    def test_same_shape_appends_build_one_layout(self, monkeypatch):
-        import privmarket.ledger as ledger
-
-        built, layout = [], ledger._Layout
-
-        def counted(kind, payload):
-            built.append(list(payload))
-            return layout(kind, payload)
-
-        monkeypatch.setattr(ledger, "_Layout", counted)
-        log = EventLog()
-        for i in range(10_000):
-            log.append(EventKind.COMMITTED, {"address": i.to_bytes(20, "big"), "value": i})
-        assert built == [["address", "value"]]
-        # another encoded length is another shape
-        log.append(EventKind.COMMITTED, {"address": b"\x01" * 19, "value": 1})
-        assert len(built) == 2
-
-    def test_a_log_of_ever_new_shapes_keeps_few_layouts(self, monkeypatch):
-        import privmarket.ledger as ledger
-
-        built, layout = [], ledger._Layout
-
-        def counted(kind, payload):
-            made = layout(kind, payload)
-            built.append(weakref.ref(made))
-            return made
-
-        monkeypatch.setattr(ledger, "_Layout", counted)
-        log = EventLog()
-        for i in range(1_000):
-            log.append(EventKind.COMMITTED, {f"k{i:07d}": i.to_bytes(20, "big"), "value": i})
-        assert len(built) == 1_000
-        assert sum(ref() is not None for ref in built) <= ledger.LAYOUTS_KEPT
 
     @pytest.mark.parametrize("value", [True, -1, 2**64, 1.5, bytearray(b"ab"), "\ud800", None])
     def test_a_cached_shape_still_checks_every_value(self, value):
@@ -959,5 +937,5 @@ class TestLayoutPath:
         data = survey_log()
         log = EventLog.from_bytes(data)
         assert log.to_bytes() == data
-        # 26 records in 7 shapes: the first of each shape is walked, and its layout reads the other 19 Committed
-        assert walked == [0, 1, 21, 22, 23, 24, 25]
+        # 26 records: the Committed layout reads the 20 Committed, and the 6 one-off records are walked
+        assert walked == [0, 21, 22, 23, 24, 25]

@@ -1,7 +1,8 @@
 """The event log as its records' bytes, checked against the event-by-event reference reads.
 
 `EventLog` keeps only canonical records. Its chain check hashes record slices, its transfer
-check reads kind bytes, and its events are decoded when read, through compiled layouts.
+check reads kind bytes, and its events are decoded when read: each Committed record through
+the one compiled layout, every other record by the walk.
 Each must agree with `tests/reference.py`, which reads decoded events one by one, on honest
 logs and on every kind of single-byte damage.
 """
