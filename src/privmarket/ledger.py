@@ -25,16 +25,22 @@ exactly its input bytes.
 
 A log holds its records: packed by `append` (through a layout built for its
 one record) and `commit_responses`, or sliced from a canonical input by
-`from_bytes`. `to_bytes` joins them, `verify_event_chain` hashes their slices
-and `check_transfer_safety` reads their kind bytes. One record layout packs
-records and reads them. The only layout kept is the Committed one, since a
-survey writes one Committed record per operator and every other kind once.
-`from_bytes` reads each record that fits it through that layout and walks
-every other record field by field, with every check, so only the walk raises.
-Reading an event (`log.events[i]`, iterating) decodes its record the same way
-into a `LedgerEvent` with a read-only payload in ascending key order;
-`text_dump` formats each line from the values the layout or the walk read,
-with `describe`'s formatter. Nothing decoded is kept.
+`from_bytes`. `to_bytes` joins them and `check_transfer_safety` reads their
+kind bytes. One record layout packs records. The only layout kept is the
+Committed one, since a survey writes one Committed record per operator and
+every other kind once; it also keeps where its skeleton and its values sit in
+a record. The reads take the records as one block. The fit check gathers the
+skeleton bytes of every record of the Committed length and compares them with
+the layout's in one numpy comparison. `from_bytes` walks only the records that
+do not fit, field by field with every check, so only the walk raises, and the
+first record that fails keeps its index and message. Reading an event decodes
+its record into a `LedgerEvent` with a read-only payload in ascending key
+order: `log.events[i]` walks it, and iterating reads a fitting record from its
+byte slices and walks every other one. `text_dump` writes a fitting record's
+line as one f-string over its byte slices, and every other record's with
+`describe`. Nothing decoded is kept. `verify_event_chain` checks the records column by column: sequence
+numbers against their indices, prev_hash slices against the recorded hashes
+shifted by one, and each record's hash, taken once, against its event_hash.
 
 All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
@@ -49,9 +55,12 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import KW_ONLY, dataclass, field, fields
+from itertools import compress
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, get_type_hints
+
+import numpy as np
 
 from .envelope import Digest, FixedBytes, Nonce, Secret, digest, encode_bit_vector, sha256
 
@@ -167,18 +176,18 @@ def _walk(record: bytes, index: int) -> LedgerEvent:
 
 
 class _Layout:
-    """One record skeleton, which packs records and reads them: the kind, the keys in ascending order, and each
-    value's tag and encoded length, held as the constant byte pieces between the values.
+    """One record skeleton, which packs records: the kind, the keys in ascending order, and each value's tag and
+    encoded length, held as the constant byte pieces between the values.
 
     Built from a payload, whose values it checks as `EventLog.append` requires. A record fits the layout when it
     has the layout's length and holds these pieces, whatever its sequence_no, values, prev_hash and event_hash.
     """
 
     def __init__(self, kind: EventKind, payload: Mapping[str, PayloadValue]):
-        self.kind, self.keys = kind, sorted(payload)
+        keys = sorted(payload)
         # event_bytes' struct arguments: sequence_no, then each piece and the value after it (None), prev_hash last
-        self._args, fmt, piece = [None], "I", struct.pack(">BH", kind, len(self.keys))
-        for key in self.keys:
+        self._args, fmt, piece = [None], "I", struct.pack(">BH", kind, len(keys))
+        for key in keys:
             kb, value = key.encode("utf-8"), payload[key]
             piece += _U16.pack(len(kb)) + kb
             if isinstance(value, bool):
@@ -197,14 +206,9 @@ class _Layout:
             piece = b""
         self._args += (piece, None)  # before prev_hash: empty, or the kind and field count of an empty payload
         fmt += f"{len(piece)}s32s"
-        self._strs = [i for i, key in enumerate(self.keys) if isinstance(payload[key], str)]  # which values are str
+        self._strs = [i for i, key in enumerate(keys) if isinstance(payload[key], str)]  # which values are str
         event_bytes = struct.Struct(">" + fmt)
         self._pack, self._head = event_bytes.pack, _U32.pack(event_bytes.size + 32)  # _head: the u32 body_len
-        # a whole record's fields: body_len, then the event_bytes arguments, then event_hash at index `last`
-        whole, last = struct.Struct(">4s" + fmt + "32s"), len(self._args) + 1
-        self._unpack, self._size = whole.unpack, whole.size
-        self._skeleton_of, self._skeleton = itemgetter(*range(0, last - 1, 2)), (self._head, *self._args[1::2])
-        self._values_of = itemgetter(*range(3, last - 2, 2), 1, last)  # payload values, sequence_no, event_hash
 
     def record(self, sequence_no: int, values: Sequence[PayloadValue], prev: bytes) -> bytes:
         """The record (u32 body_len | event_bytes | event_hash) of these payload values in key order, each of the
@@ -217,69 +221,54 @@ class _Layout:
         event_bytes = self._pack(*args)
         return self._head + event_bytes + sha256(event_bytes)
 
-    def read(self, record: bytes) -> Sequence | None:
-        """A record's payload values in key order, then its sequence_no and event_hash; None for a record that
-        does not fit the layout, or one whose str is not UTF-8."""
-        if len(record) != self._size:
-            return None
-        fields = self._unpack(record)
-        if self._skeleton_of(fields) != self._skeleton:
-            return None
-        values = self._values_of(fields)
-        if self._strs:
-            values = list(values)
-            try:
-                for i in self._strs:
-                    values[i] = values[i].decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-        return values
+    def locate(self, widths: Sequence[int]) -> _Layout:
+        """Keep where the skeleton and the values sit in a record, given each value's encoded width: `size`, the
+        record length; `skeleton_at` and `skeleton`, the pieces' spans and their bytes; `values_at`, the values'
+        spans. Only the block reads need them, so a layout built per `append` never pays for them."""
+        self.size, self.skeleton_at, self.values_at, pos = 4 + _U32.unpack(self._head)[0], [], [], 8
+        for piece, width in zip(self._args[1::2], [*widths, 32]):  # pieces follow sequence_no or a value
+            if piece:
+                self.skeleton_at.append(slice(pos, pos + len(piece)))
+            self.values_at.append(slice(pos + len(piece), pos + len(piece) + width))
+            pos += len(piece) + width
+        self.skeleton = np.frombuffer(b"".join(self._args[1::2]), np.uint8)
+        del self.values_at[-1]  # prev_hash
+        return self
 
 
 # the layout of every COMMITTED event: an address and a response commitment
-_COMMITTED = _Layout(EventKind.COMMITTED, {"address": bytes(ADDRESS_LEN), "commitment": bytes(Digest.LENGTH)})
+_COMMITTED = _Layout(EventKind.COMMITTED, {"address": bytes(ADDRESS_LEN), "commitment": bytes(Digest.LENGTH)}).locate(
+    (ADDRESS_LEN, Digest.LENGTH))
 
 
-def _split(data: bytes) -> Iterator[bytes]:
-    """Each record (u32 body_len | body) of `data` in turn; one that is cut short raises LogFormatError."""
-    offset = index = 0
-    while offset < len(data):
-        if len(data) - offset < 4:
-            raise LogFormatError(index, "truncated record length prefix")
-        end = offset + 4 + _U32.unpack_from(data, offset)[0]
-        if end > len(data):
-            raise LogFormatError(index, "record extends past end of data")
-        yield data[offset:end]
-        offset, index = end, index + 1
+def _split(data: bytes) -> tuple[list[bytes], LogFormatError | None]:
+    """The whole records (u32 body_len | body) of `data`, and the LogFormatError of a tail cut short, or None."""
+    records, offset, size, unpack = [], 0, len(data), _U32.unpack_from
+    while offset < size:
+        if size - offset < 4:
+            return records, LogFormatError(len(records), "truncated record length prefix")
+        end = offset + 4 + unpack(data, offset)[0]
+        if end > size:
+            return records, LogFormatError(len(records), "record extends past end of data")
+        records.append(data[offset:end])
+        offset = end
+    return records, None
 
 
-def _scan(records: Iterable[bytes]) -> Iterator[tuple[bytes, EventKind, Iterable[str], Sequence]]:
-    """Check each record in turn, and yield it with its kind, its keys and its values: the payload values in
-    key order, then sequence_no and event_hash.
-
-    A record that fits the Committed layout is read through it; every other record is walked, so only the
-    walk raises, with its own message and record index.
-    """
-    for index, record in enumerate(records):
-        values = _COMMITTED.read(record)
-        if values:
-            kind, keys = _COMMITTED.kind, _COMMITTED.keys
-        else:
-            event = _walk(record, index)
-            kind, keys, values = event.kind, event.payload, [*event.payload.values(), event.sequence_no, event.event_hash]
-        yield record, kind, keys, values
+def _fits(records: Sequence[bytes]) -> np.ndarray:
+    """Which records fit the Committed layout: one comparison of the skeleton bytes of every record of its
+    length, gathered span by span, with the layout's skeleton. A record's length is its length prefix plus 4."""
+    fits = np.fromiter(map(len, records), np.int64, len(records)) == _COMMITTED.size
+    candidates = list(compress(records, fits))
+    columns = [np.frombuffer(b"".join(map(itemgetter(span), candidates)), np.uint8).reshape(-1, span.stop - span.start)
+               for span in _COMMITTED.skeleton_at]
+    fits[fits] = (np.hstack(columns) == _COMMITTED.skeleton).all(axis=1)
+    return fits
 
 
 def _token(text: str) -> str:
     """A key or str value as one dump token: its quoted, escaped repr unless it is plain printable text."""
     return text if text.isidentifier() or (text.isprintable() and _UNPLAIN.isdisjoint(text)) else repr(text)
-
-
-def _dump_line(kind: EventKind, keys: Iterable[str], values: Sequence, prev_hash: bytes) -> str:
-    """One event's line of the text dump, from its payload values in `keys` order, then sequence_no and event_hash."""
-    fields = " ".join([f"{_token(k)}={v.hex() if type(v) is bytes else _token(v) if type(v) is str else v}"
-                       for k, v in zip(keys, values)])  # zip stops at the last key
-    return f"{values[-2]} {_EVENT_NAMES[kind]} event={values[-1].hex()} prev={prev_hash.hex()} {fields}"
 
 
 class LedgerEvent(NamedTuple):
@@ -297,8 +286,11 @@ class LedgerEvent(NamedTuple):
         return sha256(self.event_bytes)
 
     def describe(self) -> str:
-        values = [*self.payload.values(), self.sequence_no, self.event_hash]
-        return _dump_line(self.kind, self.payload, values, self.prev_hash)
+        """The event's line of the text dump."""
+        fields = " ".join([f"{_token(k)}={v.hex() if type(v) is bytes else _token(v) if type(v) is str else v}"
+                           for k, v in self.payload.items()])
+        hashes = f"event={self.event_hash.hex()} prev={self.prev_hash.hex()}"
+        return f"{self.sequence_no} {_EVENT_NAMES[self.kind]} {hashes} {fields}"
 
 
 class EventLog(Sequence[LedgerEvent]):
@@ -319,9 +311,13 @@ class EventLog(Sequence[LedgerEvent]):
         return _walk(self._records[index], index)
 
     def __iter__(self) -> Iterator[LedgerEvent]:
-        for record, kind, keys, values in _scan(self._records):
-            payload = MappingProxyType(dict(zip(keys, values)))  # zip stops at the last key
-            yield LedgerEvent(values[-2], kind, payload, values[-1], record[4:-32])
+        address, commitment = _COMMITTED.values_at
+        for i, (r, fit) in enumerate(zip(self._records, _fits(self._records).tolist())):
+            if fit:
+                payload = MappingProxyType({"address": r[address], "commitment": r[commitment]})
+                yield LedgerEvent(_U32.unpack_from(r, 4)[0], EventKind.COMMITTED, payload, r[-32:], r[4:-32])
+            else:
+                yield _walk(r, i)
 
     @property
     def events(self) -> EventLog:
@@ -339,13 +335,22 @@ class EventLog(Sequence[LedgerEvent]):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
+        records, cut = _split(data)
+        for i in np.flatnonzero(~_fits(records)).tolist():
+            _walk(records[i], i)  # the first record that fails its walk raises, before a tail cut short
+        if cut:
+            raise cut
         log = cls()
-        log._records = [record for record, _, _, _ in _scan(_split(data))]
+        log._records = records
         return log
 
     def text_dump(self) -> str:
-        lines = [_dump_line(kind, keys, values, record[-64:-32])  # record[-64:-32] is prev_hash
-                 for record, kind, keys, values in _scan(self._records)]
+        """One line per event, as `describe` renders it: a record that fits the Committed layout is one f-string
+        over its byte slices, and every other record is walked."""
+        address, commitment = _COMMITTED.values_at
+        lines = [f"{_U32.unpack_from(r, 4)[0]} Committed event={r[-32:].hex()} prev={r[-64:-32].hex()} "
+                 f"address={r[address].hex()} commitment={r[commitment].hex()}" if fit else _walk(r, i).describe()
+                 for i, (r, fit) in enumerate(zip(self._records, _fits(self._records).tolist()))]
         return "\n".join([*lines, ""])
 
 
@@ -355,14 +360,19 @@ def _prev(records: list[bytes]) -> bytes:
 
 
 def verify_event_chain(log: EventLog) -> tuple[bool, int | None]:
-    """Recompute every hash and link from the records; returns (ok, first bad index)."""
-    prev = GENESIS_PREV
-    for i, record in enumerate(log._records):
-        event_hash = record[-32:]
-        if _U32.unpack_from(record, 4)[0] != i or record[-64:-32] != prev or sha256(record[4:-32]) != event_hash:
-            return False, i
-        prev = event_hash
-    return True, None
+    """Recompute every hash and link from the records, column by column; returns (ok, first bad index).
+
+    The sequence numbers are compared with their indices, each prev_hash with the event_hash recorded before it
+    (the genesis prev_hash first), and each event_hash with the hash of its event_bytes.
+    """
+    records = log._records
+    sequence_nos = np.frombuffer(b"".join(map(itemgetter(slice(4, 8)), records)), ">u4")
+    tails = np.frombuffer(b"".join(map(itemgetter(slice(-64, None)), records)), np.uint8).reshape(-1, 64)
+    hashes = np.frombuffer(b"".join([sha256(r[4:-32]) for r in records]), np.uint8).reshape(-1, 32)
+    links = np.vstack([np.frombuffer(GENESIS_PREV, np.uint8), tails[:-1, 32:]])
+    bad = (sequence_nos != np.arange(len(records))) | (tails[:, :32] != links).any(axis=1)
+    bad |= (hashes != tails[:, 32:]).any(axis=1)
+    return (False, int(bad.argmax())) if bad.any() else (True, None)
 
 
 def check_transfer_safety(log: EventLog) -> bool:

@@ -1,8 +1,8 @@
 """The event log as its records' bytes, checked against the event-by-event reference reads.
 
-`EventLog` keeps only canonical records. Its chain check hashes record slices, its transfer
-check reads kind bytes, and its events are decoded when read: each Committed record through
-the one compiled layout, every other record by the walk.
+`EventLog` keeps only canonical records. Its chain check compares record slices column by
+column, its transfer check reads kind bytes, and its events are decoded when read: each record
+that fits the Committed layout from its byte slices, every other record by the walk.
 Each must agree with `tests/reference.py`, which reads decoded events one by one, on honest
 logs and on every kind of single-byte damage.
 """
@@ -11,6 +11,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 import tracemalloc
@@ -146,6 +147,87 @@ class TestByteReadsMatchEventReads:
             log = EventLog.from_bytes(data)
             assert verify_event_chain(log) == reference.verify_event_chain(log) == (True, None)
             assert check_transfer_safety(log) and reference.check_transfer_safety(log)
+
+
+def split(data: bytes) -> list[bytes]:
+    offsets = record_offsets(data)
+    return [data[a:b] for a, b in zip(offsets, offsets[1:] + [len(data)])]
+
+
+def forged(records: list[bytes], damage: dict[str, int]) -> bytes:
+    """The records re-chained, each damaged in one check only: `damage` maps "sequence_no", "link" and "hash" to
+    the index of the record whose sequence_no is off by one, whose prev_hash misses the hash before it, or whose
+    event_hash is not its own. Every other record links to the event_hash recorded before it."""
+    prev, out = GENESIS_PREV, []
+    for i, record in enumerate(records):
+        body = record[4:-64]  # sequence_no | kind | payload
+        if i == damage.get("sequence_no"):
+            body = (i + 1).to_bytes(4, "big") + body[4:]
+        event_bytes = body + (bytes([prev[0] ^ 1]) + prev[1:] if i == damage.get("link") else prev)
+        prev = hashlib.sha256(event_bytes).digest()
+        if i == damage.get("hash"):
+            prev = bytes([prev[0] ^ 1]) + prev[1:]
+        out.append(record[:4] + event_bytes + prev)
+    return b"".join(out)
+
+
+def alone(record: bytes) -> str:
+    """The message of a record that fails when parsed alone."""
+    with pytest.raises(LogFormatError) as excinfo:
+        EventLog.from_bytes(record)
+    assert excinfo.value.record_index == 0
+    return str(excinfo.value).partition(": ")[2]
+
+
+class TestBlockReads:
+    """The reads that take a log's records as one block: the fit check, the chain check by columns, the dump."""
+
+    def test_an_empty_log(self):
+        log = EventLog.from_bytes(b"")
+        assert verify_event_chain(EventLog()) == verify_event_chain(log) == reference.verify_event_chain(log) == (True, None)
+        assert list(log) == [] and log.text_dump() == ""
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(["sequence_no", "link", "hash"])))
+    def test_the_smallest_failing_index_of_the_three_checks_wins(self, order):
+        records = split(fixed_logs()["demo"])
+        places = [2, 6, len(records) - 1]  # a Committed record, a one-off, the last record
+        for damage in [dict(zip(order, places)), *({check: i} for check, i in zip(order, places))]:
+            log = EventLog.from_bytes(forged(records, damage))
+            assert verify_event_chain(log) == reference.verify_event_chain(log) == (False, min(damage.values()))
+
+    # byte positions in a record: 8 is the kind, 13 the first key byte of a Committed record and 20 its first tag
+    @pytest.mark.parametrize("committed, position, value", [(True, 20, 0x09), (False, 8, 0x77)],
+                             ids=["committed-bad-tag", "one-off-bad-kind"])
+    def test_a_record_that_fails_its_walk_wins_over_a_tail_cut_short(self, committed, position, value):
+        records = split(fixed_logs()["demo"])
+        at = [i for i, record in enumerate(records) if (record[8] == EventKind.COMMITTED) == committed][1]
+        failing = bytearray(records[at])
+        failing[position] = value
+        data = b"".join(records[:at]) + bytes(failing) + b"".join(records[at + 1 :])
+        for cut in (data[:-7], data + b"\x00\x00"):  # a record cut short, a length prefix cut short
+            with pytest.raises(LogFormatError) as excinfo:
+                EventLog.from_bytes(cut)
+            assert (excinfo.value.record_index, str(excinfo.value).partition(": ")[2]) == (at, alone(bytes(failing)))
+        with pytest.raises(LogFormatError, match=f"^record {len(records) - 1}: record extends past end of data$"):
+            EventLog.from_bytes(fixed_logs()["demo"][:-7])
+
+    def test_a_committed_record_that_misses_the_layout_by_a_key_byte_is_walked(self, monkeypatch):
+        import privmarket.ledger as ledger
+
+        records = split(fixed_logs()["demo"])
+        committed = [i for i, record in enumerate(records) if record[8] == EventKind.COMMITTED]
+        at = committed[1]
+        renamed = bytearray(records[at])
+        renamed[13] ^= 0x20  # "address" -> "Address": still ascending, so the record walks
+        records[at] = bytes(renamed)
+        walked, walk = [], ledger._walk
+        monkeypatch.setattr(ledger, "_walk", lambda record, index: walked.append(index) or walk(record, index))
+        log = EventLog.from_bytes(b"".join(records))
+        assert at in walked and not set(walked) & set(committed) - {at}
+        events = [_decode_body(record[4:], i) for i, record in enumerate(records)]
+        assert list(events[at].payload) == ["Address", "commitment"]
+        assert list(log) == events
+        assert log.text_dump() == "".join(reference.describe(event) + "\n" for event in events)
 
 
 def test_a_parsed_10k_log_holds_little_more_than_its_bytes():
