@@ -38,14 +38,18 @@ def _populations(text: str) -> tuple[int, ...]:
     return values
 
 
+class UsageError(ValueError):
+    """A flag value the command refuses; `main` reports it and exits 2."""
+
+
 def _set_flags(value, **flags: tuple[str, object]):
     """`value` with each field set in turn to its flag's value: a value the constructor refuses raises a
-    ValueError that names the flag and the value."""
+    UsageError that names the flag and the value."""
     for name, (flag, given) in flags.items():
         try:
             value = dataclasses.replace(value, **{name: given})
         except ValueError as exc:
-            raise ValueError(f"{flag} {given}: {exc}") from None
+            raise UsageError(f"{flag} {given}: {exc}") from None
     return value
 
 
@@ -94,19 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:  # every configuration is checked before any trial runs
-        base = _set_flags(
-            ExperimentConfig(population=1, privacy=_set_flags(PrivacyParams(), f=("--f", args.f)), mode=Mode(args.mode)),
-            n_choices=("--choices", args.choices),
-            mean=("--mean", args.mean),
-            sd=("--sd", args.sd),
-            seed=("--seed", args.seed),
-            trials=("--trials", args.trials),
-        )
-        configs = [_set_flags(base, population=("--populations", population)) for population in args.populations]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # every configuration is checked before any trial runs
+    base = _set_flags(
+        ExperimentConfig(population=1, privacy=_set_flags(PrivacyParams(), f=("--f", args.f)), mode=Mode(args.mode)),
+        n_choices=("--choices", args.choices),
+        mean=("--mean", args.mean),
+        sd=("--sd", args.sd),
+        seed=("--seed", args.seed),
+        trials=("--trials", args.trials),
+    )
+    configs = [_set_flags(base, population=("--populations", population)) for population in args.populations]
     Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any trial runs
     results = [result for config in configs for result in run_trials(config)]
     export_results(results, args.out)
@@ -130,19 +131,16 @@ def _load_criteria(path: str | None) -> FilterCriteria:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    try:  # every flag is checked before the criteria file is read
-        privacy = _set_flags(PrivacyParams(), f=("--f", args.f))
-        experiment = _set_flags(
-            ExperimentConfig(population=1, privacy=privacy), population=("--operators", args.operators), seed=("--seed", args.seed)
-        )
-        config = _set_flags(
-            SurveyConfiguration(default_query(experiment.n_choices), FilterCriteria(), 1, 0, privacy),
-            required_responses=("--nr", args.nr),
-            fee=("--fee", args.fee),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # every flag is checked before the criteria file is read
+    privacy = _set_flags(PrivacyParams(), f=("--f", args.f))
+    experiment = _set_flags(
+        ExperimentConfig(population=1, privacy=privacy), population=("--operators", args.operators), seed=("--seed", args.seed)
+    )
+    config = _set_flags(
+        SurveyConfiguration(default_query(experiment.n_choices), FilterCriteria(), 1, 0, privacy),
+        required_responses=("--nr", args.nr),
+        fee=("--fee", args.fee),
+    )
     config = dataclasses.replace(config, criteria=_load_criteria(args.criteria_file))
     if args.trace_out is not None:  # an unusable --trace-out fails before the survey runs
         Path(args.trace_out).mkdir(parents=True, exist_ok=True)
@@ -192,11 +190,7 @@ def cmd_inspect_ledger(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    try:
-        privacy = _set_flags(PrivacyParams(), f=("--f", args.f))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    privacy = _set_flags(PrivacyParams(), f=("--f", args.f))
     try:
         bits = decode_bit_stream(Path(args.reports_file).read_bytes())
     except OSError as exc:
@@ -232,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ProtocolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 def entrypoint() -> None:

@@ -23,24 +23,25 @@ strict: keys must be strictly ascending (no repeats), strings valid UTF-8,
 and nothing may trail a record, so every accepted log re-serializes to
 exactly its input bytes.
 
-A log holds its records: packed by `append` (through a layout built for its
-one record) and `commit_responses`, or sliced from a canonical input by
-`from_bytes`. `to_bytes` joins them and `check_transfer_safety` reads their
-kind bytes. One record layout packs records. The only layout kept is the
-Committed one, since a survey writes one Committed record per operator and
-every other kind once; it also keeps where its skeleton and its values sit in
-a record. The reads take the records as one block. The fit check gathers the
-skeleton bytes of every record of the Committed length and compares them with
-the layout's in one numpy comparison. `from_bytes` walks only the records that
-do not fit, field by field with every check, so only the walk raises, and the
-first record that fails keeps its index and message. Reading an event decodes
-its record into a `LedgerEvent` with a read-only payload in ascending key
-order: `log.events[i]` walks it, and iterating reads a fitting record from its
-byte slices and walks every other one. `text_dump` writes a fitting record's
-line as one f-string over its byte slices, and every other record's with
-`describe`. Nothing decoded is kept. `verify_event_chain` checks the records column by column: sequence
-numbers against their indices, prev_hash slices against the recorded hashes
-shifted by one, and each record's hash, taken once, against its event_hash.
+A log holds its records: packed by `append` and `commit_responses`, or sliced
+from a canonical input by `from_bytes`. `to_bytes` joins them and
+`check_transfer_safety` reads their kind bytes. One encoder writes every
+record: `_encode` cuts an event's bytes at its values into constant pieces and
+encoded values, and `_record` joins them between sequence_no and prev_hash.
+The Committed parts are encoded once, since a survey writes one Committed
+record per operator and every other kind once; the record length and every
+part's place in a record follow from their lengths. The reads take the
+records as one block. The fit check joins the records of the Committed length
+in blocks and compares each block's piece columns with the pieces at once.
+`from_bytes` walks only the records that do not fit, field by field with every
+check, so only the walk raises, and the first record that fails keeps its
+index and message. Reading an event, by index, slice or iteration, walks its
+record into a `LedgerEvent` with a read-only payload in ascending key order.
+`text_dump` writes a fitting record's line as one f-string over its byte
+slices, and every other record's with `describe`. Nothing decoded is kept.
+`verify_event_chain` checks the records column by column: sequence numbers
+against their indices, prev_hash slices against the recorded hashes shifted
+by one, and each record's hash, taken once, against its event_hash.
 
 All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
@@ -55,10 +56,10 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import KW_ONLY, dataclass, field, fields
-from itertools import compress
+from itertools import accumulate
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, get_type_hints
+from typing import Iterable, Mapping, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -175,70 +176,46 @@ def _walk(record: bytes, index: int) -> LedgerEvent:
         raise LogFormatError(index, "payload key or string is not valid UTF-8") from None
 
 
-class _Layout:
-    """One record skeleton, which packs records: the kind, the keys in ascending order, and each value's tag and
-    encoded length, held as the constant byte pieces between the values.
-
-    Built from a payload, whose values it checks as `EventLog.append` requires. A record fits the layout when it
-    has the layout's length and holds these pieces, whatever its sequence_no, values, prev_hash and event_hash.
-    """
-
-    def __init__(self, kind: EventKind, payload: Mapping[str, PayloadValue]):
-        keys = sorted(payload)
-        # event_bytes' struct arguments: sequence_no, then each piece and the value after it (None), prev_hash last
-        self._args, fmt, piece = [None], "I", struct.pack(">BH", kind, len(keys))
-        for key in keys:
-            kb, value = key.encode("utf-8"), payload[key]
-            piece += _U16.pack(len(kb)) + kb
-            if isinstance(value, bool):
-                raise TypeError("payload values must be int, bytes or str")
-            if isinstance(value, int):
-                if value < 0 or value >= 1 << 64:
-                    raise ValueError(f"payload int out of u64 range: {value}")
-                piece, value_fmt = piece + bytes([_INT_TAG]), "Q"
-            elif isinstance(value, (bytes, str)):  # bytes are immutable, like every payload value
-                tag, raw = (_BYTES_TAG, value) if isinstance(value, bytes) else (_STR_TAG, value.encode("utf-8"))
-                piece, value_fmt = piece + _BLOB_FIELD.pack(tag, len(raw)), f"{len(raw)}s"
-            else:
-                raise TypeError(f"unsupported payload value type: {type(value)!r}")
-            self._args += (piece, None)
-            fmt += f"{len(piece)}s{value_fmt}"
-            piece = b""
-        self._args += (piece, None)  # before prev_hash: empty, or the kind and field count of an empty payload
-        fmt += f"{len(piece)}s32s"
-        self._strs = [i for i, key in enumerate(keys) if isinstance(payload[key], str)]  # which values are str
-        event_bytes = struct.Struct(">" + fmt)
-        self._pack, self._head = event_bytes.pack, _U32.pack(event_bytes.size + 32)  # _head: the u32 body_len
-
-    def record(self, sequence_no: int, values: Sequence[PayloadValue], prev: bytes) -> bytes:
-        """The record (u32 body_len | event_bytes | event_hash) of these payload values in key order, each of the
-        layout's type and encoded length, and each int within u64, as the layout's own payload was checked:
-        struct would pad or cut a value of another length."""
-        if self._strs:
-            values = [v.encode("utf-8") if i in self._strs else v for i, v in enumerate(values)]
-        args = self._args.copy()
-        args[0], args[2::2] = sequence_no, (*values, prev)
-        event_bytes = self._pack(*args)
-        return self._head + event_bytes + sha256(event_bytes)
-
-    def locate(self, widths: Sequence[int]) -> _Layout:
-        """Keep where the skeleton and the values sit in a record, given each value's encoded width: `size`, the
-        record length; `skeleton_at` and `skeleton`, the pieces' spans and their bytes; `values_at`, the values'
-        spans. Only the block reads need them, so a layout built per `append` never pays for them."""
-        self.size, self.skeleton_at, self.values_at, pos = 4 + _U32.unpack(self._head)[0], [], [], 8
-        for piece, width in zip(self._args[1::2], [*widths, 32]):  # pieces follow sequence_no or a value
-            if piece:
-                self.skeleton_at.append(slice(pos, pos + len(piece)))
-            self.values_at.append(slice(pos + len(piece), pos + len(piece) + width))
-            pos += len(piece) + width
-        self.skeleton = np.frombuffer(b"".join(self._args[1::2]), np.uint8)
-        del self.values_at[-1]  # prev_hash
-        return self
+def _encode(kind: EventKind, payload: Mapping[str, PayloadValue]) -> list[bytes]:
+    """An event's bytes between its sequence_no and prev_hash, cut at the values: constant pieces (the kind and
+    field count, each key, each value's tag and encoded length) alternate with the encoded values in ascending key
+    order, a piece first and last. Each value is checked as `EventLog.append` requires."""
+    keys = sorted(payload)
+    parts, piece = [], struct.pack(">BH", kind, len(keys))
+    for key in keys:
+        kb, value = key.encode("utf-8"), payload[key]
+        piece += _U16.pack(len(kb)) + kb
+        if isinstance(value, bool):
+            raise TypeError("payload values must be int, bytes or str")
+        if isinstance(value, int):
+            if value < 0 or value >= 1 << 64:
+                raise ValueError(f"payload int out of u64 range: {value}")
+            piece, value = piece + bytes([_INT_TAG]), value.to_bytes(8, "big")
+        elif isinstance(value, (bytes, str)):  # bytes are immutable, like every payload value
+            tag, value = (_BYTES_TAG, value) if isinstance(value, bytes) else (_STR_TAG, value.encode("utf-8"))
+            piece += _BLOB_FIELD.pack(tag, len(value))
+        else:
+            raise TypeError(f"unsupported payload value type: {type(value)!r}")
+        parts += (piece, value)
+        piece = b""
+    parts.append(piece)  # before prev_hash: empty, or the kind and field count of an empty payload
+    return parts
 
 
-# the layout of every COMMITTED event: an address and a response commitment
-_COMMITTED = _Layout(EventKind.COMMITTED, {"address": bytes(ADDRESS_LEN), "commitment": bytes(Digest.LENGTH)}).locate(
-    (ADDRESS_LEN, Digest.LENGTH))
+def _record(sequence_no: int, parts: Sequence[bytes], prev: bytes) -> bytes:
+    """The record (u32 body_len | event_bytes | event_hash) whose event_bytes are sequence_no, the parts and prev."""
+    event_bytes = b"".join([_U32.pack(sequence_no), *parts, prev])
+    return _U32.pack(len(event_bytes) + 32) + event_bytes + sha256(event_bytes)
+
+
+# the parts of every COMMITTED event: three constant pieces around an address and a response commitment
+_COMMITTED = _encode(EventKind.COMMITTED, {"address": bytes(ADDRESS_LEN), "commitment": bytes(Digest.LENGTH)})
+_AT = list(accumulate(map(len, _COMMITTED), initial=8))  # where each part starts in a record, after the two u32
+_ADDRESS, _COMMITMENT = slice(_AT[1], _AT[2]), slice(_AT[3], _AT[4])
+_COMMITTED_SIZE = _AT[-1] + 64  # the parts, then prev_hash and event_hash
+_PIECES = np.frombuffer(b"".join(_COMMITTED[::2]), np.uint8)  # the constant pieces, and their columns in a record
+_PIECE_COLUMNS = np.concatenate([np.arange(_AT[i], _AT[i + 1]) for i in range(0, len(_COMMITTED), 2)])
+_FIT_BLOCK = 1024  # records joined per fit comparison: a whole N = 10k log joined at once raises peak RSS
 
 
 def _split(data: bytes) -> tuple[list[bytes], LogFormatError | None]:
@@ -256,13 +233,13 @@ def _split(data: bytes) -> tuple[list[bytes], LogFormatError | None]:
 
 
 def _fits(records: Sequence[bytes]) -> np.ndarray:
-    """Which records fit the Committed layout: one comparison of the skeleton bytes of every record of its
-    length, gathered span by span, with the layout's skeleton. A record's length is its length prefix plus 4."""
-    fits = np.fromiter(map(len, records), np.int64, len(records)) == _COMMITTED.size
-    candidates = list(compress(records, fits))
-    columns = [np.frombuffer(b"".join(map(itemgetter(span), candidates)), np.uint8).reshape(-1, span.stop - span.start)
-               for span in _COMMITTED.skeleton_at]
-    fits[fits] = (np.hstack(columns) == _COMMITTED.skeleton).all(axis=1)
+    """Which records fit the Committed parts: the records of the Committed length (its length prefix plus 4), joined
+    _FIT_BLOCK at a time, each block's pieces' columns compared with the pieces in one comparison."""
+    fits = np.fromiter(map(len, records), np.int64, len(records)) == _COMMITTED_SIZE
+    at = np.flatnonzero(fits)
+    for chunk in np.split(at, range(_FIT_BLOCK, len(at), _FIT_BLOCK)):
+        block = np.frombuffer(b"".join(map(records.__getitem__, chunk.tolist())), np.uint8).reshape(-1, _COMMITTED_SIZE)
+        fits[chunk] = (block[:, _PIECE_COLUMNS] == _PIECES).all(axis=1)
     return fits
 
 
@@ -310,15 +287,6 @@ class EventLog(Sequence[LedgerEvent]):
             return [self[i] for i in range(len(self))[index]]
         return _walk(self._records[index], index)
 
-    def __iter__(self) -> Iterator[LedgerEvent]:
-        address, commitment = _COMMITTED.values_at
-        for i, (r, fit) in enumerate(zip(self._records, _fits(self._records).tolist())):
-            if fit:
-                payload = MappingProxyType({"address": r[address], "commitment": r[commitment]})
-                yield LedgerEvent(_U32.unpack_from(r, 4)[0], EventKind.COMMITTED, payload, r[-32:], r[4:-32])
-            else:
-                yield _walk(r, i)
-
     @property
     def events(self) -> EventLog:
         """The log itself: its events, each decoded when read."""
@@ -326,7 +294,7 @@ class EventLog(Sequence[LedgerEvent]):
 
     def append(self, kind: EventKind, payload: Payload) -> LedgerEvent:
         payload = dict(sorted(payload.items()))  # a copy: the caller's dict may change later
-        record = _Layout(kind, payload).record(len(self), list(payload.values()), _prev(self._records))
+        record = _record(len(self), _encode(kind, payload), _prev(self._records))
         self._records.append(record)
         return LedgerEvent(len(self) - 1, kind, MappingProxyType(payload), record[-32:], record[4:-32])
 
@@ -345,11 +313,10 @@ class EventLog(Sequence[LedgerEvent]):
         return log
 
     def text_dump(self) -> str:
-        """One line per event, as `describe` renders it: a record that fits the Committed layout is one f-string
+        """One line per event, as `describe` renders it: a record that fits the Committed parts is one f-string
         over its byte slices, and every other record is walked."""
-        address, commitment = _COMMITTED.values_at
         lines = [f"{_U32.unpack_from(r, 4)[0]} Committed event={r[-32:].hex()} prev={r[-64:-32].hex()} "
-                 f"address={r[address].hex()} commitment={r[commitment].hex()}" if fit else _walk(r, i).describe()
+                 f"address={r[_ADDRESS].hex()} commitment={r[_COMMITMENT].hex()}" if fit else _walk(r, i).describe()
                  for i, (r, fit) in enumerate(zip(self._records, _fits(self._records).tolist()))]
         return "\n".join([*lines, ""])
 
@@ -500,7 +467,7 @@ def commit_responses(contract: SurveyContract, addresses: Sequence[Address], com
     """Store each address's response commitment in turn, first come first served: a loop of `commit_response`.
 
     Each pair is its own command with that function's checks: the first pair refused raises,
-    and the pairs before it stay committed. Every COMMITTED event is packed by one layout.
+    and the pairs before it stay committed. Every COMMITTED event is packed from the `_COMMITTED` parts.
     """
     if len(addresses) != len(commitments):
         raise LedgerError(f"commit needs one commitment per address, got {len(addresses)} and {len(commitments)}")
@@ -509,14 +476,14 @@ def commit_responses(contract: SurveyContract, addresses: Sequence[Address], com
             f"cannot commit in phase {contract.phase.name}: no more responses are accepted"
         )
     records, digests, arrival = contract.log._records, contract.commitments._digests, contract.commitments._arrival
-    prev = _prev(records)
+    prev, (head, _, middle, _, tail) = _prev(records), _COMMITTED
     for address, commitment in zip(addresses, commitments):
         if not isinstance(address, Address) or not isinstance(commitment, Digest):
             raise LedgerError(f"commit needs an Address and a Digest, got {type(address).__name__}, {type(commitment).__name__}")
         a = address.value
         if a in digests:
             raise LedgerError(f"address {address} already committed (first commitment wins)")
-        record = _COMMITTED.record(len(records), (a, commitment.value), prev)
+        record = _record(len(records), (head, a, middle, commitment.value, tail), prev)
         records.append(record)
         prev = record[-32:]
         digests[a] = commitment

@@ -69,8 +69,6 @@ class ExperimentConfig:
 class ErrorMetrics:
     l1: float
     l1_normalized: float
-    l2: float
-    max_bin_abs: float
 
 
 @dataclass
@@ -102,14 +100,11 @@ def compute_error_metrics(actual: Sequence[float], estimated_raw: Sequence[float
         raise ValueError("actual and estimated lengths differ")
     a = np.asarray(actual, dtype=np.float64)
     e = np.asarray(estimated_raw, dtype=np.float64)
-    diff = np.abs(a - e)
-    l1 = float(diff.sum())
+    l1 = float(np.abs(a - e).sum())
     total = float(a.sum())
     return ErrorMetrics(
         l1=l1,
         l1_normalized=l1 / (2.0 * total) if total > 0 else 0.0,
-        l2=float(np.sqrt(((a - e) ** 2).sum())),
-        max_bin_abs=float(diff.max()) if len(diff) else 0.0,
     )
 
 

@@ -11,7 +11,7 @@ whole survey that way, one operator and one command at a time.
 `check_transfer_safety` and `describe` here read a log the way the ledger
 did when it kept one decoded `LedgerEvent` per event: event by event, from
 the decoded fields. `encode_payload` writes a payload field by field, apart
-from the record layouts the ledger packs with.
+from the encoded parts the ledger packs its records from.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from privmarket.ledger import (
     _walk,
 )
 from privmarket.simulate import ExperimentConfig, run_full_protocol_experiment
-from reference import encode_payload
+from reference import describe, encode_payload
 
 RNG = np.random.default_rng(2718)
 
@@ -787,7 +787,7 @@ class TestCommitmentIndex:
 
 
 def parsed_record_by_record(data: bytes):
-    """Each record of `data` parsed alone and walked (so never read through the Committed layout): the
+    """Each record of `data` parsed alone and walked (so checked field by field even where it fits): the
     events, and (index, message) of the first record that fails alone, or None."""
     events, offset = [], 0
     while offset < len(data):
@@ -857,7 +857,7 @@ def survey_log() -> bytes:
 
 
 class TestLayoutPath:
-    """`from_bytes` reads the records that fit the Committed layout through it and walks the others;
+    """`from_bytes` passes the records that fit the Committed parts in one check and walks the others;
     each record parsed alone is always walked, so the two must agree event by event and error by error."""
 
     @given(mixed_shape_logs())
@@ -899,7 +899,9 @@ class TestLayoutPath:
             first, second, width = shapes[i % 2] if shapes else (f"k{i:07d}", "value", 0)
             payload = {first: i.to_bytes(20, "big"), second: i.to_bytes(width, "big") if width else i}
             appended.append(log.append(EventKind.COMMITTED, payload))
-        assert list(EventLog.from_bytes(log.to_bytes()).events) == appended
+        parsed = EventLog.from_bytes(log.to_bytes())
+        assert list(parsed.events) == appended
+        assert parsed.text_dump() == "".join(describe(event) + "\n" for event in appended)  # past the first fit block
         assert_parses_as_its_records_alone(log.to_bytes())
 
     def test_a_str_that_is_not_utf8_fails_on_a_compiled_layout_too(self):
@@ -916,7 +918,7 @@ class TestLayoutPath:
 
     @pytest.mark.parametrize("value", [True, -1, 2**64, 1.5, bytearray(b"ab"), "\ud800", None])
     def test_a_cached_shape_still_checks_every_value(self, value):
-        # a refused value raises as on a fresh log, also where the log holds a layout for the payload's keys
+        # a refused value raises as on a fresh log, also after the log took a payload of the same keys
         for cached in (7, "y", b"ab"):
             payload = {"n": 5, "s": "ab", "refused": cached}
             log = EventLog()
@@ -937,5 +939,5 @@ class TestLayoutPath:
         data = survey_log()
         log = EventLog.from_bytes(data)
         assert log.to_bytes() == data
-        # 26 records: the Committed layout reads the 20 Committed, and the 6 one-off records are walked
+        # 26 records: the 20 Committed fit the Committed parts, and the 6 one-off records are walked
         assert walked == [0, 21, 22, 23, 24, 25]

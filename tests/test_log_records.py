@@ -1,8 +1,9 @@
 """The event log as its records' bytes, checked against the event-by-event reference reads.
 
 `EventLog` keeps only canonical records. Its chain check compares record slices column by
-column, its transfer check reads kind bytes, and its events are decoded when read: each record
-that fits the Committed layout from its byte slices, every other record by the walk.
+column, its transfer check reads kind bytes, and its events are walked when read. Its dump
+writes each record that fits the Committed parts from its byte slices, and every other record
+by the walk.
 Each must agree with `tests/reference.py`, which reads decoded events one by one, on honest
 logs and on every kind of single-byte damage.
 """
@@ -211,21 +212,26 @@ class TestBlockReads:
         with pytest.raises(LogFormatError, match=f"^record {len(records) - 1}: record extends past end of data$"):
             EventLog.from_bytes(fixed_logs()["demo"][:-7])
 
-    def test_a_committed_record_that_misses_the_layout_by_a_key_byte_is_walked(self, monkeypatch):
+    # byte 13 is the first key byte of a Committed record (in its first piece) and 56 the last (in its middle one);
+    # each renamed key still sorts before the other, so the record walks
+    @pytest.mark.parametrize("position, flip, keys", [(13, 0x20, ["Address", "commitment"]),
+                                                      (56, 0x01, ["address", "commitmenu"])],
+                             ids=["Address", "commitmenu"])
+    def test_a_committed_record_that_misses_the_layout_by_a_key_byte_is_walked(self, monkeypatch, position, flip, keys):
         import privmarket.ledger as ledger
 
         records = split(fixed_logs()["demo"])
         committed = [i for i, record in enumerate(records) if record[8] == EventKind.COMMITTED]
         at = committed[1]
         renamed = bytearray(records[at])
-        renamed[13] ^= 0x20  # "address" -> "Address": still ascending, so the record walks
+        renamed[position] ^= flip
         records[at] = bytes(renamed)
         walked, walk = [], ledger._walk
         monkeypatch.setattr(ledger, "_walk", lambda record, index: walked.append(index) or walk(record, index))
         log = EventLog.from_bytes(b"".join(records))
         assert at in walked and not set(walked) & set(committed) - {at}
         events = [_decode_body(record[4:], i) for i, record in enumerate(records)]
-        assert list(events[at].payload) == ["Address", "commitment"]
+        assert list(events[at].payload) == keys
         assert list(log) == events
         assert log.text_dump() == "".join(reference.describe(event) + "\n" for event in events)
 
