@@ -187,9 +187,13 @@ def encrypt_population(sk: SessionKey, plaintexts: Sequence[bytes], nonces: byte
 
 
 def decrypt_population(sk: SessionKey, ciphertexts: Sequence[Ciphertext]) -> tuple[list[bytes], tuple[int, ...]]:
-    """Open each ciphertext: (the plaintexts that authenticate, in input order; the positions of the others)."""
+    """Open each ciphertext: (the plaintexts that authenticate, in input order; the positions of the others,
+    among them any entry that is no Ciphertext)."""
     open_, opened, failed = AESGCM(sk.value).decrypt, [], []
     for position, c in enumerate(ciphertexts):
+        if not isinstance(c, Ciphertext):
+            failed.append(position)
+            continue
         try:
             opened.append(open_(c.cipher_nonce, c.body, None))
         except InvalidTag:  # wrong key, wrong nonce or tampered bytes

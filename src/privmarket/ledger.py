@@ -27,7 +27,8 @@ A log holds its records: packed by `append` and `commit_responses`, or sliced
 from a canonical input by `from_bytes`. `to_bytes` joins them and
 `check_transfer_safety` reads their kind bytes. One encoder writes every
 record: `_encode` cuts an event's bytes at its values into constant pieces and
-encoded values, and `_record` joins them between sequence_no and prev_hash.
+encoded values, and `_record` joins them between sequence_no and prev_hash
+(`commit_responses` joins the Committed parts the same way, without a call).
 The Committed parts are encoded once, since a survey writes one Committed
 record per operator and every other kind once; the record length and every
 part's place in a record follow from their lengths. The reads take the
@@ -47,8 +48,10 @@ All contract mutations assume a single logical writer: callers serialize
 commands per contract (the protocol orchestrator applies them in arrival
 order). A command that raises changes nothing: it reads its arguments and
 appends its event before it changes any field. `commit_responses` is one
-such command per pair: the pair that raises changes nothing, and the pairs
-before it stay committed.
+such command per pair of raw address and commitment bytes: the pair that
+raises changes nothing, and the pairs before it stay committed. The
+`CommitmentIndex` keeps those bytes and builds `Address` and `Digest`
+values only when asked.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ import enum
 import struct
 from dataclasses import KW_ONLY, dataclass, field, fields
 from itertools import accumulate
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence, get_type_hints
+from typing import Mapping, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -128,7 +131,6 @@ _INT_FIELD = struct.Struct(">BQ")  # tag, value
 _BLOB_FIELD = struct.Struct(">BI")  # tag, length
 _KINDS = {kind.value: kind for kind in EventKind}
 _UNPLAIN = frozenset(" =\"'")  # in a dump token, these could fake a field or a quoted token
-_RAW = attrgetter("value")  # an Address's or Digest's raw bytes
 
 
 def _decode_body(body: bytes, index: int) -> LedgerEvent:
@@ -356,55 +358,76 @@ def check_transfer_safety(log: EventLog) -> bool:
 
 
 class CommitmentIndex:
-    """Map address -> response commitment, kept in arrival order.
+    """Map raw address -> raw response commitment, kept in arrival order as `commit_responses` stores them.
 
-    An address's rank in ascending address-byte order is its filter index.
-    That sorted view is built on first use and rebuilt only after a commit,
-    so a survey sorts its commitments once, after collection. The dicts are
-    keyed by the raw 20 address bytes, whose hash is built in; the methods
-    take and return `Address` and `Digest`. `commit_responses` fills it.
+    An address's rank in ascending address-byte order is its filter index. The ranks come from one `np.lexsort`
+    of the arrival block's (N, 20) byte columns. That sorted view is taken on first use and again only after a
+    commit, so a survey sorts its commitments once, after collection, and a one-row lookup costs a binary search.
+    The methods that return `Address` or `Digest` tuples build them when called.
     """
 
     def __init__(self):
-        self._digests: dict[bytes, Digest] = {}  # raw address -> commitment, in arrival order
-        self._arrival: list[Address] = []
-        self._sorted: list[Address] = []
-        self._rank: dict[bytes, int] = {}  # raw address -> filter index
-        self._sorted_digests: tuple[Digest, ...] = ()
+        self._commitments: dict[bytes, bytes] = {}  # raw address -> raw commitment, in arrival order
+        self._arrival, self._order = b"", np.empty(0, np.intp)  # as of the last view: addresses, ascending positions
+        self._ranked, self._sorted = np.empty(0, f"V{ADDRESS_LEN}"), []  # addresses and commitments in rank order
 
     def __len__(self) -> int:
-        return len(self._digests)
+        return len(self._commitments)
 
-    def _ascending(self) -> list[Address]:
-        if len(self._sorted) != len(self._arrival):  # commits only append
-            self._sorted = sorted(self._arrival, key=_RAW)
-            raws = list(map(_RAW, self._sorted))
-            self._rank = dict(zip(raws, range(len(raws))))
-            self._sorted_digests = tuple(map(self._digests.__getitem__, raws))
-        return self._sorted
+    def _view(self) -> None:
+        if len(self._arrival) != ADDRESS_LEN * len(self._commitments):  # commits only append
+            self._arrival = b"".join(self._commitments)
+            rows = np.frombuffer(self._arrival, np.uint8).reshape(-1, ADDRESS_LEN)
+            self._order = np.lexsort(rows.T[::-1])  # lexsort's last key is its first: byte 0
+            self._ranked = np.frombuffer(self._arrival, f"V{ADDRESS_LEN}")[self._order]  # compared as raw bytes
+            self._sorted = list(map(self.commitments().__getitem__, self._order.tolist()))
 
-    def indices_of(self, addresses: Iterable[Address]) -> list[int | None]:
-        """Each address's filter index, or None for an address that did not commit."""
-        self._ascending()
-        return list(map(self._rank.get, map(_RAW, addresses)))
+    def arrival_bytes(self) -> bytes:
+        """The committed addresses in arrival order, 20 bytes each."""
+        self._view()
+        return self._arrival
+
+    def commitments(self) -> list[bytes]:
+        """The raw commitments in arrival order."""
+        return list(self._commitments.values())
+
+    def ranks_of(self, block: bytes) -> np.ndarray:
+        """The filter index of each 20-byte address in `block`, or -1 for one that did not commit."""
+        self._view()
+        if block == self._arrival:  # each arrival's rank
+            ranks = np.empty_like(self._order)
+            ranks[self._order] = np.arange(len(self._order))
+            return ranks
+        wanted = np.frombuffer(block, f"V{ADDRESS_LEN}")
+        at = np.searchsorted(self._ranked, wanted)
+        found = at < len(self._ranked)
+        found[found] = self._ranked[at[found]] == wanted[found]
+        return np.where(found, at, -1)
 
     def index_of(self, address: Address) -> int:
-        self._ascending()
-        return self._rank[address.value]
+        (index,) = self.ranks_of(address.value).tolist()
+        if index < 0:
+            raise KeyError(address)
+        return index
+
+    def sorted_commitments(self) -> list[bytes]:
+        """The raw commitments in filter-index order (the kept list: read it, do not change it)."""
+        self._view()
+        return self._sorted
 
     def addresses_sorted(self) -> tuple[Address, ...]:
-        return tuple(self._ascending())
+        self._view()
+        return tuple(Address._made(raw.tobytes()) for raw in self._ranked)
 
     def digests_sorted(self) -> tuple[Digest, ...]:
         """The commitments in filter-index order."""
-        self._ascending()
-        return self._sorted_digests
+        return tuple(map(Digest._made, self.sorted_commitments()))
 
     def arrival_order(self) -> tuple[Address, ...]:
-        return tuple(self._arrival)
+        return tuple(map(Address._made, self._commitments))
 
     def arrival_digests(self) -> tuple[Digest, ...]:
-        return tuple(self._digests.values())
+        return tuple(map(Digest._made, self._commitments.values()))
 
 
 @dataclass
@@ -463,11 +486,12 @@ _HINTS = get_type_hints(SurveyContract)
 _TERMS = tuple((f.name, _HINTS[f.name]) for f in fields(SurveyContract) if f.init)
 
 
-def commit_responses(contract: SurveyContract, addresses: Sequence[Address], commitments: Sequence[Digest]) -> None:
-    """Store each address's response commitment in turn, first come first served: a loop of `commit_response`.
+def commit_responses(contract: SurveyContract, addresses: Sequence[bytes], commitments: Sequence[bytes]) -> None:
+    """Store each raw address's raw response commitment in turn, first come first served.
 
-    Each pair is its own command with that function's checks: the first pair refused raises,
-    and the pairs before it stay committed. Every COMMITTED event is packed from the `_COMMITTED` parts.
+    Each pair is its own command: 20 address bytes and 32 commitment bytes, of an address not committed before.
+    The first pair refused raises, and the pairs before it stay committed. Every COMMITTED event is packed from
+    the `_COMMITTED` parts.
     """
     if len(addresses) != len(commitments):
         raise LedgerError(f"commit needs one commitment per address, got {len(addresses)} and {len(commitments)}")
@@ -475,24 +499,27 @@ def commit_responses(contract: SurveyContract, addresses: Sequence[Address], com
         raise LedgerError(
             f"cannot commit in phase {contract.phase.name}: no more responses are accepted"
         )
-    records, digests, arrival = contract.log._records, contract.commitments._digests, contract.commitments._arrival
-    prev, (head, _, middle, _, tail) = _prev(records), _COMMITTED
-    for address, commitment in zip(addresses, commitments):
-        if not isinstance(address, Address) or not isinstance(commitment, Digest):
-            raise LedgerError(f"commit needs an Address and a Digest, got {type(address).__name__}, {type(commitment).__name__}")
-        a = address.value
-        if a in digests:
-            raise LedgerError(f"address {address} already committed (first commitment wins)")
-        record = _record(len(records), (head, a, middle, commitment.value, tail), prev)
-        records.append(record)
-        prev = record[-32:]
-        digests[a] = commitment
-        arrival.append(address)
+    records, index = contract.log._records, contract.commitments._commitments
+    prev, first, (head, _, middle, _, tail) = _prev(records), len(records), _COMMITTED
+    body_len = _U32.pack(_COMMITTED_SIZE - 4)  # each record as `_record` packs it, joined here without a call per pair
+    for a, c in zip(addresses, commitments):
+        if type(a) is not bytes or len(a) != ADDRESS_LEN or type(c) is not bytes or len(c) != Digest.LENGTH:
+            raise LedgerError(f"commit pair {len(records) - first} is not 20 address and 32 commitment bytes")
+        if a in index:
+            raise LedgerError(f"address 0x{a.hex()} already committed (first commitment wins)")
+        event_bytes = b"".join((_U32.pack(len(records)), head, a, middle, c, tail, prev))
+        prev = sha256(event_bytes)
+        records.append(b"".join((body_len, event_bytes, prev)))
+        index[a] = c
 
 
 def commit_response(contract: SurveyContract, address: Address, commitment: Digest) -> None:
-    """Store one address's response commitment, first come first served."""
-    commit_responses(contract, (address,), (commitment,))
+    """Store one address's response commitment, first come first served: the one-pair call of `commit_responses`,
+    which refuses it in another phase before this call checks that it is an Address and a Digest."""
+    typed = isinstance(address, Address) and isinstance(commitment, Digest)
+    if not typed and contract.phase == ContractPhase.COLLECTING:
+        raise LedgerError(f"commit needs an Address and a Digest, got {type(address).__name__}, {type(commitment).__name__}")
+    commit_responses(contract, (address.value if typed else None,), (commitment.value if typed else None,))
 
 
 def finalize_filter(contract: SurveyContract, filter_digest: Digest) -> None:
@@ -574,10 +601,14 @@ def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[Address
         raise LedgerError(f"filter must mark exactly {contract.required_responses} of the commitments")
     share = equal_split(contract.fee, contract.required_responses)
     total = share * contract.required_responses
-    payees = [a for a, bit in zip(contract.commitments.addresses_sorted(), filter_bits) if bit]
-    amount = struct.pack(">Q", share)
-    contract.log.append(EventKind.PAID_OUT, {"distribution": b"".join([a.value + amount for a in payees]), "total": total})
+    index = contract.commitments
+    index._view()  # a row per payee, in ascending address order
+    rows = index._ranked.view(np.uint8).reshape(-1, ADDRESS_LEN)[np.asarray(filter_bits) == 1]
+    amounts = np.broadcast_to(np.frombuffer(struct.pack(">Q", share), np.uint8), (len(rows), 8))
+    contract.log.append(EventKind.PAID_OUT, {"distribution": np.hstack([rows, amounts]).tobytes(), "total": total})
     contract._credit(contract.sysop, -total)
+    raws = rows.tobytes()
+    payees = [Address._made(raws[i : i + ADDRESS_LEN]) for i in range(0, len(raws), ADDRESS_LEN)]
     distribution, deltas = dict.fromkeys(payees, share), contract.balance_deltas
     # payees that already have a delta (a party paid as an operator too); the smaller view is the one walked
     earlier = {a: deltas[a] + share for a in distribution.keys() & deltas.keys()}

@@ -11,6 +11,12 @@ claimed by revealing s2 on the ledger, and the authority can only derive
 the session key from that same reveal, which is what makes the exchange
 fair.
 
+A survey's operators travel as one `Population` of columns (ids, one address
+block, choices, attributes), and each phase takes it in one call; the
+one-operator calls (`operator_prepare_and_commit`, `operator_deliver`,
+`authority_verify_delivery`) are one-row calls of these. A commitment stays
+the raw SHA-256 of its ciphertext from commit to verification.
+
 The survey configuration file is line-based text, hashed as exact bytes
 (verification never re-serializes parsed content). Tokens are
 percent-encoded so labels may contain arbitrary characters.
@@ -21,7 +27,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import is_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from urllib.parse import quote, unquote
 
 import numpy as np
@@ -53,7 +60,7 @@ from .ldp import (
     estimate_frequencies,
     randomize_batch,
 )
-from .ledger import Address, ContractPhase, LedgerError, SurveyContract
+from .ledger import ADDRESS_LEN, Address, ContractPhase, LedgerError, SurveyContract
 
 CONFIG_HEADER = "survey-config/1"
 DEADLINE = 1 << 32
@@ -143,6 +150,45 @@ class OperatorProfile:
     def active_address(self) -> Address:
         """The address this operator commits and is paid under."""
         return self.addresses[0]
+
+
+@dataclass(eq=False)
+class Population(Sequence[OperatorProfile]):
+    """Operator profiles held as columns, in arrival order; a profile is built only when one is read, and holds
+    its active address only."""
+
+    operator_ids: Sequence[str]
+    addresses: bytes  # the active addresses, one block of ADDRESS_LEN bytes per operator
+    true_choices: np.ndarray  # int64
+    attributes: Mapping[str, Sequence[str | None]]  # a column per attribute name, None where a profile lacks it
+
+    @classmethod
+    def of(cls, profiles: Sequence[OperatorProfile]) -> "Population":
+        """`profiles` itself if it is a Population, else its columns, each profile passing `OperatorProfile`'s checks."""
+        if isinstance(profiles, Population):
+            return profiles
+        for profile in profiles:
+            profile.__post_init__()
+        names = dict.fromkeys(name for profile in profiles for name in profile.attributes)
+        return cls(
+            [profile.operator_id for profile in profiles],
+            b"".join([profile.active_address.value for profile in profiles]),
+            np.array([profile.true_choice for profile in profiles], np.int64),
+            {name: [profile.attributes.get(name) for profile in profiles] for name in names},
+        )
+
+    def __len__(self) -> int:
+        return len(self.operator_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            rows = np.frombuffer(self.addresses, np.uint8).reshape(-1, ADDRESS_LEN)[index]
+            return Population(self.operator_ids[index], rows.tobytes(), self.true_choices[index],
+                              {name: column[index] for name, column in self.attributes.items()})
+        i = range(len(self))[index]
+        attributes = {name: column[i] for name, column in self.attributes.items() if column[i] is not None}
+        address = Address(self.addresses[i * ADDRESS_LEN : (i + 1) * ADDRESS_LEN])
+        return OperatorProfile(self.operator_ids[i], (address,), attributes, int(self.true_choices[i]))
 
 
 @dataclass(frozen=True)
@@ -288,7 +334,7 @@ class SystemOperator:
 
 
 class Operator:
-    """One data provider, stepped through the one-operator calls; run_survey holds a population as profiles."""
+    """One data provider, stepped through the one-operator calls; run_survey holds its operators as a Population."""
 
     def __init__(self, profile: OperatorProfile, rng: np.random.Generator):
         self.profile = profile
@@ -335,19 +381,11 @@ def setup_survey(
     return contract, tuple(sorted(sysop.registry))
 
 
-def evaluate_criteria(profile: OperatorProfile, criteria: FilterCriteria) -> bool:
-    """True iff every predicate's attribute is present with an allowed value."""
-    for attr, allowed in criteria.predicates:
-        if profile.attributes.get(attr) not in allowed:
-            return False
-    return True
-
-
 def commit_population(
     profiles: Sequence[OperatorProfile], contract: SurveyContract, config_bytes: bytes, expected_digest: Digest,
     psk: PreSharedKey, n1: Nonce, n2: Nonce, rng: np.random.Generator, own_rng: np.random.Generator,
-) -> tuple[list[Ciphertext], list[Digest]]:
-    """Operators, in arrival order, each verify the configuration, encrypt and commit: (ciphertexts, commitments).
+) -> tuple[list[Ciphertext], list[bytes]]:
+    """Operators, in arrival order, each verify the configuration, encrypt and commit: (ciphertexts, raw commitments).
 
     Each operator first checks the configuration bytes against the on-ledger digest. They share
     the report generator `rng` and the own generator `own_rng`. Each is drawn
@@ -355,27 +393,29 @@ def commit_population(
     is row i of one (N, n) draw, nonce i bytes [12i, 12i + 12) of one own draw.
     A survey has one psk, so all encrypt under one session key: the configuration
     is parsed and s1, s2 and sk derived once for the population, and its
-    plaintexts are sealed in one `encrypt_population` call. Their commitments then reach the
-    ledger in one `commit_responses` call, which commits them in order: a refused one raises,
-    and those before it stay committed.
+    plaintexts are sealed in one `encrypt_population` call. Each commitment is the raw SHA-256 of
+    its serialized ciphertext, and they reach the ledger with the population's raw addresses in one
+    `commit_responses` call, which commits them in order: a refused one raises, and those before it
+    stay committed.
     """
-    if len(profiles) > 1 and own_rng is rng:
+    population = Population.of(profiles)
+    if len(population) > 1 and own_rng is rng:
         raise ValueError("the own generator doubles as the report generator for more than one operator")
     expected = expected_digest.value
-    for _ in profiles:
+    for _ in range(len(population)):
         if sha256(config_bytes) != expected:
             raise ConfigIntegrityError(
                 "configuration bytes do not match the on-ledger digest; refusing to participate"
             )
     ciphertexts = []
-    if profiles:  # verified bytes: draw for the whole population, before anyone commits
+    if len(population):  # verified bytes: draw for the whole population, before anyone commits
         config = parse_config_file(config_bytes)
         sk = derive_session_key(hmac_derive(psk, n1), hmac_derive(psk, n2))
-        choices = [profile.true_choice for profile in profiles]
-        plaintexts = encode_bit_matrix(randomize_batch(choices, config.query.n, config.privacy, rng))
-        ciphertexts = encrypt_population(sk, plaintexts, own_rng.bytes(CIPHER_NONCE_LEN * len(profiles)))
-    commitments = [digest(c.serialize()) for c in ciphertexts]
-    ledger_mod.commit_responses(contract, [profile.active_address for profile in profiles], commitments)
+        reports = randomize_batch(population.true_choices, config.query.n, config.privacy, rng)
+        ciphertexts = encrypt_population(sk, encode_bit_matrix(reports), own_rng.bytes(CIPHER_NONCE_LEN * len(population)))
+    commitments = list(map(sha256, map(Ciphertext.serialize, ciphertexts)))
+    raw = population.addresses
+    ledger_mod.commit_responses(contract, [raw[i : i + ADDRESS_LEN] for i in range(0, len(raw), ADDRESS_LEN)], commitments)
     return ciphertexts, commitments
 
 
@@ -397,7 +437,7 @@ def operator_prepare_and_commit(
     (operator.ciphertext,), (commitment,) = commit_population(
         [operator.profile], contract, config_bytes, expected_digest, psk, n1, n2, rng, operator._rng
     )
-    return operator.ciphertext, commitment
+    return operator.ciphertext, Digest._made(commitment)
 
 
 def build_and_finalize_filter(
@@ -415,55 +455,56 @@ def build_and_finalize_filter(
     response count is reached; later operators stay at 0 even if they meet
     the criteria. Bit positions follow the sorted commitment index.
     """
-    arrival = contract.commitments.arrival_order()
-    if len(profiles_by_arrival) != len(arrival):
+    population, index = Population.of(profiles_by_arrival), contract.commitments
+    if len(population) != len(index):
         raise ProtocolError(
-            f"profile list ({len(profiles_by_arrival)}) does not cover commitments ({len(arrival)})"
+            f"profile list ({len(population)}) does not cover commitments ({len(index)})"
         )
-    for address, profile in zip(arrival, profiles_by_arrival):
-        if profile.active_address.value != address.value:
-            raise ProtocolError(f"profile {profile.operator_id} does not match arrival {address}")
-    marked: list[Address] = []
-    for address, profile in zip(arrival, profiles_by_arrival):
-        if len(marked) == contract.required_responses:
-            break
-        if evaluate_criteria(profile, criteria):
-            marked.append(address)
+    arrival = index.arrival_bytes()
+    if population.addresses != arrival:  # name the first row that differs
+        row = int(np.argmax(np.frombuffer(population.addresses, np.uint8) != np.frombuffer(arrival, np.uint8))) // ADDRESS_LEN
+        raise ProtocolError(f"profile {population.operator_ids[row]} does not match arrival {index.arrival_order()[row]}")
+    eligible = np.ones(len(population), bool)
+    for attr, allowed in criteria.predicates:  # a missing attribute is None, never allowed
+        column = population.attributes.get(attr, [None] * len(population))
+        eligible &= np.fromiter(map(frozenset(allowed).__contains__, column), bool, len(population))
+    marked = np.flatnonzero(eligible)[: contract.required_responses]
     if len(marked) < contract.required_responses:
         raise InsufficientEligibleError(
             f"only {len(marked)} eligible commitments, need {contract.required_responses}"
         )
-    bits = [0] * len(arrival)
-    for index in contract.commitments.indices_of(marked):
-        bits[index] = 1
-    filter_vector = FilterVector(tuple(bits))
-    filter_bytes = encode_bit_vector(filter_vector.bits)
+    bits = np.zeros(len(population), np.uint8)
+    bits[index.ranks_of(arrival)[marked]] = 1
+    filter_bytes = encode_bit_vector(bits)
     ledger_mod.finalize_filter(contract, digest(filter_bytes))
     store.put(filter_uri(contract), filter_bytes)
-    return filter_vector
+    return FilterVector(tuple(bits.tolist()))
 
 
 def deliver_population(
     profiles: Sequence[OperatorProfile], ciphertexts: Sequence[Ciphertext | None],
     filter_vector: FilterVector, commitments: ledger_mod.CommitmentIndex,
 ) -> tuple[list[int], list[Ciphertext]]:
-    """Each operator whose filter bit is set sends its index and prepared ciphertext (or None): a loop of
-    `operator_deliver`, so the first operator that cannot deliver raises. Returns what was sent, in order."""
-    bits, size = filter_vector.bits, len(filter_vector.bits)
-    addresses = [profile.active_address for profile in profiles]
-    indices, sent = [], []
-    for address, index, ciphertext in zip(addresses, commitments.indices_of(addresses), ciphertexts, strict=True):
-        if index is None:
-            raise ProtocolError(f"operator address {address} absent from commitment index")
-        if index >= size:
-            raise ProtocolError(f"filter of {size} bits holds no bit for index {index}")
-        if bits[index] != 1:
-            continue
-        if ciphertext is None:
-            raise ProtocolError("operator has no prepared ciphertext to deliver")
-        indices.append(index)
-        sent.append(ciphertext)
-    return indices, sent
+    """Each operator whose filter bit is set sends its index and prepared ciphertext (or None), in order. The first
+    operator that cannot deliver raises: its address did not commit, the filter holds no bit at its index, or its
+    bit is set and it holds no ciphertext. Returns what was sent, in order, each index a Python int."""
+    population = Population.of(profiles)
+    ranks, size = commitments.ranks_of(population.addresses), len(filter_vector.bits)
+    if len(ciphertexts) != len(ranks):
+        raise ValueError(f"deliver needs one ciphertext per operator, got {len(ciphertexts)} for {len(ranks)}")
+    inside = (ranks >= 0) & (ranks < size)
+    sending = np.append(np.asarray(filter_vector.bits) == 1, False)[np.where(inside, ranks, size)]
+    rows = np.flatnonzero(sending | ~inside).tolist()  # the operators that send, and those that cannot
+    sent = list(map(ciphertexts.__getitem__, rows))
+    faults = ~inside[rows] | np.fromiter(map(is_, sent, itertools.repeat(None)), bool, len(sent))
+    if faults.any():
+        row = rows[int(faults.argmax())]
+        if ranks[row] < 0:
+            raise ProtocolError(f"operator address {population[row].active_address} absent from commitment index")
+        if ranks[row] >= size:
+            raise ProtocolError(f"filter of {size} bits holds no bit for index {ranks[row]}")
+        raise ProtocolError("operator has no prepared ciphertext to deliver")
+    return ranks[rows].tolist(), sent
 
 
 def operator_deliver(
@@ -478,17 +519,17 @@ def verify_deliveries(
     authority: Authority, indices: Sequence[int], ciphertexts: Sequence[Ciphertext],
     commitments: ledger_mod.CommitmentIndex, filter_vector: FilterVector,
 ) -> list[DeliveryVerdict]:
-    """Check each delivery's eligibility and on-ledger commitment before accepting it: a loop of
-    `authority_verify_delivery`, with the same verdicts in order and the same deliveries accepted."""
+    """Check each delivery's eligibility and on-ledger commitment before accepting it, in order: a delivery is
+    accepted once, when its ciphertext hashes to the raw commitment at its filter index."""
     count, bits, accepted = len(commitments), filter_vector.bits, authority.accepted
-    expected = commitments.digests_sorted()
+    expected = commitments.sorted_commitments()
     verdicts = []
     for index, ciphertext in zip(indices, ciphertexts, strict=True):
         if type(index) is not int or not 0 <= index < count:  # a bool is an int, yet no index
             verdicts.append(DeliveryVerdict.OUT_OF_RANGE)
         elif index >= len(bits) or bits[index] != 1:
             verdicts.append(DeliveryVerdict.INELIGIBLE)
-        elif not isinstance(ciphertext, Ciphertext) or sha256(ciphertext.serialize()) != expected[index].value:
+        elif not isinstance(ciphertext, Ciphertext) or sha256(ciphertext.serialize()) != expected[index]:
             verdicts.append(DeliveryVerdict.HASH_MISMATCH)
         elif index in accepted:
             verdicts.append(DeliveryVerdict.DUPLICATE)
@@ -535,8 +576,9 @@ def settle_and_decrypt(
     """Reconstruct the session key from the reveal and aggregate the deliveries that open.
 
     Each delivery is authenticated on its own, all in one `decrypt_population` call, then all
-    decode in one pass. The fee is paid by now, so one that fails to decrypt or decode is only
-    listed in failed_indices; ProtocolError means that none opened.
+    decode in one pass. The fee is paid by now, so one that is no Ciphertext or fails to decrypt
+    or decode is only listed in failed_indices; ProtocolError means that none opened, or that a
+    key is no int index.
     """
     if contract.phase not in (ContractPhase.REVEALED, ContractPhase.SETTLED):
         raise ProtocolError(
@@ -546,10 +588,12 @@ def settle_and_decrypt(
         raise ProtocolError(
             f"have {len(accepted)} deliveries, need exactly {contract.required_responses}"
         )
+    if set(map(type, accepted)) - {int}:  # a bool is an int, yet no index
+        raise ProtocolError(f"accepted delivery key {next(k for k in accepted if type(k) is not int)!r} is not an int index")
     assert contract.revealed_s2 is not None
     sk = derive_session_key(contract.s1, contract.revealed_s2)
     indices = sorted(accepted)
-    plaintexts, unopened = decrypt_population(sk, [accepted[index] for index in indices])
+    plaintexts, unopened = decrypt_population(sk, list(map(accepted.__getitem__, indices)))
     vectors, undecodable = decode_bit_matrix(plaintexts, authority.config.query.n)
     if not len(vectors):
         raise ProtocolError(f"none of the {len(accepted)} deliveries decrypted and decoded")
@@ -569,29 +613,29 @@ class SurveyTrace(Sequence[str]):
     """A survey's trace lines, rendered on first read.
 
     An entry holds the values of one step, or of one per-operator phase (commit, verify-delivery,
-    pay-operator) as columns: operator ids, commitment digests, indices, verdicts, addresses,
+    pay-operator) as columns: operator ids, raw commitments, indices, verdicts, addresses,
     amounts. Each row of an entry's columns is one line: the party and action padded to 9 and
-    22 columns, then the entry's template formatted with the row's values.
+    22 columns, then the entry's `detail` called with the row's values.
     """
 
     def __init__(self):
-        self._entries: list[tuple[str, str, str, tuple[Sequence, ...]]] = []
+        self._entries: list[tuple[str, str, Callable[..., str], tuple[Sequence, ...]]] = []
         self._lines: list[str] | None = None
 
-    def record(self, party: str, action: str, template: str, *columns: Sequence) -> None:
+    def record(self, party: str, action: str, detail: Callable[..., str], *columns: Sequence) -> None:
         """Lines for each row of the equal-length `columns`, which must not change afterwards."""
-        self._entries.append((party, action, template, columns))
+        self._entries.append((party, action, detail, columns))
         self._lines = None
 
     def step(self, party: str, action: str, detail: str) -> None:
         """One line whose detail is text already."""
-        self.record(party, action, "{}", (detail,))
+        self.record(party, action, str, (detail,))
 
     def _rendered(self) -> list[str]:
         if self._lines is None:
             self._lines = [
-                (f"{party:<9} {action:<22} " + template.format(*row)).rstrip()
-                for party, action, template, columns in self._entries
+                (f"{party:<9} {action:<22} " + detail(*row)).rstrip()
+                for party, action, detail, columns in self._entries
                 for row in zip(*columns)
             ]
         return self._lines
@@ -628,11 +672,12 @@ def run_survey(
     operator i; entries may repeat, a shared generator being consumed in
     arrival order, and each run of consecutive operators sharing one commits
     as one population (commit_population). Cipher nonces come from
-    infra_rng after setup, so no entry may be infra_rng. The population is its profiles and
-    their ciphertexts, and each later phase takes it in one call; delivery still ends at the
-    first rejection. Raises ProtocolError (with the trace attached) if the survey cannot complete.
+    infra_rng after setup, so no entry may be infra_rng. The profiles are one Population, which is
+    also the system operator's registry, and each later phase takes it in one call; delivery still
+    ends at the first rejection. Raises ProtocolError (with the trace attached) if the survey cannot complete.
     """
-    if len(operator_rngs) != len(profiles):
+    population = Population.of(profiles)
+    if len(operator_rngs) != len(population):
         raise ValueError("need exactly one random stream per operator profile")
     if any(rng is infra_rng for rng in operator_rngs):
         raise ValueError("operator_rngs must not include infra_rng, which draws the cipher nonces")
@@ -640,40 +685,38 @@ def run_survey(
     store = ArtifactStore()
     authority = Authority(random_address(infra_rng), config)
     sysop = SystemOperator(random_address(infra_rng), infra_rng)
-    for profile in profiles:
-        sysop.register_operator(profile)
 
     try:
         contract, _ = setup_survey(authority, sysop, config, store=store)
         trace.step("sysop", "create-contract", f"id={contract.contract_id.hex[:16]} nr={config.required_responses} fee={config.fee}")
-        trace.step("sysop", "distribute-psk", f"recipients={len(sysop.registry)}")
+        trace.step("sysop", "distribute-psk", f"recipients={len(set(population.operator_ids))}")
 
         config_bytes = store.get(contract.config_uri)
+        psk, _ = sysop._survey_keys[contract.contract_id.hex]  # for every operator: the population is the registry
         ciphertexts: list[Ciphertext] = []
         try:
             for _, run in itertools.groupby(operator_rngs, key=id):
                 start = len(ciphertexts)
-                population = profiles[start : start + len(list(run))]
-                psk = sysop.issue_psk(contract, population[0].operator_id)
+                group = population[start : start + len(list(run))]
                 ciphertexts += commit_population(
-                    population, contract, config_bytes, contract.config_digest, psk,
+                    group, contract, config_bytes, contract.config_digest, psk,
                     contract.n1, contract.n2, operator_rngs[start], infra_rng,
                 )[0]
         finally:  # a line per operator that committed, in arrival order, also when a later one failed
-            commitments = contract.commitments.arrival_digests()
-            operator_ids = tuple(profile.operator_id for profile in profiles[: len(commitments)])
-            trace.record("operator", "commit", "{} commitment={.hex:.16}", operator_ids, commitments)
+            commitments = contract.commitments.commitments()
+            operator_ids = population.operator_ids[: len(commitments)]
+            trace.record("operator", "commit", lambda i, c: f"{i} commitment={c[:8].hex()}", operator_ids, commitments)
 
         filter_vector = build_and_finalize_filter(
-            sysop, contract, profiles, config.criteria, store=store
+            sysop, contract, population, config.criteria, store=store
         )
         trace.step("sysop", "finalize-filter", f"eligible={filter_vector.popcount} of {len(filter_vector.bits)}")
 
-        indices, sent = deliver_population(profiles, ciphertexts, filter_vector, contract.commitments)
+        indices, sent = deliver_population(population, ciphertexts, filter_vector, contract.commitments)
         verdicts = verify_deliveries(authority, indices, sent, contract.commitments, filter_vector)
         # operators deliver in turn, so the first rejection ends delivery
         end = next((i + 1 for i, verdict in enumerate(verdicts) if verdict != DeliveryVerdict.ACCEPTED), len(verdicts))
-        trace.record("authority", "verify-delivery", "index={} verdict={.value}", indices[:end], verdicts[:end])
+        trace.record("authority", "verify-delivery", "index={} verdict={.value}".format, indices[:end], verdicts[:end])
         if end and verdicts[end - 1] != DeliveryVerdict.ACCEPTED:
             raise ProtocolError(f"honest delivery at index {indices[end - 1]} rejected: {verdicts[end - 1].value}")
 
@@ -682,7 +725,7 @@ def run_survey(
         sysop_reveal_secret(sysop, contract)
         trace.step("sysop", "reveal-secret", f"h_s2={contract.h_s2.hex[:16]}")
         payouts = sysop_payout(sysop, contract, filter_vector)  # ascending address order
-        trace.record("sysop", "pay-operator", "{} amount={}", tuple(payouts), tuple(payouts.values()))
+        trace.record("sysop", "pay-operator", "{} amount={}".format, tuple(payouts), tuple(payouts.values()))
         aggregation = settle_and_decrypt(authority, contract, authority.accepted)
         trace.step("authority", "decrypt-aggregate", f"responses={len(aggregation.decrypted_vectors)}")
     except (LedgerError, ProtocolError) as exc:

@@ -19,6 +19,7 @@ words of one buffered stream, so each block equals one draw per operator.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .ldp import FrequencyEstimate, PrivacyParams, QuerySpec, accumulate_counts, estimate_frequencies, randomize_batch
-from .ledger import Address, EventLog
-from .protocol import FilterCriteria, OperatorProfile, SurveyConfiguration, SurveyOutcome, run_survey
+from .ledger import EventLog
+from .protocol import FilterCriteria, Population, SurveyConfiguration, SurveyOutcome, run_survey
 
 CHOICES_SLOT, REPORTS_SLOT, INFRA_SLOT = 0, 1, 2
 REGIONS = ("NSW", "VIC", "QLD")
@@ -145,13 +146,14 @@ def default_query(n_choices: int) -> QuerySpec:
     return QuerySpec(tuple(f"choice-{j:02d}" for j in range(n_choices)))
 
 
-def distinct_addresses(count: int, rng: np.random.Generator) -> list[Address]:
-    """Draw 20-byte addresses until `count` are distinct: one block of `count`, then one per repeat."""
+def distinct_addresses(count: int, rng: np.random.Generator) -> bytes:
+    """Draw 20-byte addresses until `count` are distinct: one block of `count`, then one per repeat; returns the
+    distinct ones as one block, in draw order."""
     block = rng.bytes(20 * count) if count > 0 else b""  # bytes(0) still consumes a 32-bit word
     raws = dict.fromkeys(block[i : i + 20] for i in range(0, len(block), 20))
     while len(raws) < count:
         raws.setdefault(rng.bytes(20))
-    return [Address._made(raw) for raw in raws]  # 20-byte slices of our own draw
+    return b"".join(raws)
 
 
 def run_seeded_survey(
@@ -159,23 +161,19 @@ def run_seeded_survey(
 ) -> SurveyOutcome:
     """One honest survey on the (seed, trial) streams of the module docstring.
 
-    Operator i answers choices[i]; its "region" attribute cycles through REGIONS.
+    Operator i, "op-" and i in five digits, answers choices[i]; its "region" attribute cycles
+    through REGIONS. The population is built as its columns.
     """
     infra_rng = substream(seed, trial, INFRA_SLOT)
-    addresses = distinct_addresses(len(choices), infra_rng)
-    profiles = [
-        OperatorProfile(
-            operator_id=f"op-{i:05d}",
-            addresses=(address,),
-            attributes={"region": REGIONS[i % len(REGIONS)]},
-            true_choice=int(choice),
-        )
-        for i, (choice, address) in enumerate(zip(choices, addresses))
-    ]
-    report_rng = substream(seed, trial, REPORTS_SLOT)
-    return run_survey(
-        config, profiles, operator_rngs=[report_rng] * len(profiles), infra_rng=infra_rng
+    count = len(choices)
+    population = Population(
+        ("op-%05d " * count % tuple(range(count))).split(),  # one format call for every id
+        distinct_addresses(count, infra_rng),
+        np.asarray(choices, np.int64),
+        {"region": list(itertools.islice(itertools.cycle(REGIONS), count))},
     )
+    report_rng = substream(seed, trial, REPORTS_SLOT)
+    return run_survey(config, population, operator_rngs=[report_rng] * count, infra_rng=infra_rng)
 
 
 def run_full_protocol_experiment(

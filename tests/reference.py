@@ -5,7 +5,8 @@ encodes and randomizes it, `envelope.decode_bit_matrix` and
 `envelope.decode_bit_stream` decode it. The functions here do the same work
 one respondent and one record at a time, written independently of the batch
 code, so a test can compare the two row by row. `reference_survey` runs a
-whole survey that way, one operator and one command at a time.
+whole survey that way, one operator and one command at a time, screening each
+operator with `evaluate_criteria`.
 
 `ledger.EventLog` holds only its records' bytes. `verify_event_chain`,
 `check_transfer_safety` and `describe` here read a log the way the ledger
@@ -29,7 +30,7 @@ from privmarket.envelope import (
 from privmarket.ldp import FrequencyEstimate, PrivacyParams, accumulate_counts, estimate_frequencies
 from privmarket.protocol import (
     ArtifactStore, Authority, ConfigIntegrityError, DeliveryVerdict, InsufficientEligibleError, ProtocolError,
-    SystemOperator, authority_deposit_and_await_reveal, evaluate_criteria, parse_config_file, setup_survey,
+    SystemOperator, authority_deposit_and_await_reveal, parse_config_file, setup_survey,
     sysop_reveal_secret,
 )
 
@@ -128,6 +129,14 @@ def canonical_encode_response(rv: ResponseVector) -> bytes:
 def decode_response(data: bytes) -> ResponseVector:
     """Inverse of canonical_encode_response; rejects malformed input."""
     return ResponseVector(decode_bit_vector(data))
+
+
+def evaluate_criteria(profile, criteria) -> bool:
+    """True iff every predicate's attribute is present with an allowed value: one operator's screening."""
+    for attr, allowed in criteria.predicates:
+        if profile.attributes.get(attr) not in allowed:
+            return False
+    return True
 
 
 @dataclass

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privmarket.envelope import FixedBytes, Nonce, Secret, digest, encode_bit_vector
+from privmarket.envelope import Digest, FixedBytes, Nonce, Secret, digest, encode_bit_vector
 from privmarket.ledger import (
     OPERATOR_SHARE_PCT,
     Address,
@@ -177,6 +177,11 @@ BATCH_ADDRESS = st.sampled_from(BATCH_ADDRESSES) | st.sampled_from([BATCH_ADDRES
 BATCH_COMMITMENT = st.sampled_from(BATCH_DIGESTS) | st.sampled_from([BATCH_DIGESTS[0].value, BATCH_ADDRESSES[0]])
 
 
+def raw(value, kind):
+    """The raw bytes of a value of `kind`, or None for a value of another type."""
+    return value.value if isinstance(value, kind) else None
+
+
 class TestCommitResponses:
     @staticmethod
     def outcome(earlier, filtered, commit):
@@ -201,20 +206,39 @@ class TestCommitResponses:
     )
     @settings(deadline=None, max_examples=300)
     def test_a_batch_is_a_loop_of_commit_response(self, earlier, pairs, filtered):
+        """The batch takes raw bytes; a value of another type stands as None there, which it refuses as the
+        loop refuses the value. A type refusal reads in each call's terms, so it is compared by kind."""
         def loop(contract):
             for address, commitment in pairs:
                 commit_response(contract, address, commitment)
 
         def batch(contract):
-            commit_responses(contract, [a for a, _ in pairs], [c for _, c in pairs])
+            commit_responses(contract, [raw(a, Address) for a, _ in pairs], [raw(c, Digest) for _, c in pairs])
 
-        assert self.outcome(earlier, filtered, batch) == self.outcome(earlier, filtered, loop)
+        def by_kind(outcome):
+            error, *effects = outcome
+            if error is not None and error[1].startswith(("commit needs an Address", "commit pair")):
+                error = (error[0], "refused type")
+            return error, *effects
+
+        assert by_kind(self.outcome(earlier, filtered, batch)) == by_kind(self.outcome(earlier, filtered, loop))
+
+    @pytest.mark.parametrize("address, commitment", [
+        (addr(0x07).value[:19], digest(b"c").value), (addr(0x07), digest(b"c").value),
+        (addr(0x07).value, digest(b"c").value + b"\0"), (addr(0x07).value, "c" * 32), (bytearray(20), digest(b"c").value),
+    ])
+    def test_a_pair_of_the_wrong_type_or_length_is_refused_after_the_pairs_before_it(self, address, commitment):
+        contract, _ = make_contract()
+        with pytest.raises(LedgerError, match="commit pair 1 is not 20 address and 32 commitment bytes"):
+            commit_responses(contract, [addr(0x0A).value, address], [digest(b"a").value, commitment])
+        assert contract.commitments.arrival_order() == (addr(0x0A),)
+        assert len(contract.log) == 2 and verify_event_chain(contract.log) == (True, None)
 
     def test_the_pairs_before_a_refused_one_stay_committed(self):
         contract, _ = make_contract()
         addresses = [addr(0x0A), addr(0x03), addr(0x0A), addr(0x07)]
         with pytest.raises(LedgerError, match="already committed"):
-            commit_responses(contract, addresses, [digest(bytes([i])) for i in range(4)])
+            commit_responses(contract, [a.value for a in addresses], [digest(bytes([i])).value for i in range(4)])
         assert contract.commitments.arrival_order() == (addr(0x0A), addr(0x03))
         assert [e.kind for e in contract.log] == [EventKind.CREATED, EventKind.COMMITTED, EventKind.COMMITTED]
         assert verify_event_chain(contract.log) == (True, None)
@@ -223,12 +247,12 @@ class TestCommitResponses:
         contract, _ = make_contract()
         before = contract_state(contract)
         with pytest.raises(LedgerError, match="one commitment per address"):
-            commit_responses(contract, [addr(1), addr(2)], [digest(b"one")])
+            commit_responses(contract, [addr(1).value, addr(2).value], [digest(b"one").value])
         assert contract_state(contract) == before
 
     def test_batch_events_are_those_append_writes(self):
         contract, _ = make_contract()
-        commit_responses(contract, [addr(0x0A), addr(0x03)], [digest(b"a"), digest(b"b")])
+        commit_responses(contract, [addr(0x0A).value, addr(0x03).value], [digest(b"a").value, digest(b"b").value])
         log = EventLog()
         log.append(EventKind.CREATED, dict(contract.log.events[0].payload))
         for event in contract.log.events[1:]:
@@ -779,11 +803,26 @@ class TestCommitmentIndex:
             ranked = sorted(arrived, key=lambda a: a.value)
             probe = arrived[int(rng.integers(len(arrived)))]
             assert index.index_of(probe) == ranked.index(probe)
-            assert index.indices_of([probe, addr(0xEE)]) == [ranked.index(probe), None]
+            assert index.ranks_of(probe.value + addr(0xEE).value).tolist() == [ranked.index(probe), -1]
             assert index.addresses_sorted() == tuple(ranked)
             assert index.digests_sorted() == tuple(digest(a.value) for a in ranked)
             assert index.arrival_order() == tuple(arrived)
         assert index.addresses_sorted() == tuple(sorted(arrived, key=lambda a: a.value))
+
+
+    @pytest.mark.parametrize("raws", [
+        [b"\x05" * k + bytes(20 - k) for k in (19, 0, 20, 1, 7)],  # equal up to their trailing zero bytes
+        [bytes([b]) + b"\x33" * 19 for b in (0xFF, 0x00, 0x80, 0x7F, 0x01)],  # differing only in byte 0
+    ])
+    def test_ranks_follow_ascending_byte_order(self, raws):
+        contract, _ = make_contract()
+        commit_responses(contract, raws, [digest(raw).value for raw in raws])
+        index = contract.commitments
+        ranked = sorted(raws)
+        assert index.ranks_of(b"".join(raws)).tolist() == [ranked.index(raw) for raw in raws]
+        assert [a.value for a in index.addresses_sorted()] == ranked
+        assert index.sorted_commitments() == [digest(raw).value for raw in ranked]
+        assert index.ranks_of(b"".join(ranked) + bytes(19) + b"\x01").tolist() == [*range(len(raws)), -1]
 
 
 def parsed_record_by_record(data: bytes):

@@ -21,6 +21,7 @@ from privmarket.protocol import (
     InsufficientEligibleError,
     Operator,
     OperatorProfile,
+    Population,
     ProtocolError,
     SurveyConfiguration,
     SurveyTrace,
@@ -30,7 +31,6 @@ from privmarket.protocol import (
     build_and_finalize_filter,
     commit_population,
     deliver_population,
-    evaluate_criteria,
     filter_uri,
     operator_deliver,
     operator_prepare_and_commit,
@@ -174,18 +174,38 @@ class TestConfigFileFuzz:
 
 
 class TestCriteria:
+    """Screening runs over the population's attribute columns inside `build_and_finalize_filter`."""
+
+    @staticmethod
+    def marked(profiles, criteria, nr=1):
+        """The active addresses the filter marks when NR = `nr`."""
+        store, _, sysop, contract, _ = setup_small_survey(small_config(nr=nr, criteria=criteria), profiles)
+        commit_all(store, sysop, contract, profiles)
+        fv = build_and_finalize_filter(sysop, contract, profiles, criteria, store=store)
+        return {a for a, bit in zip(contract.commitments.addresses_sorted(), fv.bits) if bit}
+
     def test_empty_accepts_everyone(self):
-        assert evaluate_criteria(profile(1), FilterCriteria.empty())
+        assert self.marked([profile(1), profile(2, "VIC")], FilterCriteria.empty(), nr=2) == {addr(1), addr(2)}
 
     def test_matching_value(self):
         crit = FilterCriteria([("region", ["NSW"])])
-        assert evaluate_criteria(profile(1, region="NSW"), crit)
-        assert not evaluate_criteria(profile(2, region="VIC"), crit)
+        assert self.marked([profile(2, region="VIC"), profile(1, region="NSW")], crit) == {addr(1)}
 
     def test_missing_attribute_fails(self):
         crit = FilterCriteria([("region", ["NSW"])])
         bare = OperatorProfile("op-x", (addr(7),), {}, 0)
-        assert not evaluate_criteria(bare, crit)
+        assert self.marked([bare, profile(1)], crit) == {addr(1)}
+        with pytest.raises(InsufficientEligibleError, match="only 0 eligible"):
+            self.marked([bare], crit)
+
+    def test_every_predicate_must_hold(self):
+        crit = FilterCriteria([("region", ["NSW", "VIC"]), ("tier", ["gold"])])
+        profiles = [
+            OperatorProfile("op-a", (addr(1),), {"region": "NSW"}, 0),
+            OperatorProfile("op-b", (addr(2),), {"region": "QLD", "tier": "gold"}, 0),
+            OperatorProfile("op-c", (addr(3),), {"region": "VIC", "tier": "gold"}, 0),
+        ]
+        assert self.marked(profiles, crit) == {addr(3)}
 
     def test_duplicate_attributes_rejected(self):
         with pytest.raises(ValueError):
@@ -359,7 +379,7 @@ class TestCommitPopulation:
             )
             for p in ref_profiles
         ]
-        assert list(zip(ciphertexts, commitments)) == one_by_one
+        assert list(zip(ciphertexts, commitments)) == [(c, d.value) for c, d in one_by_one]  # raw commitments
         assert contract.log.to_bytes() == ref_contract.log.to_bytes()
         assert reports.bit_generator.state == ref_reports.bit_generator.state
         assert own.bit_generator.state == ref_own.bit_generator.state
@@ -685,6 +705,44 @@ class TestPopulationFormsAreLoops:
         assert outcome(batch) == outcome(loop)
 
 
+class TestPopulation:
+    PROFILES = [
+        OperatorProfile("op-a", (addr(9), addr(8)), {"region": "NSW", "tier": "gold"}, 3),
+        OperatorProfile("op-b", (addr(2),), {}, 0),
+        OperatorProfile("op-c", (addr(5),), {"tier": ""}, 1),
+    ]
+
+    def test_a_row_reads_back_as_its_profile_with_the_active_address_only(self):
+        population = Population.of(self.PROFILES)
+        assert len(population) == 3 and population.addresses == addr(9).value + addr(2).value + addr(5).value
+        for read, want in zip(population, self.PROFILES):
+            assert read == OperatorProfile(want.operator_id, (want.active_address,), dict(want.attributes), want.true_choice)
+            assert type(read.true_choice) is int
+        assert population[-1] == population[2] and list(population[1:]) == list(population)[1:]
+        with pytest.raises(IndexError):
+            population[3]
+
+    def test_a_population_is_its_own_population(self):
+        population = Population.of(self.PROFILES)
+        assert Population.of(population) is population
+        assert len(Population.of([])) == 0 and Population.of([]).addresses == b""
+
+    @pytest.mark.parametrize("addresses, message", [((), "at least one address"), ((addr(1), addr(1)), "distinct")])
+    def test_profile_checks_still_refuse_through_of(self, addresses, message):
+        changed = OperatorProfile("op-x", (addr(1),), {}, 0)
+        changed.addresses = addresses  # after construction, so only `of` can refuse it
+        with pytest.raises(ValueError, match=message):
+            Population.of([self.PROFILES[1], changed])
+
+    def test_deliver_population_returns_python_ints(self):
+        _, _, _, contract, operators, fv = run_to_filter(nr=3, count=5)
+        indices, sent = deliver_population(
+            [o.profile for o in operators], [o.ciphertext for o in operators], fv, contract.commitments,
+        )
+        assert len(indices) == 3 and all(type(i) is int for i in indices)
+        assert sent == [o.ciphertext for o in operators if fv.bits[contract.commitments.index_of(o.profile.active_address)]]
+
+
 class TestDepositAndSettle:
     def _deliver_all(self, authority, contract, operators, fv):
         for operator in operators:
@@ -785,6 +843,24 @@ class TestDepositAndSettle:
     def test_settle_raises_only_when_nothing_opens(self):
         with pytest.raises(ProtocolError, match="none of the 3 deliveries decrypted and decoded"):
             self._settle_with(dict.fromkeys(range(3), self._wrong_nonce))
+
+    @pytest.mark.parametrize("value", [b"\x00" * 40, None, "not a ciphertext"])
+    def test_settle_lists_an_accepted_value_that_is_no_ciphertext(self, value):
+        indices, outcome = self._settle_with({1: lambda sk, c: value})
+        assert outcome.failed_indices == (indices[1],)
+        assert outcome.estimate.report_count == 2
+
+    @pytest.mark.parametrize("key", ["0", False, 0.0])  # False and 0.0 equal 0, which no later index is
+    def test_settle_refuses_a_key_that_is_no_int_before_decrypting(self, key, monkeypatch):
+        _, authority, sysop, contract, operators, fv = run_to_filter(nr=3, count=4)
+        self._deliver_all(authority, contract, operators, fv)
+        authority_deposit_and_await_reveal(authority, contract)
+        sysop_reveal_secret(sysop, contract)
+        first, *rest = sorted(authority.accepted)
+        accepted = {key: authority.accepted[first], **{i: authority.accepted[i] for i in rest}}
+        monkeypatch.setattr(protocol, "decrypt_population", lambda *args: pytest.fail("decrypted"))
+        with pytest.raises(ProtocolError, match=re.escape(f"accepted delivery key {key!r} is not an int index")):
+            settle_and_decrypt(authority, contract, accepted)
 
 
 class TestEqualSplit:

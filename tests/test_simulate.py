@@ -6,12 +6,14 @@ import pytest
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from privmarket import envelope
+from privmarket import envelope, simulate
 from privmarket.ldp import PrivacyParams
 from privmarket.ledger import Address, verify_event_chain
 from privmarket.protocol import FilterCriteria, OperatorProfile, SurveyConfiguration, run_survey
 from privmarket.simulate import (
     CHOICES_SLOT,
+    INFRA_SLOT,
+    REGIONS,
     REPORTS_SLOT,
     ExperimentConfig,
     compute_error_metrics,
@@ -257,12 +259,31 @@ class ReplayBytes:
 
 def test_distinct_addresses_replaces_each_repeat_with_a_further_draw():
     a, b, c, d = (bytes([k]) * 20 for k in range(4))
-    assert distinct_addresses(3, ReplayBytes(a + b + a + a + c + d)) == [Address(a), Address(b), Address(c)]
-    # equal to drawing one 20-byte address at a time
+    assert distinct_addresses(3, ReplayBytes(a + b + a + a + c + d)) == a + b + c
+    # equal to drawing one 20-byte address at a time, returned as one block
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
     raws: dict[bytes, None] = {}
     while len(raws) < 500:
         raws.setdefault(ref.bytes(20))
-    assert distinct_addresses(500, rng) == [Address(raw) for raw in raws]
+    assert distinct_addresses(500, rng) == b"".join(raws)
     assert rng.bit_generator.state == ref.bit_generator.state
-    assert distinct_addresses(0, rng) == [] and rng.bit_generator.state == ref.bit_generator.state
+    assert distinct_addresses(0, rng) == b"" and rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_seeded_survey_columns_equal_the_profile_list(monkeypatch):
+    """run_seeded_survey builds the columns of the profiles it once built one by one: id "op-" and five digits,
+    one address drawn at a time from the infrastructure stream, the region cycling through REGIONS."""
+    seen = []
+    monkeypatch.setattr(simulate, "run_survey", lambda config, population, **streams: seen.append(population))
+    choices = np.arange(7) % 3
+    simulate.run_seeded_survey(None, choices, 5, 2)
+    infra = substream(5, 2, INFRA_SLOT)
+    profiles = [
+        OperatorProfile(f"op-{i:05d}", (Address(infra.bytes(20)),), {"region": REGIONS[i % len(REGIONS)]}, int(c))
+        for i, c in enumerate(choices)
+    ]
+    (population,) = seen
+    assert list(population) == profiles
+    assert population.operator_ids == [p.operator_id for p in profiles]
+    assert population.addresses == b"".join(p.active_address.value for p in profiles)
+    assert population.attributes == {"region": [p.attributes["region"] for p in profiles]}
