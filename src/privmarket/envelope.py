@@ -187,11 +187,10 @@ def encrypt_population(sk: SessionKey, plaintexts: Sequence[bytes], nonces: byte
 
 
 def decrypt_population(sk: SessionKey, ciphertexts: Sequence[Ciphertext]) -> tuple[list[bytes], tuple[int, ...]]:
-    """Open each ciphertext: (the plaintexts that authenticate, in input order; the positions of the others,
-    among them any entry that is no Ciphertext)."""
+    """Open each ciphertext: (the plaintexts that authenticate, in input order; the positions of the others)."""
     open_, opened, failed = AESGCM(sk.value).decrypt, [], []
     for position, c in enumerate(ciphertexts):
-        if not isinstance(c, Ciphertext):
+        if not isinstance(c, Ciphertext):  # no envelope opens
             failed.append(position)
             continue
         try:

@@ -27,8 +27,7 @@ A log holds its records: packed by `append` and `commit_responses`, or sliced
 from a canonical input by `from_bytes`. `to_bytes` joins them and
 `check_transfer_safety` reads their kind bytes. One encoder writes every
 record: `_encode` cuts an event's bytes at its values into constant pieces and
-encoded values, and `_record` joins them between sequence_no and prev_hash
-(`commit_responses` joins the Committed parts the same way, without a call).
+encoded values, and `_record` joins them between sequence_no and prev_hash.
 The Committed parts are encoded once, since a survey writes one Committed
 record per operator and every other kind once; the record length and every
 part's place in a record follow from their lengths. The reads take the
@@ -49,9 +48,7 @@ commands per contract (the protocol orchestrator applies them in arrival
 order). A command that raises changes nothing: it reads its arguments and
 appends its event before it changes any field. `commit_responses` is one
 such command per pair of raw address and commitment bytes: the pair that
-raises changes nothing, and the pairs before it stay committed. The
-`CommitmentIndex` keeps those bytes and builds `Address` and `Digest`
-values only when asked.
+raises changes nothing, and the pairs before it stay committed.
 """
 
 from __future__ import annotations
@@ -360,16 +357,15 @@ def check_transfer_safety(log: EventLog) -> bool:
 class CommitmentIndex:
     """Map raw address -> raw response commitment, kept in arrival order as `commit_responses` stores them.
 
-    An address's rank in ascending address-byte order is its filter index. The ranks come from one `np.lexsort`
-    of the arrival block's (N, 20) byte columns. That sorted view is taken on first use and again only after a
-    commit, so a survey sorts its commitments once, after collection, and a one-row lookup costs a binary search.
-    The methods that return `Address` or `Digest` tuples build them when called.
+    An address's rank in ascending address-byte order is its filter index, from one `np.lexsort` of the arrival
+    block's (N, 20) byte columns. That sorted view is taken on first use and again only after a commit, so a survey
+    sorts its commitments once, after collection; `ranks_of` any other block is a binary search.
     """
 
     def __init__(self):
         self._commitments: dict[bytes, bytes] = {}  # raw address -> raw commitment, in arrival order
         self._arrival, self._order = b"", np.empty(0, np.intp)  # as of the last view: addresses, ascending positions
-        self._ranked, self._sorted = np.empty(0, f"V{ADDRESS_LEN}"), []  # addresses and commitments in rank order
+        self._ranked, self._sorted = np.empty(0, f"V{ADDRESS_LEN}"), ()  # addresses and commitments in rank order
 
     def __len__(self) -> int:
         return len(self._commitments)
@@ -380,7 +376,7 @@ class CommitmentIndex:
             rows = np.frombuffer(self._arrival, np.uint8).reshape(-1, ADDRESS_LEN)
             self._order = np.lexsort(rows.T[::-1])  # lexsort's last key is its first: byte 0
             self._ranked = np.frombuffer(self._arrival, f"V{ADDRESS_LEN}")[self._order]  # compared as raw bytes
-            self._sorted = list(map(self.commitments().__getitem__, self._order.tolist()))
+            self._sorted = tuple(map(self.commitments().__getitem__, self._order.tolist()))
 
     def arrival_bytes(self) -> bytes:
         """The committed addresses in arrival order, 20 bytes each."""
@@ -394,40 +390,25 @@ class CommitmentIndex:
     def ranks_of(self, block: bytes) -> np.ndarray:
         """The filter index of each 20-byte address in `block`, or -1 for one that did not commit."""
         self._view()
-        if block == self._arrival:  # each arrival's rank
-            ranks = np.empty_like(self._order)
-            ranks[self._order] = np.arange(len(self._order))
-            return ranks
+        if block == self._arrival:  # each arrival's rank: the inverse of the ascending order
+            return np.argsort(self._order)
         wanted = np.frombuffer(block, f"V{ADDRESS_LEN}")
         at = np.searchsorted(self._ranked, wanted)
         found = at < len(self._ranked)
         found[found] = self._ranked[at[found]] == wanted[found]
         return np.where(found, at, -1)
 
-    def index_of(self, address: Address) -> int:
-        (index,) = self.ranks_of(address.value).tolist()
-        if index < 0:
-            raise KeyError(address)
-        return index
-
-    def sorted_commitments(self) -> list[bytes]:
-        """The raw commitments in filter-index order (the kept list: read it, do not change it)."""
+    def sorted_commitments(self) -> tuple[bytes, ...]:
+        """The raw commitments in filter-index order."""
         self._view()
         return self._sorted
 
     def addresses_sorted(self) -> tuple[Address, ...]:
         self._view()
-        return tuple(Address._made(raw.tobytes()) for raw in self._ranked)
-
-    def digests_sorted(self) -> tuple[Digest, ...]:
-        """The commitments in filter-index order."""
-        return tuple(map(Digest._made, self.sorted_commitments()))
+        return tuple(map(Address._made, self._ranked.tolist()))  # a V20 row lists as its 20 bytes
 
     def arrival_order(self) -> tuple[Address, ...]:
         return tuple(map(Address._made, self._commitments))
-
-    def arrival_digests(self) -> tuple[Digest, ...]:
-        return tuple(map(Digest._made, self._commitments.values()))
 
 
 @dataclass
@@ -490,8 +471,7 @@ def commit_responses(contract: SurveyContract, addresses: Sequence[bytes], commi
     """Store each raw address's raw response commitment in turn, first come first served.
 
     Each pair is its own command: 20 address bytes and 32 commitment bytes, of an address not committed before.
-    The first pair refused raises, and the pairs before it stay committed. Every COMMITTED event is packed from
-    the `_COMMITTED` parts.
+    The first pair refused raises, and those before it stay committed; each record packs the `_COMMITTED` parts.
     """
     if len(addresses) != len(commitments):
         raise LedgerError(f"commit needs one commitment per address, got {len(addresses)} and {len(commitments)}")
@@ -501,23 +481,21 @@ def commit_responses(contract: SurveyContract, addresses: Sequence[bytes], commi
         )
     records, index = contract.log._records, contract.commitments._commitments
     prev, first, (head, _, middle, _, tail) = _prev(records), len(records), _COMMITTED
-    body_len = _U32.pack(_COMMITTED_SIZE - 4)  # each record as `_record` packs it, joined here without a call per pair
     for a, c in zip(addresses, commitments):
         if type(a) is not bytes or len(a) != ADDRESS_LEN or type(c) is not bytes or len(c) != Digest.LENGTH:
             raise LedgerError(f"commit pair {len(records) - first} is not 20 address and 32 commitment bytes")
         if a in index:
             raise LedgerError(f"address 0x{a.hex()} already committed (first commitment wins)")
-        event_bytes = b"".join((_U32.pack(len(records)), head, a, middle, c, tail, prev))
-        prev = sha256(event_bytes)
-        records.append(b"".join((body_len, event_bytes, prev)))
+        record = _record(len(records), (head, a, middle, c, tail), prev)
+        records.append(record)
+        prev = record[-32:]
         index[a] = c
 
 
 def commit_response(contract: SurveyContract, address: Address, commitment: Digest) -> None:
-    """Store one address's response commitment, first come first served: the one-pair call of `commit_responses`,
-    which refuses it in another phase before this call checks that it is an Address and a Digest."""
+    """Store one address's response commitment, first come first served: the one-pair call of `commit_responses`."""
     typed = isinstance(address, Address) and isinstance(commitment, Digest)
-    if not typed and contract.phase == ContractPhase.COLLECTING:
+    if not typed and contract.phase == ContractPhase.COLLECTING:  # in another phase the phase is refused first
         raise LedgerError(f"commit needs an Address and a Digest, got {type(address).__name__}, {type(commitment).__name__}")
     commit_responses(contract, (address.value if typed else None,), (commitment.value if typed else None,))
 
@@ -601,15 +579,12 @@ def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[Address
         raise LedgerError(f"filter must mark exactly {contract.required_responses} of the commitments")
     share = equal_split(contract.fee, contract.required_responses)
     total = share * contract.required_responses
-    index = contract.commitments
-    index._view()  # a row per payee, in ascending address order
-    rows = index._ranked.view(np.uint8).reshape(-1, ADDRESS_LEN)[np.asarray(filter_bits) == 1]
-    amounts = np.broadcast_to(np.frombuffer(struct.pack(">Q", share), np.uint8), (len(rows), 8))
-    contract.log.append(EventKind.PAID_OUT, {"distribution": np.hstack([rows, amounts]).tobytes(), "total": total})
+    contract.commitments._view()  # the payees' raw addresses, in ascending order
+    payees = contract.commitments._ranked[np.asarray(filter_bits) == 1].tolist()
+    amount = struct.pack(">Q", share)
+    contract.log.append(EventKind.PAID_OUT, {"distribution": amount.join(payees) + amount, "total": total})
     contract._credit(contract.sysop, -total)
-    raws = rows.tobytes()
-    payees = [Address._made(raws[i : i + ADDRESS_LEN]) for i in range(0, len(raws), ADDRESS_LEN)]
-    distribution, deltas = dict.fromkeys(payees, share), contract.balance_deltas
+    distribution, deltas = dict.fromkeys(map(Address._made, payees), share), contract.balance_deltas
     # payees that already have a delta (a party paid as an operator too); the smaller view is the one walked
     earlier = {a: deltas[a] + share for a in distribution.keys() & deltas.keys()}
     deltas.update(distribution)  # reuses the hashes distribution holds

@@ -9,13 +9,10 @@ Honest lifecycle: configure -> commit -> filter -> deliver -> deposit ->
 reveal -> pay out -> decrypt and aggregate. The deposit can only be
 claimed by revealing s2 on the ledger, and the authority can only derive
 the session key from that same reveal, which is what makes the exchange
-fair.
-
-A survey's operators travel as one `Population` of columns (ids, one address
-block, choices, attributes), and each phase takes it in one call; the
-one-operator calls (`operator_prepare_and_commit`, `operator_deliver`,
-`authority_verify_delivery`) are one-row calls of these. A commitment stays
-the raw SHA-256 of its ciphertext from commit to verification.
+fair. A survey's operators travel as one `Population` of columns, which
+each phase takes in one call; each one-operator call is the one-row call
+of its phase. A commitment stays the raw SHA-256 of its ciphertext from
+commit to verification.
 
 The survey configuration file is line-based text, hashed as exact bytes
 (verification never re-serializes parsed content). Tokens are
@@ -154,8 +151,7 @@ class OperatorProfile:
 
 @dataclass(eq=False)
 class Population(Sequence[OperatorProfile]):
-    """Operator profiles held as columns, in arrival order; a profile is built only when one is read, and holds
-    its active address only."""
+    """Operator profiles as columns, in arrival order; a profile is built when read, with its active address only."""
 
     operator_ids: Sequence[str]
     addresses: bytes  # the active addresses, one block of ADDRESS_LEN bytes per operator
@@ -393,10 +389,9 @@ def commit_population(
     is row i of one (N, n) draw, nonce i bytes [12i, 12i + 12) of one own draw.
     A survey has one psk, so all encrypt under one session key: the configuration
     is parsed and s1, s2 and sk derived once for the population, and its
-    plaintexts are sealed in one `encrypt_population` call. Each commitment is the raw SHA-256 of
-    its serialized ciphertext, and they reach the ledger with the population's raw addresses in one
-    `commit_responses` call, which commits them in order: a refused one raises, and those before it
-    stay committed.
+    plaintexts are sealed in one `encrypt_population` call. Their raw SHA-256 commitments then reach
+    the ledger with the raw addresses in one `commit_responses` call, which commits them in order:
+    a refused one raises, and those before it stay committed.
     """
     population = Population.of(profiles)
     if len(population) > 1 and own_rng is rng:
@@ -414,8 +409,7 @@ def commit_population(
         reports = randomize_batch(population.true_choices, config.query.n, config.privacy, rng)
         ciphertexts = encrypt_population(sk, encode_bit_matrix(reports), own_rng.bytes(CIPHER_NONCE_LEN * len(population)))
     commitments = list(map(sha256, map(Ciphertext.serialize, ciphertexts)))
-    raw = population.addresses
-    ledger_mod.commit_responses(contract, [raw[i : i + ADDRESS_LEN] for i in range(0, len(raw), ADDRESS_LEN)], commitments)
+    ledger_mod.commit_responses(contract, np.frombuffer(population.addresses, f"V{ADDRESS_LEN}").tolist(), commitments)
     return ciphertexts, commitments
 
 
@@ -485,20 +479,19 @@ def deliver_population(
     profiles: Sequence[OperatorProfile], ciphertexts: Sequence[Ciphertext | None],
     filter_vector: FilterVector, commitments: ledger_mod.CommitmentIndex,
 ) -> tuple[list[int], list[Ciphertext]]:
-    """Each operator whose filter bit is set sends its index and prepared ciphertext (or None), in order. The first
-    operator that cannot deliver raises: its address did not commit, the filter holds no bit at its index, or its
-    bit is set and it holds no ciphertext. Returns what was sent, in order, each index a Python int."""
+    """Each operator whose filter bit is set sends its index, a Python int, and its prepared ciphertext, in order; the
+    first that cannot (no commitment, no bit at its index, or no ciphertext) raises. Returns what was sent."""
     population = Population.of(profiles)
     ranks, size = commitments.ranks_of(population.addresses), len(filter_vector.bits)
     if len(ciphertexts) != len(ranks):
         raise ValueError(f"deliver needs one ciphertext per operator, got {len(ciphertexts)} for {len(ranks)}")
-    inside = (ranks >= 0) & (ranks < size)
-    sending = np.append(np.asarray(filter_vector.bits) == 1, False)[np.where(inside, ranks, size)]
-    rows = np.flatnonzero(sending | ~inside).tolist()  # the operators that send, and those that cannot
+    bits = np.append(filter_vector.bits, 0)  # a rank outside the filter reads the last 0
+    rows = np.flatnonzero(bits[np.where(ranks < size, ranks, -1)] == 1).tolist()  # the operators that send
     sent = list(map(ciphertexts.__getitem__, rows))
-    faults = ~inside[rows] | np.fromiter(map(is_, sent, itertools.repeat(None)), bool, len(sent))
+    faults = (ranks < 0) | (ranks >= size)  # and those that cannot: no commitment, no bit, or no ciphertext
+    faults[rows] = np.fromiter(map(is_, sent, itertools.repeat(None)), bool, len(rows))
     if faults.any():
-        row = rows[int(faults.argmax())]
+        row = int(faults.argmax())
         if ranks[row] < 0:
             raise ProtocolError(f"operator address {population[row].active_address} absent from commitment index")
         if ranks[row] >= size:
@@ -576,9 +569,8 @@ def settle_and_decrypt(
     """Reconstruct the session key from the reveal and aggregate the deliveries that open.
 
     Each delivery is authenticated on its own, all in one `decrypt_population` call, then all
-    decode in one pass. The fee is paid by now, so one that is no Ciphertext or fails to decrypt
-    or decode is only listed in failed_indices; ProtocolError means that none opened, or that a
-    key is no int index.
+    decode in one pass. The fee is paid by now, so one that is no Ciphertext or fails to decrypt or
+    decode is only listed in failed_indices; ProtocolError means that none opened, or a key is no int.
     """
     if contract.phase not in (ContractPhase.REVEALED, ContractPhase.SETTLED):
         raise ProtocolError(

@@ -147,8 +147,7 @@ def default_query(n_choices: int) -> QuerySpec:
 
 
 def distinct_addresses(count: int, rng: np.random.Generator) -> bytes:
-    """Draw 20-byte addresses until `count` are distinct: one block of `count`, then one per repeat; returns the
-    distinct ones as one block, in draw order."""
+    """Draw 20-byte addresses until `count` are distinct: one block of `count`, then one per repeat, returned as one block."""
     block = rng.bytes(20 * count) if count > 0 else b""  # bytes(0) still consumes a 32-bit word
     raws = dict.fromkeys(block[i : i + 20] for i in range(0, len(block), 20))
     while len(raws) < count:
@@ -161,8 +160,7 @@ def run_seeded_survey(
 ) -> SurveyOutcome:
     """One honest survey on the (seed, trial) streams of the module docstring.
 
-    Operator i, "op-" and i in five digits, answers choices[i]; its "region" attribute cycles
-    through REGIONS. The population is built as its columns.
+    Operator i ("op-" and i in five digits) answers choices[i]; its "region" attribute cycles through REGIONS.
     """
     infra_rng = substream(seed, trial, INFRA_SLOT)
     count = len(choices)

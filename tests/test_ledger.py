@@ -78,7 +78,7 @@ def contract_state(contract):
     """Every field of a contract by value, its commitments, and its log's bytes."""
     fields = {k: v for k, v in vars(contract).items() if k not in ("commitments", "log")}
     index = contract.commitments
-    return copy.deepcopy(fields), index.addresses_sorted(), index.digests_sorted(), contract.log.to_bytes()
+    return copy.deepcopy(fields), index.addresses_sorted(), index.sorted_commitments(), contract.log.to_bytes()
 
 
 def terms_of(contract):
@@ -144,7 +144,7 @@ class TestCommit:
         with pytest.raises(LedgerError):
             commit_response(contract, addr(0x0A), digest(b"two"))
         # first commitment wins
-        assert contract.commitments.arrival_digests() == (digest(b"one"),)
+        assert contract.commitments.commitments() == [digest(b"one").value]
 
     def test_commit_after_finalize_rejected(self):
         contract, _ = make_contract(nr=1)
@@ -166,7 +166,7 @@ class TestCommit:
             commit_response(contract, addr(b), digest(bytes([b])))
         ordered = list(contract.commitments.addresses_sorted())
         assert ordered == [addr(0x03), addr(0x07), addr(0x0A)]
-        assert contract.commitments.index_of(addr(0x07)) == 1
+        assert contract.commitments.ranks_of(addr(0x07).value).tolist() == [1]
         assert contract.commitments.arrival_order() == (addr(0x0A), addr(0x03), addr(0x07))
 
 
@@ -196,7 +196,7 @@ class TestCommitResponses:
             error = None
         except Exception as exc:
             error = (type(exc), str(exc))
-        arrival = list(zip(contract.commitments.arrival_order(), contract.commitments.arrival_digests()))
+        arrival = list(zip(contract.commitments.arrival_order(), contract.commitments.commitments()))
         return error, arrival, contract_state(contract)  # the state holds the sorted index and the log bytes
 
     @given(
@@ -785,10 +785,8 @@ class TestCanonicalParse:
 
 
 class TestCommitmentIndex:
-    def test_index_of_missing_address(self):
-        index = CommitmentIndex()
-        with pytest.raises(KeyError):
-            index.index_of(addr(3))
+    def test_a_missing_address_ranks_minus_one(self):
+        assert CommitmentIndex().ranks_of(addr(3).value).tolist() == [-1]
 
     def test_interleaved_reads_keep_byte_order_and_arrival(self):
         # reads between commits must see every commit so far, in ascending byte order
@@ -802,10 +800,9 @@ class TestCommitmentIndex:
             arrived.append(address)
             ranked = sorted(arrived, key=lambda a: a.value)
             probe = arrived[int(rng.integers(len(arrived)))]
-            assert index.index_of(probe) == ranked.index(probe)
             assert index.ranks_of(probe.value + addr(0xEE).value).tolist() == [ranked.index(probe), -1]
             assert index.addresses_sorted() == tuple(ranked)
-            assert index.digests_sorted() == tuple(digest(a.value) for a in ranked)
+            assert index.sorted_commitments() == tuple(digest(a.value).value for a in ranked)
             assert index.arrival_order() == tuple(arrived)
         assert index.addresses_sorted() == tuple(sorted(arrived, key=lambda a: a.value))
 
@@ -821,7 +818,7 @@ class TestCommitmentIndex:
         ranked = sorted(raws)
         assert index.ranks_of(b"".join(raws)).tolist() == [ranked.index(raw) for raw in raws]
         assert [a.value for a in index.addresses_sorted()] == ranked
-        assert index.sorted_commitments() == [digest(raw).value for raw in ranked]
+        assert index.sorted_commitments() == tuple(digest(raw).value for raw in ranked)  # a tuple: nobody can change it
         assert index.ranks_of(b"".join(ranked) + bytes(19) + b"\x01").tolist() == [*range(len(raws)), -1]
 
 

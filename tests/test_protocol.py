@@ -49,6 +49,13 @@ def addr(first_byte: int) -> Address:
     return Address(bytes([first_byte]) + b"\x11" * 19)
 
 
+def index_of(contract, address: Address) -> int:
+    """The filter index of an address that committed."""
+    (index,) = contract.commitments.ranks_of(address.value).tolist()
+    assert index >= 0, f"{address} did not commit"
+    return index
+
+
 def profile(i: int, region: str = "NSW", choice: int = 0) -> OperatorProfile:
     return OperatorProfile(
         operator_id=f"op-{i:02d}",
@@ -449,8 +456,8 @@ class TestFilter:
         commit_all(store, sysop, contract, profiles)
         fv = build_and_finalize_filter(sysop, contract, profiles, crit, store=store)
         assert fv.popcount == 3
-        assert fv.bits[contract.commitments.index_of(addr(5))] == 0
-        assert fv.bits[contract.commitments.index_of(addr(4))] == 1
+        assert fv.bits[index_of(contract, addr(5))] == 0
+        assert fv.bits[index_of(contract, addr(4))] == 1
 
     def test_insufficient_eligible_raises(self):
         crit = FilterCriteria([("region", ["TAS"])])
@@ -500,7 +507,7 @@ class TestDelivery:
         _, _, _, contract, operators, fv = run_to_filter()
         for operator in operators:
             msg = operator_deliver(operator, fv, contract.commitments)
-            index = contract.commitments.index_of(operator.profile.active_address)
+            index = index_of(contract, operator.profile.active_address)
             if fv.bits[index] == 1:
                 assert msg is not None and msg.index == index
                 assert contract.commitments.addresses_sorted()[msg.index] == operator.profile.active_address
@@ -529,11 +536,11 @@ class TestDelivery:
         _, authority, _, contract, operators, fv = run_to_filter()
         ineligible = next(
             o for o in operators
-            if fv.bits[contract.commitments.index_of(o.profile.active_address)] == 0
+            if fv.bits[index_of(contract, o.profile.active_address)] == 0
         )
         from privmarket.protocol import DeliveryMessage
 
-        index = contract.commitments.index_of(ineligible.profile.active_address)
+        index = index_of(contract, ineligible.profile.active_address)
         msg = DeliveryMessage(index, ineligible.ciphertext)
         assert authority_verify_delivery(authority, msg, contract.commitments, fv) \
             == DeliveryVerdict.INELIGIBLE
@@ -553,7 +560,7 @@ class TestDelivery:
         _, authority, _, contract, operators, fv = run_to_filter()
         from privmarket.protocol import DeliveryMessage
 
-        at_one = next(o for o in operators if contract.commitments.index_of(o.profile.active_address) == 1)
+        at_one = next(o for o in operators if index_of(contract, o.profile.active_address) == 1)
         msg = DeliveryMessage(index, at_one.ciphertext)
         assert authority_verify_delivery(authority, msg, contract.commitments, fv) \
             == DeliveryVerdict.OUT_OF_RANGE
@@ -574,7 +581,7 @@ class TestDelivery:
         _, authority, _, contract, operators, _ = run_to_filter(nr=1, count=2)
         from privmarket.protocol import DeliveryMessage, FilterVector
 
-        at_one = next(o for o in operators if contract.commitments.index_of(o.profile.active_address) == 1)
+        at_one = next(o for o in operators if index_of(contract, o.profile.active_address) == 1)
         msg = DeliveryMessage(1, at_one.ciphertext)
         assert authority_verify_delivery(authority, msg, contract.commitments, FilterVector((1,))) \
             == DeliveryVerdict.INELIGIBLE
@@ -584,7 +591,7 @@ class TestDelivery:
         _, _, _, contract, operators, _ = run_to_filter(nr=1, count=2)
         from privmarket.protocol import FilterVector
 
-        at_one = next(o for o in operators if contract.commitments.index_of(o.profile.active_address) == 1)
+        at_one = next(o for o in operators if index_of(contract, o.profile.active_address) == 1)
         with pytest.raises(ProtocolError, match="no bit for index 1"):
             operator_deliver(at_one, FilterVector((1,)), contract.commitments)
 
@@ -652,7 +659,7 @@ class TestPopulationFormsAreLoops:
         fv = filter_of(length, fv)
         # a bare number i is operator i's own delivery, so that lists repeat deliveries that verify
         messages = [
-            DeliveryMessage(contract.commitments.index_of(operators[m].profile.active_address), operators[m].ciphertext)
+            DeliveryMessage(index_of(contract, operators[m].profile.active_address), operators[m].ciphertext)
             if isinstance(m, int) else DeliveryMessage(m[0], body_of(m[1], operators))
             for m in messages
         ]
@@ -740,7 +747,7 @@ class TestPopulation:
             [o.profile for o in operators], [o.ciphertext for o in operators], fv, contract.commitments,
         )
         assert len(indices) == 3 and all(type(i) is int for i in indices)
-        assert sent == [o.ciphertext for o in operators if fv.bits[contract.commitments.index_of(o.profile.active_address)]]
+        assert sent == [o.ciphertext for o in operators if fv.bits[index_of(contract, o.profile.active_address)]]
 
 
 class TestDepositAndSettle:
