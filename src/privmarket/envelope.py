@@ -15,17 +15,17 @@ Normative byte layouts (inputs to hashing and commitments, bit-exact):
   stored at byte j//8, most significant bit first; padding bits are zero.
   decode_bit_matrix reports the records that do not decode by position.
 * ciphertext: 12-byte cipher nonce, then the AES-GCM body (payload plus
-  16-byte authentication tag). H(C_R) commits to nonce, body and tag
-  jointly.
+  16-byte authentication tag). A Ciphertext is these bytes, so H(C_R), the
+  SHA-256 of the Ciphertext itself, commits to nonce, body and tag jointly.
 
 Digests render as lowercase hex everywhere (logs, CSV, CLI).
 
 Lengths and types are checked where bytes come from outside: the public
 constructors of FixedBytes (and ledger.Address) and Ciphertext, and the
-nonce block of encrypt_population (once per block). Ciphertexts travel
-between parties as objects, so nothing parses serialized ones. What digest,
-hmac_derive, derive_session_key and encrypt_population return is built
-unchecked (`_made`).
+nonce block of encrypt_population (once per block). A Ciphertext is the
+bytes that travel between parties and that its commitment hashes; its nonce
+and body are slices of them. What digest, hmac_derive, derive_session_key
+and encrypt_population return is built unchecked (`_made`, `bytes.__new__`).
 
 SHA-256 has one home: `sha256` returns the raw 32 bytes, for a hash that is
 only compared or chained; `digest` wraps them in a Digest, for one that is
@@ -39,6 +39,7 @@ import hashlib
 import hmac as _hmac
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -123,30 +124,20 @@ class Digest(FixedBytes):
         return self.value.hex()
 
 
-@dataclass(frozen=True, slots=True)
-class Ciphertext:
-    """AES-GCM envelope; body is payload plus the 16-byte tag."""
+class Ciphertext(bytes):
+    """AES-GCM envelope: the 12-byte cipher nonce, then the body (payload plus the 16-byte tag), as one bytes value."""
 
-    cipher_nonce: bytes
-    body: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "cipher_nonce", _expect_len("cipher nonce", self.cipher_nonce, CIPHER_NONCE_LEN)
-        )
-        if not isinstance(self.body, (bytes, bytearray)) or len(self.body) < GCM_TAG_LEN:
+    def __new__(cls, cipher_nonce: bytes, body: bytes) -> "Ciphertext":
+        nonce = _expect_len("cipher nonce", cipher_nonce, CIPHER_NONCE_LEN)
+        if not isinstance(body, (bytes, bytearray)) or len(body) < GCM_TAG_LEN:
             raise ValueError("ciphertext body must hold at least the authentication tag")
-        object.__setattr__(self, "body", bytes(self.body))
+        return super().__new__(cls, nonce + body)
 
-    @classmethod
-    def _made(cls, cipher_nonce: bytes, body: bytes, _new=object.__new__, _set=object.__setattr__) -> "Ciphertext":
-        made = _new(cls)
-        _set(made, "cipher_nonce", cipher_nonce)
-        _set(made, "body", body)
-        return made
-
-    def serialize(self) -> bytes:
-        return self.cipher_nonce + self.body
+    # read-only slices, taken in C: decrypt_population reads both of every delivery
+    cipher_nonce = property(itemgetter(slice(CIPHER_NONCE_LEN)), doc="The 12-byte cipher nonce.")
+    body = property(itemgetter(slice(CIPHER_NONCE_LEN, None)), doc="The AES-GCM payload plus its 16-byte tag.")
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
@@ -181,9 +172,9 @@ def encrypt_population(sk: SessionKey, plaintexts: Sequence[bytes], nonces: byte
     (key, message) pair.
     """
     block = _expect_len("cipher nonce", nonces, CIPHER_NONCE_LEN * len(plaintexts))
-    seal, made = AESGCM(sk.value).encrypt, Ciphertext._made
+    seal, new = AESGCM(sk.value).encrypt, bytes.__new__
     rows = [block[i : i + CIPHER_NONCE_LEN] for i in range(0, len(block), CIPHER_NONCE_LEN)]
-    return [made(nonce, seal(nonce, bytes(plaintext), None)) for nonce, plaintext in zip(rows, plaintexts)]
+    return [new(Ciphertext, nonce + seal(nonce, bytes(plaintext), None)) for nonce, plaintext in zip(rows, plaintexts)]
 
 
 def decrypt_population(sk: SessionKey, ciphertexts: Sequence[Ciphertext]) -> tuple[list[bytes], tuple[int, ...]]:

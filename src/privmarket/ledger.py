@@ -20,7 +20,7 @@ Canonical wire format, normative so event hashes reproduce anywhere:
 The genesis event uses 32 zero bytes as prev_hash. All integers are
 non-negative and big-endian. Digests render as lowercase hex. Parsing is
 strict: keys must be strictly ascending (no repeats), strings valid UTF-8,
-and nothing may trail a record, so every accepted log re-serializes to
+and nothing may trail a record, so every accepted log re-encodes to
 exactly its input bytes.
 
 A log holds its records: packed by `append` and `commit_responses`, or sliced
@@ -43,7 +43,7 @@ slices, and every other record's with `describe`. Nothing decoded is kept.
 against their indices, prev_hash slices against the recorded hashes shifted
 by one, and each record's hash, taken once, against its event_hash.
 
-All contract mutations assume a single logical writer: callers serialize
+All contract mutations assume a single logical writer: callers sequence
 commands per contract (the protocol orchestrator applies them in arrival
 order). A command that raises changes nothing: it reads its arguments and
 appends its event before it changes any field. `commit_responses` is one
@@ -78,7 +78,7 @@ class LedgerError(Exception):
 
 
 class LogFormatError(Exception):
-    """A serialized event log that cannot be parsed."""
+    """An encoded event log that cannot be parsed."""
 
     def __init__(self, record_index: int, message: str):
         super().__init__(f"record {record_index}: {message}")

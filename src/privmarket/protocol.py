@@ -15,7 +15,7 @@ of its phase. A commitment stays the raw SHA-256 of its ciphertext from
 commit to verification.
 
 The survey configuration file is line-based text, hashed as exact bytes
-(verification never re-serializes parsed content). Tokens are
+(verification never re-renders parsed content). Tokens are
 percent-encoded so labels may contain arbitrary characters.
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from urllib.parse import quote, unquote
 
@@ -295,7 +294,7 @@ def parse_config_file(data: bytes) -> SurveyConfiguration:
 
 
 def random_address(rng: np.random.Generator) -> Address:
-    return Address(rng.bytes(ledger_mod.ADDRESS_LEN))
+    return Address(rng.bytes(ADDRESS_LEN))
 
 
 class Authority:
@@ -408,7 +407,7 @@ def commit_population(
         sk = derive_session_key(hmac_derive(psk, n1), hmac_derive(psk, n2))
         reports = randomize_batch(population.true_choices, config.query.n, config.privacy, rng)
         ciphertexts = encrypt_population(sk, encode_bit_matrix(reports), own_rng.bytes(CIPHER_NONCE_LEN * len(population)))
-    commitments = list(map(sha256, map(Ciphertext.serialize, ciphertexts)))
+    commitments = list(map(sha256, ciphertexts))
     ledger_mod.commit_responses(contract, np.frombuffer(population.addresses, f"V{ADDRESS_LEN}").tolist(), commitments)
     return ciphertexts, commitments
 
@@ -457,7 +456,8 @@ def build_and_finalize_filter(
     arrival = index.arrival_bytes()
     if population.addresses != arrival:  # name the first row that differs
         row = int(np.argmax(np.frombuffer(population.addresses, np.uint8) != np.frombuffer(arrival, np.uint8))) // ADDRESS_LEN
-        raise ProtocolError(f"profile {population.operator_ids[row]} does not match arrival {index.arrival_order()[row]}")
+        address = Address(arrival[row * ADDRESS_LEN : (row + 1) * ADDRESS_LEN])
+        raise ProtocolError(f"profile {population.operator_ids[row]} does not match arrival {address}")
     eligible = np.ones(len(population), bool)
     for attr, allowed in criteria.predicates:  # a missing attribute is None, never allowed
         column = population.attributes.get(attr, [None] * len(population))
@@ -479,25 +479,24 @@ def deliver_population(
     profiles: Sequence[OperatorProfile], ciphertexts: Sequence[Ciphertext | None],
     filter_vector: FilterVector, commitments: ledger_mod.CommitmentIndex,
 ) -> tuple[list[int], list[Ciphertext]]:
-    """Each operator whose filter bit is set sends its index, a Python int, and its prepared ciphertext, in order; the
-    first that cannot (no commitment, no bit at its index, or no ciphertext) raises. Returns what was sent."""
+    """The loop of operator_deliver: each operator whose filter bit is set sends its index (an int) and ciphertext, in
+    order; the first that cannot (no commitment, no bit at its index, or no ciphertext) raises. Returns what was sent."""
     population = Population.of(profiles)
-    ranks, size = commitments.ranks_of(population.addresses), len(filter_vector.bits)
+    ranks, bits = commitments.ranks_of(population.addresses).tolist(), filter_vector.bits
     if len(ciphertexts) != len(ranks):
         raise ValueError(f"deliver needs one ciphertext per operator, got {len(ciphertexts)} for {len(ranks)}")
-    bits = np.append(filter_vector.bits, 0)  # a rank outside the filter reads the last 0
-    rows = np.flatnonzero(bits[np.where(ranks < size, ranks, -1)] == 1).tolist()  # the operators that send
-    sent = list(map(ciphertexts.__getitem__, rows))
-    faults = (ranks < 0) | (ranks >= size)  # and those that cannot: no commitment, no bit, or no ciphertext
-    faults[rows] = np.fromiter(map(is_, sent, itertools.repeat(None)), bool, len(rows))
-    if faults.any():
-        row = int(faults.argmax())
-        if ranks[row] < 0:
+    indices, sent = [], []
+    for row, (rank, ciphertext) in enumerate(zip(ranks, ciphertexts)):
+        if rank < 0:
             raise ProtocolError(f"operator address {population[row].active_address} absent from commitment index")
-        if ranks[row] >= size:
-            raise ProtocolError(f"filter of {size} bits holds no bit for index {ranks[row]}")
-        raise ProtocolError("operator has no prepared ciphertext to deliver")
-    return ranks[rows].tolist(), sent
+        if rank >= len(bits):
+            raise ProtocolError(f"filter of {len(bits)} bits holds no bit for index {rank}")
+        if bits[rank] == 1:
+            if ciphertext is None:
+                raise ProtocolError("operator has no prepared ciphertext to deliver")
+            indices.append(rank)
+            sent.append(ciphertext)
+    return indices, sent
 
 
 def operator_deliver(
@@ -522,7 +521,7 @@ def verify_deliveries(
             verdicts.append(DeliveryVerdict.OUT_OF_RANGE)
         elif index >= len(bits) or bits[index] != 1:
             verdicts.append(DeliveryVerdict.INELIGIBLE)
-        elif not isinstance(ciphertext, Ciphertext) or sha256(ciphertext.serialize()) != expected[index]:
+        elif not isinstance(ciphertext, Ciphertext) or sha256(ciphertext) != expected[index]:
             verdicts.append(DeliveryVerdict.HASH_MISMATCH)
         elif index in accepted:
             verdicts.append(DeliveryVerdict.DUPLICATE)

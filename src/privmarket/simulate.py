@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .ldp import FrequencyEstimate, PrivacyParams, QuerySpec, accumulate_counts, estimate_frequencies, randomize_batch
-from .ledger import EventLog
+from .ledger import ADDRESS_LEN, EventLog
 from .protocol import FilterCriteria, Population, SurveyConfiguration, SurveyOutcome, run_survey
 
 CHOICES_SLOT, REPORTS_SLOT, INFRA_SLOT = 0, 1, 2
@@ -147,11 +147,11 @@ def default_query(n_choices: int) -> QuerySpec:
 
 
 def distinct_addresses(count: int, rng: np.random.Generator) -> bytes:
-    """Draw 20-byte addresses until `count` are distinct: one block of `count`, then one per repeat, returned as one block."""
-    block = rng.bytes(20 * count) if count > 0 else b""  # bytes(0) still consumes a 32-bit word
-    raws = dict.fromkeys(block[i : i + 20] for i in range(0, len(block), 20))
+    """Draw addresses until `count` are distinct: one block of `count`, then one per repeat, returned as one block."""
+    block = rng.bytes(ADDRESS_LEN * count) if count > 0 else b""  # bytes(0) still consumes a 32-bit word
+    raws = dict.fromkeys(block[i : i + ADDRESS_LEN] for i in range(0, len(block), ADDRESS_LEN))
     while len(raws) < count:
-        raws.setdefault(rng.bytes(20))
+        raws.setdefault(rng.bytes(ADDRESS_LEN))
     return b"".join(raws)
 
 

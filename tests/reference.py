@@ -185,7 +185,7 @@ def reference_survey(config, profiles, operator_rngs, infra_rng) -> ReferenceOut
             sk = derive_session_key(hmac_derive(psk, contract.n1), hmac_derive(psk, contract.n2))
             report = randomize_response(encode_one_hot(profile.true_choice, terms.query.n), terms.privacy, rng)
             ciphertext = encrypt(sk, canonical_encode_response(report), infra_rng.bytes(12))
-            commitment = digest(ciphertext.serialize())
+            commitment = digest(ciphertext.cipher_nonce + ciphertext.body)
             ledger.commit_response(contract, profile.active_address, commitment)
             prepared.append((profile.active_address.value, ciphertext))
             committed[profile.active_address.value] = commitment
@@ -208,7 +208,7 @@ def reference_survey(config, profiles, operator_rngs, infra_rng) -> ReferenceOut
             index = ascending.index(raw)
             if not bits[index]:
                 continue
-            if digest(ciphertext.serialize()) != committed[raw]:
+            if digest(ciphertext.cipher_nonce + ciphertext.body) != committed[raw]:
                 verdict = DeliveryVerdict.HASH_MISMATCH
             elif index in authority.accepted:
                 verdict = DeliveryVerdict.DUPLICATE

@@ -97,11 +97,11 @@ class TestSlots:
         Nonce(b"\x03" * 16),
         Secret(b"\x04" * 32),
         PreSharedKey(b"\x05" * 32),
-        Ciphertext(b"\x06" * 12, b"\x07" * 16),
         SessionKey(b"\x08" * 32),
     ]
+    CIPHERTEXT = Ciphertext(b"\x06" * 12, b"\x07" * 16)
 
-    @pytest.mark.parametrize("instance", [*FROZEN, OperatorProfile("op", (Address(b"\x01" * 20),))],
+    @pytest.mark.parametrize("instance", [*FROZEN, CIPHERTEXT, OperatorProfile("op", (Address(b"\x01" * 20),))],
                              ids=lambda instance: type(instance).__name__)
     def test_no_instance_dict(self, instance):
         assert not hasattr(instance, "__dict__")
@@ -111,6 +111,11 @@ class TestSlots:
         field = dataclasses.fields(instance)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(instance, field, getattr(instance, field))
+
+    @pytest.mark.parametrize("field", ["cipher_nonce", "body"])
+    def test_a_ciphertext_refuses_assignment(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.CIPHERTEXT, field, getattr(self.CIPHERTEXT, field))
 
 
 class TestHmacDerive:
@@ -214,12 +219,12 @@ class TestAead:
         with pytest.raises(DecryptionError):
             decrypt(sk, Ciphertext(c.cipher_nonce, bytes(body)))
 
-    def test_serialize_round_trip(self):
+    def test_bytes_round_trip(self):
         sk = SessionKey(b"\x22" * 32)
         c = encrypt(sk, b"abc", b"\x07" * 12)
-        data = c.serialize()
-        assert data == c.cipher_nonce + c.body
-        assert Ciphertext(data[:12], data[12:]) == c
+        assert bytes(c) == c.cipher_nonce + c.body
+        assert not isinstance(bytes(c), Ciphertext)  # the bare bytes are no envelope
+        assert Ciphertext(c.cipher_nonce, c.body) == c
 
 
 PLAINTEXT_LISTS = st.lists(st.binary(max_size=64), max_size=12)
@@ -237,7 +242,7 @@ class TestPopulationAead:
         assert sealed == [encrypt(sk, p, n) for p, n in zip(plaintexts, nonces)]
         # and each row is the library's AES-GCM under its own nonce
         library = AESGCM(key)
-        assert [c.serialize() for c in sealed] == [n + library.encrypt(n, p, None) for p, n in zip(plaintexts, nonces)]
+        assert [bytes(c) for c in sealed] == [n + library.encrypt(n, p, None) for p, n in zip(plaintexts, nonces)]
         assert decrypt_population(sk, sealed) == ([decrypt(sk, c) for c in sealed], ())
         assert decrypt_population(sk, sealed)[0] == plaintexts
 

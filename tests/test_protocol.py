@@ -360,7 +360,7 @@ class TestPrepareAndCommit:
         assert len(committed) == 1
         assert committed[0].payload["commitment"] == commitment.value
         # anyone holding the ciphertext can recompute the on-ledger commitment
-        assert digest(ciphertext.serialize()) == commitment
+        assert digest(ciphertext.cipher_nonce + ciphertext.body) == commitment
 
 
 class TestCommitPopulation:
@@ -485,7 +485,7 @@ class TestFilter:
         store, _, sysop, contract, _ = setup_small_survey(config, profiles)
         commit_all(store, sysop, contract, profiles)
         swapped = profiles[:2] + [profiles[3], profiles[2]]
-        with pytest.raises(ProtocolError, match="profile op-04 does not match arrival"):
+        with pytest.raises(ProtocolError, match=f"^profile op-04 does not match arrival {addr(3)}$"):
             build_and_finalize_filter(sysop, contract, swapped, config.criteria, store=store)
         assert contract.phase == ContractPhase.COLLECTING
         assert EventKind.FILTER_RECORDED not in [event.kind for event in contract.log.events]
@@ -571,7 +571,7 @@ class TestDelivery:
         from privmarket.protocol import DeliveryMessage
 
         msg = next(m for m in (operator_deliver(o, fv, contract.commitments) for o in operators) if m)
-        for body in (None, b"", msg.ciphertext.serialize(), bytearray(msg.ciphertext.serialize())):
+        for body in (None, b"", bytes(msg.ciphertext), bytearray(msg.ciphertext)):
             bad = DeliveryMessage(msg.index, body)
             assert authority_verify_delivery(authority, bad, contract.commitments, fv) \
                 == DeliveryVerdict.HASH_MISMATCH
@@ -632,7 +632,7 @@ def body_of(drawn, operators):
         return drawn
     kind, i = drawn
     ciphertext = operators[i].ciphertext
-    return {"own": ciphertext, "tampered": tampered(ciphertext), "bytes": ciphertext.serialize()}[kind]
+    return {"own": ciphertext, "tampered": tampered(ciphertext), "bytes": bytes(ciphertext)}[kind]
 
 
 def filter_of(length, fv):
