@@ -258,9 +258,6 @@ class LedgerEvent(NamedTuple):
     def prev_hash(self) -> bytes:
         return self.event_bytes[-32:]
 
-    def compute_hash(self) -> bytes:
-        return sha256(self.event_bytes)
-
     def describe(self) -> str:
         """The event's line of the text dump."""
         fields = " ".join([f"{_token(k)}={v.hex() if type(v) is bytes else _token(v) if type(v) is str else v}"
@@ -403,13 +400,6 @@ class CommitmentIndex:
         self._view()
         return self._sorted
 
-    def addresses_sorted(self) -> tuple[Address, ...]:
-        self._view()
-        return tuple(map(Address._made, self._ranked.tolist()))  # a V20 row lists as its 20 bytes
-
-    def arrival_order(self) -> tuple[Address, ...]:
-        return tuple(map(Address._made, self._commitments))
-
 
 @dataclass
 class SurveyContract:
@@ -417,7 +407,9 @@ class SurveyContract:
 
     The terms are the init fields, and only they: construction records them as the CREATED
     event, and `contract_id` is the digest of that payload. A term of the wrong type raises
-    and records nothing; a negative fee or deadline fails the payload's u64 check.
+    and records nothing; a negative fee or deadline fails the payload's u64 check. `Address`
+    is the type of the terms and command arguments only: inside the contract an address is its
+    raw 20 bytes, which key the commitments and `balance_deltas`.
     """
 
     config_uri: str
@@ -439,7 +431,7 @@ class SurveyContract:
     revealed_s2: Secret | None = field(init=False, default=None)
     log: EventLog = field(init=False, default_factory=EventLog)
     escrow_balance: int = field(init=False, default=0)
-    balance_deltas: dict[Address, int] = field(init=False, default_factory=dict)
+    balance_deltas: dict[bytes, int] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         payload: Payload = {}
@@ -453,12 +445,7 @@ class SurveyContract:
         created = self.log.append(EventKind.CREATED, payload)
         self.contract_id = digest(created.event_bytes[5:-32])  # the payload: after sequence_no and kind
 
-    @property
-    def escrow_address(self) -> Address:
-        """Synthetic address of the contract itself, for transfer records."""
-        return Address(self.contract_id.value[:ADDRESS_LEN])
-
-    def _credit(self, address: Address, amount: int) -> None:
+    def _credit(self, address: bytes, amount: int) -> None:
         self.balance_deltas[address] = self.balance_deltas.get(address, 0) + amount
 
 
@@ -521,19 +508,19 @@ def deposit(contract: SurveyContract, from_address: Address, amount: int) -> Non
         raise LedgerError(f"deposit must equal the agreed fee {contract.fee}, got {amount!r}")
     contract.log.append(EventKind.DEPOSITED, {"from": from_address.value, "amount": amount})
     contract.escrow_balance += amount
-    contract._credit(from_address, -amount)
+    contract._credit(from_address.value, -amount)
     contract.phase = ContractPhase.DEPOSITED
 
 
 def _release_escrow(contract: SurveyContract, to: Address, role: str) -> int:
     """Move the whole escrow to `to` as one TRANSFERRED event; returns the amount moved."""
     amount = contract.escrow_balance
-    contract.log.append(
+    contract.log.append(  # from the contract's own synthetic address: its id's first 20 bytes
         EventKind.TRANSFERRED,
-        {"from": contract.escrow_address.value, "to": to.value, "to_role": role, "amount": amount},
+        {"from": contract.contract_id.value[:ADDRESS_LEN], "to": to.value, "to_role": role, "amount": amount},
     )
     contract.escrow_balance = 0
-    contract._credit(to, amount)
+    contract._credit(to.value, amount)
     return amount
 
 
@@ -560,12 +547,13 @@ def equal_split(fee: int, required_responses: int) -> int:
     return fee * OPERATOR_SHARE_PCT // (100 * required_responses)
 
 
-def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[Address, int]:
+def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[bytes, int]:
     """Pay the rule's share (`equal_split`) to exactly `required_responses` filter-eligible commitments.
 
     Anyone holding the published filter may settle: its bits are checked against the recorded
     digest first, then the contract pays its ones in ascending address order (the PAID_OUT
-    order). A rejected call changes nothing. Returns the distribution paid.
+    order), counting the payees it pays. A rejected call changes nothing. Returns the
+    distribution paid: each payee's raw 20-byte address and its share, in that order.
     """
     if contract.phase != ContractPhase.REVEALED:
         raise LedgerError(f"cannot pay out in phase {contract.phase.name}")
@@ -575,16 +563,17 @@ def payout(contract: SurveyContract, filter_bits: Sequence[int]) -> dict[Address
         raise LedgerError(f"supplied filter is not a bit vector: {exc}") from exc
     if contract.filter_digest is None or sha256(filter_bytes) != contract.filter_digest.value:
         raise LedgerError("supplied filter does not match the recorded filter hash")
-    if len(filter_bits) != len(contract.commitments) or sum(filter_bits) != contract.required_responses:
+    marked = np.asarray(filter_bits) == 1
+    if len(marked) != len(contract.commitments) or np.count_nonzero(marked) != contract.required_responses:
         raise LedgerError(f"filter must mark exactly {contract.required_responses} of the commitments")
     share = equal_split(contract.fee, contract.required_responses)
     total = share * contract.required_responses
     contract.commitments._view()  # the payees' raw addresses, in ascending order
-    payees = contract.commitments._ranked[np.asarray(filter_bits) == 1].tolist()
+    payees = contract.commitments._ranked[marked].tolist()  # a V20 row lists as its 20 bytes
     amount = struct.pack(">Q", share)
     contract.log.append(EventKind.PAID_OUT, {"distribution": amount.join(payees) + amount, "total": total})
-    contract._credit(contract.sysop, -total)
-    distribution, deltas = dict.fromkeys(map(Address._made, payees), share), contract.balance_deltas
+    contract._credit(contract.sysop.value, -total)
+    distribution, deltas = dict.fromkeys(payees, share), contract.balance_deltas
     # payees that already have a delta (a party paid as an operator too); the smaller view is the one walked
     earlier = {a: deltas[a] + share for a in distribution.keys() & deltas.keys()}
     deltas.update(distribution)  # reuses the hashes distribution holds

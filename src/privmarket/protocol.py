@@ -555,7 +555,7 @@ def sysop_reveal_secret(sysop: SystemOperator, contract: SurveyContract) -> None
     ledger_mod.reveal_secret(contract, sysop.secret_for(contract))
 
 
-def sysop_payout(sysop: SystemOperator, contract: SurveyContract, filter_vector: FilterVector) -> dict[Address, int]:
+def sysop_payout(sysop: SystemOperator, contract: SurveyContract, filter_vector: FilterVector) -> dict[bytes, int]:
     """Equal shares to every filter-eligible operator, chosen by the contract; remainder retained."""
     return ledger_mod.payout(contract, filter_vector.bits)
 
@@ -715,8 +715,9 @@ def run_survey(
         trace.step("authority", "deposit", f"amount={contract.fee}")
         sysop_reveal_secret(sysop, contract)
         trace.step("sysop", "reveal-secret", f"h_s2={contract.h_s2.hex[:16]}")
-        payouts = sysop_payout(sysop, contract, filter_vector)  # ascending address order
-        trace.record("sysop", "pay-operator", "{} amount={}".format, tuple(payouts), tuple(payouts.values()))
+        payouts = sysop_payout(sysop, contract, filter_vector)  # raw addresses, in ascending order
+        trace.record("sysop", "pay-operator", lambda a, s: f"0x{a.hex()} amount={s}", tuple(payouts),
+                     tuple(payouts.values()))
         aggregation = settle_and_decrypt(authority, contract, authority.accepted)
         trace.step("authority", "decrypt-aggregate", f"responses={len(aggregation.decrypted_vectors)}")
     except (LedgerError, ProtocolError) as exc:

@@ -12,11 +12,13 @@ operator with `evaluate_criteria`.
 `check_transfer_safety` and `describe` here read a log the way the ledger
 did when it kept one decoded `LedgerEvent` per event: event by event, from
 the decoded fields. `encode_payload` writes a payload field by field, apart
-from the encoded parts the ledger packs its records from.
+from the encoded parts the ledger packs its records from, and
+`arrival_addresses` reads a commitment index's addresses one by one.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -279,7 +281,9 @@ def verify_event_chain(log: ledger.EventLog) -> tuple[bool, int | None]:
     """Recompute every hash and link from the decoded events; returns (ok, first bad index)."""
     prev = ledger.GENESIS_PREV
     for i, event in enumerate(log.events):
-        if event.sequence_no != i or event.prev_hash != prev or event.compute_hash() != event.event_hash:
+        if event.sequence_no != i or event.prev_hash != prev:
+            return False, i
+        if hashlib.sha256(event.event_bytes).digest() != event.event_hash:
             return False, i
         prev = event.event_hash
     return True, None
@@ -297,6 +301,13 @@ def check_transfer_safety(log: ledger.EventLog) -> bool:
             if deposited_at is None:
                 return False
     return True
+
+
+def arrival_addresses(index: ledger.CommitmentIndex) -> list[bytes]:
+    """An index's committed addresses in arrival order: the 20-byte chunks of its arrival block. `sorted` of them
+    is the ascending order that filter indices follow."""
+    block = index.arrival_bytes()
+    return [block[i : i + ledger.ADDRESS_LEN] for i in range(0, len(block), ledger.ADDRESS_LEN)]
 
 
 def describe(event: ledger.LedgerEvent) -> str:

@@ -33,7 +33,7 @@ from privmarket.ledger import (
     _walk,
 )
 from privmarket.simulate import ExperimentConfig, run_full_protocol_experiment
-from reference import describe, encode_payload
+from reference import arrival_addresses, describe, encode_payload
 
 RNG = np.random.default_rng(2718)
 
@@ -78,7 +78,7 @@ def contract_state(contract):
     """Every field of a contract by value, its commitments, and its log's bytes."""
     fields = {k: v for k, v in vars(contract).items() if k not in ("commitments", "log")}
     index = contract.commitments
-    return copy.deepcopy(fields), index.addresses_sorted(), index.sorted_commitments(), contract.log.to_bytes()
+    return copy.deepcopy(fields), sorted(arrival_addresses(index)), index.sorted_commitments(), contract.log.to_bytes()
 
 
 def terms_of(contract):
@@ -164,10 +164,11 @@ class TestCommit:
         contract, _ = make_contract()
         for b in (0x0A, 0x03, 0x07):
             commit_response(contract, addr(b), digest(bytes([b])))
-        ordered = list(contract.commitments.addresses_sorted())
-        assert ordered == [addr(0x03), addr(0x07), addr(0x0A)]
-        assert contract.commitments.ranks_of(addr(0x07).value).tolist() == [1]
-        assert contract.commitments.arrival_order() == (addr(0x0A), addr(0x03), addr(0x07))
+        index = contract.commitments
+        assert sorted(arrival_addresses(index)) == [addr(0x03).value, addr(0x07).value, addr(0x0A).value]
+        assert index.ranks_of(addr(0x07).value).tolist() == [1]
+        assert index.ranks_of(index.arrival_bytes()).tolist() == [2, 0, 1]
+        assert arrival_addresses(index) == [addr(0x0A).value, addr(0x03).value, addr(0x07).value]
 
 
 # small pools, so that a drawn batch repeats addresses; the raw bytes and the swapped types are refused
@@ -196,7 +197,7 @@ class TestCommitResponses:
             error = None
         except Exception as exc:
             error = (type(exc), str(exc))
-        arrival = list(zip(contract.commitments.arrival_order(), contract.commitments.commitments()))
+        arrival = list(zip(arrival_addresses(contract.commitments), contract.commitments.commitments()))
         return error, arrival, contract_state(contract)  # the state holds the sorted index and the log bytes
 
     @given(
@@ -231,7 +232,7 @@ class TestCommitResponses:
         contract, _ = make_contract()
         with pytest.raises(LedgerError, match="commit pair 1 is not 20 address and 32 commitment bytes"):
             commit_responses(contract, [addr(0x0A).value, address], [digest(b"a").value, commitment])
-        assert contract.commitments.arrival_order() == (addr(0x0A),)
+        assert arrival_addresses(contract.commitments) == [addr(0x0A).value]
         assert len(contract.log) == 2 and verify_event_chain(contract.log) == (True, None)
 
     def test_the_pairs_before_a_refused_one_stay_committed(self):
@@ -239,7 +240,7 @@ class TestCommitResponses:
         addresses = [addr(0x0A), addr(0x03), addr(0x0A), addr(0x07)]
         with pytest.raises(LedgerError, match="already committed"):
             commit_responses(contract, [a.value for a in addresses], [digest(bytes([i])).value for i in range(4)])
-        assert contract.commitments.arrival_order() == (addr(0x0A), addr(0x03))
+        assert arrival_addresses(contract.commitments) == [addr(0x0A).value, addr(0x03).value]
         assert [e.kind for e in contract.log] == [EventKind.CREATED, EventKind.COMMITTED, EventKind.COMMITTED]
         assert verify_event_chain(contract.log) == (True, None)
 
@@ -338,7 +339,7 @@ class TestReveal:
         assert len(transfers) == 1
         assert transfers[0].payload["amount"] == 100
         assert transfers[0].payload["to"] == SYSOP.value
-        assert contract.balance_deltas[SYSOP] == 100
+        assert contract.balance_deltas[SYSOP.value] == 100
 
     def test_wrong_secret_changes_nothing(self):
         contract, s2 = make_contract(nr=1, fee=100)
@@ -381,18 +382,20 @@ class TestPayout:
     def test_equal_split_example(self):
         # fee 100, NR 2, operators share 80%: 40 each, sysop retains 20
         contract, bits, addresses = self._revealed_contract()
-        assert payout(contract, bits) == {a: 40 for a in addresses}
+        assert payout(contract, bits) == {a.value: 40 for a in addresses}
         assert contract.phase == ContractPhase.SETTLED
-        assert contract.balance_deltas[SYSOP] == 20
-        assert all(contract.balance_deltas[a] == 40 for a in addresses)
+        assert contract.balance_deltas[SYSOP.value] == 20
+        assert all(contract.balance_deltas[a.value] == 40 for a in addresses)
 
     def test_a_payee_that_is_also_a_party_keeps_its_earlier_delta(self):
         contract, s2 = make_contract(nr=3, fee=100)
         bits = settle_to_deposit(contract, [(a, digest(a.value)) for a in (SYSOP, AUTHORITY, addr(1))])
         reveal_secret(contract, s2)
-        assert payout(contract, bits) == {addr(1): 26, AUTHORITY: 26, SYSOP: 26}
-        assert contract.balance_deltas == {AUTHORITY: -100 + 26, SYSOP: 100 - 78 + 26, addr(1): 26}
-        assert list(contract.balance_deltas) == [AUTHORITY, SYSOP, addr(1)]
+        paid = payout(contract, bits)
+        assert paid == {addr(1).value: 26, AUTHORITY.value: 26, SYSOP.value: 26}
+        assert list(paid) == [addr(1).value, AUTHORITY.value, SYSOP.value]  # ascending address order
+        assert contract.balance_deltas == {AUTHORITY.value: -100 + 26, SYSOP.value: 100 - 78 + 26, addr(1).value: 26}
+        assert list(contract.balance_deltas) == [AUTHORITY.value, SYSOP.value, addr(1).value]
         assert contract.escrow_balance + sum(contract.balance_deltas.values()) == 0
 
     def test_the_share_is_not_the_callers(self):
@@ -410,9 +413,9 @@ class TestPayout:
         finalize_filter(contract, digest(encode_bit_vector(bits)))
         deposit(contract, AUTHORITY, 100)
         reveal_secret(contract, s2)
-        assert payout(contract, bits) == {addr(2): 80}
-        assert addr(1) not in contract.balance_deltas
-        assert contract.balance_deltas[SYSOP] == 20
+        assert payout(contract, bits) == {addr(2).value: 80}
+        assert addr(1).value not in contract.balance_deltas
+        assert contract.balance_deltas[SYSOP.value] == 20
         assert contract.log.events[-1].payload["distribution"] == addr(2).value + struct.pack(">Q", 80)
 
     def test_filter_bits_must_match_recorded_digest(self):
@@ -428,6 +431,46 @@ class TestPayout:
             payout(contract, bits)
         assert contract_state(contract) == before
         assert contract.phase == ContractPhase.REVEALED
+
+    @staticmethod
+    def _revealed_with_filter(nr, bits):
+        """A revealed contract of len(bits) commitments, in ascending address order, whose recorded filter is `bits`."""
+        contract, s2 = make_contract(nr=nr, fee=100_000)
+        raws = [i.to_bytes(20, "big") for i in range(1, len(bits) + 1)]
+        commit_responses(contract, raws, [digest(raw).value for raw in raws])
+        finalize_filter(contract, digest(encode_bit_vector(bits)))
+        deposit(contract, AUTHORITY, contract.fee)
+        reveal_secret(contract, s2)
+        return contract, raws
+
+    # a uint8 filter, as build_and_finalize_filter builds it before `.tolist()`: a `sum` over it wraps at 256
+    def test_a_uint8_filter_that_marks_more_than_nr_is_refused_and_changes_nothing(self):
+        bits = np.zeros(300, np.uint8)
+        bits[:266] = 1  # 266 ones, which a wrapped sum counts as 10
+        contract, _ = self._revealed_with_filter(10, bits)
+        before = contract_state(contract)
+        with pytest.raises(LedgerError, match="must mark exactly 10 of"):
+            payout(contract, bits)
+        assert contract_state(contract) == before
+        assert contract.phase == ContractPhase.REVEALED
+
+    def test_a_uint8_filter_that_marks_exactly_nr_pays_each_of_them(self):
+        contract, raws = self._revealed_with_filter(300, np.ones(300, np.uint8))  # 300 ones: a wrapped sum is 44
+        assert payout(contract, np.ones(300, np.uint8)) == dict.fromkeys(raws, 266)
+        assert contract.phase == ContractPhase.SETTLED
+        assert contract.escrow_balance + sum(contract.balance_deltas.values()) == 0
+
+    def test_payout_builds_no_fixed_bytes(self, monkeypatch):
+        contract, raws = self._revealed_with_filter(1000, [1] * 1000)
+        built = []
+        made, post_init = FixedBytes._made.__func__, FixedBytes.__post_init__
+        monkeypatch.setattr(FixedBytes, "_made", classmethod(lambda cls, value: built.append(cls) or made(cls, value)))
+        monkeypatch.setattr(FixedBytes, "__post_init__", lambda self: built.append(type(self)) or post_init(self))
+        Address(raws[0]), Digest._made(bytes(32))  # a checked and an unchecked build: each is counted
+        assert len(built) == 2
+        built.clear()
+        assert len(payout(contract, [1] * 1000)) == 1000
+        assert built == []
 
     def test_payout_before_reveal_rejected(self):
         contract, _ = make_contract(nr=1, fee=100)
@@ -470,15 +513,15 @@ class TestPayout:
             return
         assert fair
         share = fee * OPERATOR_SHARE_PCT // (100 * nr)
-        eligible = [a for a, bit in zip(sorted(map(Address, raws), key=lambda a: a.value), recorded) if bit]
+        eligible = [a for a, bit in zip(sorted(raws), recorded) if bit]
         assert paid == dict.fromkeys(eligible, share)
-        operators = {a: d for a, d in contract.balance_deltas.items() if a not in (AUTHORITY, SYSOP)}
+        operators = {a: d for a, d in contract.balance_deltas.items() if a not in (AUTHORITY.value, SYSOP.value)}
         assert operators == paid
-        assert 0 <= contract.balance_deltas[SYSOP] == fee - share * nr
+        assert 0 <= contract.balance_deltas[SYSOP.value] == fee - share * nr
         assert contract.escrow_balance + sum(contract.balance_deltas.values()) == 0
         event = contract.log.events[-1]
         assert event.kind == EventKind.PAID_OUT
-        assert event.payload["distribution"] == b"".join(a.value + struct.pack(">Q", share) for a in eligible)
+        assert event.payload["distribution"] == b"".join(a + struct.pack(">Q", share) for a in eligible)
         assert event.payload["total"] == share * nr
         assert contract.phase == ContractPhase.SETTLED
 
@@ -498,7 +541,7 @@ class TestAbort:
         assert len(refunds) == 1
         assert refunds[0].payload["to"] == AUTHORITY.value
         assert contract.escrow_balance == 0
-        assert contract.balance_deltas[AUTHORITY] == 0  # - fee + refund
+        assert contract.balance_deltas[AUTHORITY.value] == 0  # - fee + refund
 
     def test_before_deadline_rejected(self):
         contract, _ = make_contract(deadline=10)
@@ -547,8 +590,8 @@ class TestConservation:
                     refunds += event.payload["amount"]
             assert deposits == escrow + to_sysop + refunds
         # after settlement: sysop retained + operator payouts == fee
-        paid = sum(contract.balance_deltas[a] for a in (addr(5), addr(9)))
-        assert contract.balance_deltas[SYSOP] + paid == contract.fee
+        paid = sum(contract.balance_deltas[a.value] for a in (addr(5), addr(9)))
+        assert contract.balance_deltas[SYSOP.value] + paid == contract.fee
 
     def test_transfer_safety_on_honest_log(self):
         assert check_transfer_safety(full_honest_log().log)
@@ -781,7 +824,7 @@ class TestCanonicalParse:
         assert log.to_bytes() == data
         for event in log:  # the stored bytes are those of the parsed fields, and they are what gets hashed
             assert reencoded(event) == event.event_bytes
-            assert event.compute_hash() == digest(reencoded(event)).value
+            assert hashlib.sha256(event.event_bytes).digest() == digest(reencoded(event)).value
 
 
 class TestCommitmentIndex:
@@ -797,14 +840,14 @@ class TestCommitmentIndex:
         for _ in range(40):
             address = Address(rng.bytes(20))
             commit_response(contract, address, digest(address.value))
-            arrived.append(address)
-            ranked = sorted(arrived, key=lambda a: a.value)
+            arrived.append(address.value)
+            ranked = sorted(arrived)
             probe = arrived[int(rng.integers(len(arrived)))]
-            assert index.ranks_of(probe.value + addr(0xEE).value).tolist() == [ranked.index(probe), -1]
-            assert index.addresses_sorted() == tuple(ranked)
-            assert index.sorted_commitments() == tuple(digest(a.value).value for a in ranked)
-            assert index.arrival_order() == tuple(arrived)
-        assert index.addresses_sorted() == tuple(sorted(arrived, key=lambda a: a.value))
+            assert index.ranks_of(probe + addr(0xEE).value).tolist() == [ranked.index(probe), -1]
+            assert index.ranks_of(index.arrival_bytes()).tolist() == [ranked.index(a) for a in arrived]
+            assert index.sorted_commitments() == tuple(digest(a).value for a in ranked)
+            assert arrival_addresses(index) == arrived
+        assert index.ranks_of(b"".join(ranked)).tolist() == list(range(len(arrived)))
 
 
     @pytest.mark.parametrize("raws", [
@@ -817,7 +860,7 @@ class TestCommitmentIndex:
         index = contract.commitments
         ranked = sorted(raws)
         assert index.ranks_of(b"".join(raws)).tolist() == [ranked.index(raw) for raw in raws]
-        assert [a.value for a in index.addresses_sorted()] == ranked
+        assert sorted(arrival_addresses(index)) == ranked and arrival_addresses(index) == raws
         assert index.sorted_commitments() == tuple(digest(raw).value for raw in ranked)  # a tuple: nobody can change it
         assert index.ranks_of(b"".join(ranked) + bytes(19) + b"\x01").tolist() == [*range(len(raws)), -1]
 

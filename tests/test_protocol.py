@@ -43,6 +43,7 @@ from privmarket.protocol import (
     sysop_reveal_secret,
     verify_deliveries,
 )
+from reference import arrival_addresses
 
 
 def addr(first_byte: int) -> Address:
@@ -189,7 +190,7 @@ class TestCriteria:
         store, _, sysop, contract, _ = setup_small_survey(small_config(nr=nr, criteria=criteria), profiles)
         commit_all(store, sysop, contract, profiles)
         fv = build_and_finalize_filter(sysop, contract, profiles, criteria, store=store)
-        return {a for a, bit in zip(contract.commitments.addresses_sorted(), fv.bits) if bit}
+        return {Address(a) for a, bit in zip(sorted(arrival_addresses(contract.commitments)), fv.bits) if bit}
 
     def test_empty_accepts_everyone(self):
         assert self.marked([profile(1), profile(2, "VIC")], FilterCriteria.empty(), nr=2) == {addr(1), addr(2)}
@@ -440,8 +441,8 @@ class TestFilter:
         commit_all(store, sysop, contract, profiles)
         fv = build_and_finalize_filter(sysop, contract, profiles, crit, store=store)
         assert fv.popcount == 2
-        winners = {addr(0x0A), addr(0x0B)}
-        for i, address in enumerate(contract.commitments.addresses_sorted()):
+        winners = {addr(0x0A).value, addr(0x0B).value}
+        for i, address in enumerate(sorted(arrival_addresses(contract.commitments))):
             assert fv.bits[i] == (1 if address in winners else 0)
 
     def test_last_eligible_arrival_misses_out(self):
@@ -510,7 +511,8 @@ class TestDelivery:
             index = index_of(contract, operator.profile.active_address)
             if fv.bits[index] == 1:
                 assert msg is not None and msg.index == index
-                assert contract.commitments.addresses_sorted()[msg.index] == operator.profile.active_address
+                ascending = sorted(arrival_addresses(contract.commitments))
+                assert ascending[msg.index] == operator.profile.active_address.value
             else:
                 assert msg is None
 
@@ -900,10 +902,10 @@ class TestEqualSplit:
         published = decode_bit_stream(store.get(filter_uri(contract)))[0].tolist()
         paid = payout(contract, published)
         share = equal_split(contract.fee, contract.required_responses)
-        eligible = [a for a, bit in zip(contract.commitments.addresses_sorted(), fv.bits) if bit]
+        eligible = [a for a, bit in zip(sorted(arrival_addresses(contract.commitments)), fv.bits) if bit]
         assert paid == dict.fromkeys(eligible, share) and share == 40
         assert all(contract.balance_deltas[a] == share for a in eligible)
-        assert contract.balance_deltas[sysop.address] == contract.fee - 2 * share
+        assert contract.balance_deltas[sysop.address.value] == contract.fee - 2 * share
         assert contract.phase == ContractPhase.SETTLED
         with pytest.raises(LedgerError, match="phase SETTLED"):
             sysop_payout(sysop, contract, fv)
@@ -964,6 +966,17 @@ class TestRunSurvey:
         )
         assert outcome.filter_vector.popcount == 4
         assert len(outcome.aggregation.decrypted_vectors) == 4
+
+    def test_balances_are_keyed_by_raw_addresses_and_conserve_money(self):
+        profiles = [profile(i + 1, choice=i % 4) for i in range(6)]
+        outcome = run_survey(
+            small_config(nr=4, fee=100, f=0.5), profiles,
+            operator_rngs=rngs(6, seed=3),
+            infra_rng=np.random.default_rng(3),
+        )
+        deltas = outcome.contract.balance_deltas
+        assert len(deltas) == 6 and all(type(a) is bytes and len(a) == 20 for a in deltas)  # both parties, 4 payees
+        assert outcome.contract.escrow_balance + sum(deltas.values()) == 0
 
     def test_insufficient_operators_raises_with_trace(self):
         profiles = [profile(1), profile(2)]
