@@ -13,19 +13,20 @@ Normative byte layouts (inputs to hashing and commitments, bit-exact):
 
 * bit vector: 4-byte big-endian length n, then ceil(n/8) bytes with bit j
   stored at byte j//8, most significant bit first; padding bits are zero.
-  decode_bit_matrix reports the records that do not decode by position.
+  decode_bit_matrix reports the records that do not decode by position, a
+  None slot of decrypt_population among them.
 * ciphertext: 12-byte cipher nonce, then the AES-GCM body (payload plus
   16-byte authentication tag). A Ciphertext is these bytes, so H(C_R), the
   SHA-256 of the Ciphertext itself, commits to nonce, body and tag jointly.
 
 Digests render as lowercase hex everywhere (logs, CSV, CLI).
 
-Lengths and types are checked where bytes come from outside: the public
-constructors of FixedBytes (and ledger.Address) and Ciphertext, and the
-nonce block of encrypt_population (once per block). A Ciphertext is the
-bytes that travel between parties and that its commitment hashes; its nonce
-and body are slices of them. What digest, hmac_derive, derive_session_key
-and encrypt_population return is built unchecked (`_made`, `bytes.__new__`).
+Lengths and types are checked in the one constructor of each FixedBytes
+(ledger.Address included), in Ciphertext's constructor, and in the nonce
+block of encrypt_population (once per block). A Ciphertext is the bytes that
+travel between parties and that its commitment hashes; its nonce and body are
+slices of them. Only the envelopes encrypt_population seals skip a check
+(`bytes.__new__`), for the reason its docstring gives.
 
 SHA-256 has one home: `sha256` returns the raw 32 bytes, for a hash that is
 only compared or chained; `digest` wraps them in a Digest, for one that is
@@ -76,7 +77,7 @@ def _expect_len(name: str, value: bytes, expected: int) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class FixedBytes:
-    """Exactly LENGTH bytes; subclasses differ only in LENGTH and LABEL, and declare `__slots__ = ()`."""
+    """Exactly LENGTH bytes, checked on construction; subclasses differ only in LENGTH and LABEL, and declare `__slots__ = ()`."""
 
     value: bytes
     LENGTH: ClassVar[int]
@@ -84,15 +85,6 @@ class FixedBytes:
 
     def __post_init__(self):
         object.__setattr__(self, "value", _expect_len(self.LABEL, self.value, self.LENGTH))
-
-    @classmethod
-    def _made(cls, value: bytes, _new=object.__new__, _set=object.__setattr__):  # bound once: runs for every digest
-        made = _new(cls)
-        _set(made, "value", value)
-        return made
-
-    def __hash__(self) -> int:
-        return hash(self.value)
 
 
 class PreSharedKey(FixedBytes):
@@ -147,12 +139,12 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
 
 def hmac_derive(psk: PreSharedKey, nonce: Nonce) -> Secret:
     """Derive a 32-byte secret: HMAC-SHA-256(key=psk, message=nonce)."""
-    return Secret._made(hmac_sha256(psk.value, nonce.value))
+    return Secret(hmac_sha256(psk.value, nonce.value))
 
 
 def derive_session_key(s1: Secret, s2: Secret) -> SessionKey:
     """SHA-256 over the 64-byte concatenation s1 || s2, in that order."""
-    return SessionKey._made(sha256(s1.value + s2.value))
+    return SessionKey(sha256(s1.value + s2.value))
 
 
 def sha256(data: bytes, _new=hashlib.sha256) -> bytes:
@@ -162,14 +154,15 @@ def sha256(data: bytes, _new=hashlib.sha256) -> bytes:
 
 def digest(data: bytes) -> Digest:
     """SHA-256 of the exact input bytes, as a Digest to keep."""
-    return Digest._made(sha256(data))
+    return Digest(sha256(data))
 
 
 def encrypt_population(sk: SessionKey, plaintexts: Sequence[bytes], nonces: bytes) -> list[Ciphertext]:
     """AES-256-GCM of each plaintext under row i of the nonce block, its bytes [12i, 12i + 12).
 
     The block is checked once: bytes, exactly 12 per plaintext. Each nonce must be unique per
-    (key, message) pair.
+    (key, message) pair. The envelopes skip Ciphertext's checks, which add about half again to the seals'
+    time (one per operator): each is a 12-byte row of the checked block and an AES-GCM output, tag included.
     """
     block = _expect_len("cipher nonce", nonces, CIPHER_NONCE_LEN * len(plaintexts))
     seal, new = AESGCM(sk.value).encrypt, bytes.__new__
@@ -177,18 +170,16 @@ def encrypt_population(sk: SessionKey, plaintexts: Sequence[bytes], nonces: byte
     return [new(Ciphertext, nonce + seal(nonce, bytes(plaintext), None)) for nonce, plaintext in zip(rows, plaintexts)]
 
 
-def decrypt_population(sk: SessionKey, ciphertexts: Sequence[Ciphertext]) -> tuple[list[bytes], tuple[int, ...]]:
-    """Open each ciphertext: (the plaintexts that authenticate, in input order; the positions of the others)."""
-    open_, opened, failed = AESGCM(sk.value).decrypt, [], []
-    for position, c in enumerate(ciphertexts):
-        if not isinstance(c, Ciphertext):  # no envelope opens
-            failed.append(position)
-            continue
+def decrypt_population(sk: SessionKey, ciphertexts: Sequence[Ciphertext]) -> list[bytes | None]:
+    """Open each ciphertext: one slot per input, its plaintext, or None where it is no Ciphertext or does not
+    authenticate (wrong key, wrong nonce or tampered bytes)."""
+    open_, opened = AESGCM(sk.value).decrypt, []
+    for c in ciphertexts:
         try:
-            opened.append(open_(c.cipher_nonce, c.body, None))
-        except InvalidTag:  # wrong key, wrong nonce or tampered bytes
-            failed.append(position)
-    return opened, tuple(failed)
+            opened.append(open_(c.cipher_nonce, c.body, None) if isinstance(c, Ciphertext) else None)
+        except InvalidTag:
+            opened.append(None)
+    return opened
 
 
 def encrypt(sk: SessionKey, plaintext: bytes, cipher_nonce: bytes) -> Ciphertext:
@@ -197,12 +188,12 @@ def encrypt(sk: SessionKey, plaintext: bytes, cipher_nonce: bytes) -> Ciphertext
 
 
 def decrypt(sk: SessionKey, c: Ciphertext) -> bytes:
-    """Recover one plaintext: the one-row call of decrypt_population. Raises DecryptionError on any
-    authentication failure."""
-    opened, _ = decrypt_population(sk, [c])
-    if not opened:
+    """Recover one plaintext: the one slot of decrypt_population. Raises DecryptionError on any authentication
+    failure."""
+    (plaintext,) = decrypt_population(sk, [c])
+    if plaintext is None:
         raise DecryptionError("ciphertext failed authentication")
-    return opened[0]
+    return plaintext
 
 
 def encode_bit_matrix(bits: np.ndarray) -> list[bytes]:
@@ -230,16 +221,17 @@ def _unpack_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.n
     return np.unpackbits(rows[:, 4:], axis=1, count=n), prefixed, padded
 
 
-def decode_bit_matrix(records: Sequence[bytes], n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+def decode_bit_matrix(records: Sequence[bytes | None], n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Strictly decode records that each hold n bits; returns (bits, undecodable).
 
-    bits is the (M, n) uint8 matrix of the records that decode, in input order; undecodable
-    the ascending positions of the others: another length, another length prefix, or nonzero padding.
+    bits is the (M, n) uint8 matrix of the records that decode, in input order; undecodable the
+    ascending positions of the others: None (an envelope that did not open), another length, another
+    length prefix, or nonzero padding.
     """
     size = 4 + (n + 7) // 8
-    # swap a record of another length for all ones, which never decode (at n = 2**32 - 1 a padding bit is set)
-    if any(len(record) != size for record in records):
-        records = [record if len(record) == size else b"\xff" * size for record in records]
+    # swap None or a record of another length for all ones, which never decode (at n = 2**32 - 1 a padding bit is set)
+    if any(len(record or b"") != size for record in records):
+        records = [record if len(record or b"") == size else b"\xff" * size for record in records]
     bits, prefixed, padded = _unpack_rows(np.frombuffer(b"".join(records), dtype=np.uint8).reshape(-1, size), n)
     good = prefixed & padded
     return bits if good.all() else bits[good], tuple(np.flatnonzero(~good).tolist())

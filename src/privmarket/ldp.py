@@ -38,10 +38,10 @@ class QuerySpec:
         labels = tuple(choices)
         if len(labels) < 2:
             raise ValueError("a query needs at least 2 choices")
+        if not all(isinstance(c, str) for c in labels):  # before the distinctness check, which hashes them
+            raise ValueError("choice labels must be strings")
         if len(set(labels)) != len(labels):
             raise ValueError("choice labels must be pairwise distinct")
-        if not all(isinstance(c, str) for c in labels):
-            raise ValueError("choice labels must be strings")
         for label in labels:
             check_text("choice label", label)
         object.__setattr__(self, "choices", labels)

@@ -114,13 +114,15 @@ class SurveyConfiguration:
     privacy: PrivacyParams
 
     def __post_init__(self):
+        for term, value in (("required response count", self.required_responses), ("fee", self.fee)):
+            if type(value) is not int:  # a bool is an int, yet no count
+                raise ValueError(f"{term} must be an int, got {value!r}")
+            if value >= 1 << 64:  # the ledger records both as u64
+                raise ValueError(f"{term} must be below 2**64")
         if self.required_responses < 1:
             raise ValueError("required response count must be at least 1")
         if self.fee < 0:
             raise ValueError("fee must be non-negative")
-        for term, value in (("required response count", self.required_responses), ("fee", self.fee)):
-            if value >= 1 << 64:  # the ledger records both as u64
-                raise ValueError(f"{term} must be below 2**64")
 
 
 @dataclass(slots=True)
@@ -430,7 +432,7 @@ def operator_prepare_and_commit(
     (operator.ciphertext,), (commitment,) = commit_population(
         [operator.profile], contract, config_bytes, expected_digest, psk, n1, n2, rng, operator._rng
     )
-    return operator.ciphertext, Digest._made(commitment)
+    return operator.ciphertext, Digest(commitment)
 
 
 def build_and_finalize_filter(
@@ -567,9 +569,9 @@ def settle_and_decrypt(
 ) -> AggregationOutcome:
     """Reconstruct the session key from the reveal and aggregate the deliveries that open.
 
-    Each delivery is authenticated on its own, all in one `decrypt_population` call, then all
-    decode in one pass. The fee is paid by now, so one that is no Ciphertext or fails to decrypt or
-    decode is only listed in failed_indices; ProtocolError means that none opened, or a key is no int.
+    In ascending index order, the deliveries open in one `decrypt_population` call, a slot each, and the slots
+    decode in one pass. The fee is paid by now, so a slot that does not open or decode only names its index in
+    failed_indices; ProtocolError means that none opened, or a key is no int.
     """
     if contract.phase not in (ContractPhase.REVEALED, ContractPhase.SETTLED):
         raise ProtocolError(
@@ -584,16 +586,11 @@ def settle_and_decrypt(
     assert contract.revealed_s2 is not None
     sk = derive_session_key(contract.s1, contract.revealed_s2)
     indices = sorted(accepted)
-    plaintexts, unopened = decrypt_population(sk, list(map(accepted.__getitem__, indices)))
-    vectors, undecodable = decode_bit_matrix(plaintexts, authority.config.query.n)
+    vectors, failed = decode_bit_matrix(decrypt_population(sk, [accepted[i] for i in indices]), authority.config.query.n)
     if not len(vectors):
         raise ProtocolError(f"none of the {len(accepted)} deliveries decrypted and decoded")
-    failed = {indices[position] for position in unopened}
-    if undecodable:  # positions among the opened deliveries
-        opened = [index for index in indices if index not in failed]
-        failed |= {opened[position] for position in undecodable}
     estimate = estimate_frequencies(accumulate_counts(vectors), authority.config.privacy)
-    return AggregationOutcome(vectors, estimate, tuple(sorted(failed)))
+    return AggregationOutcome(vectors, estimate, tuple(indices[position] for position in failed))
 
 
 # ---------------------------------------------------------------------------

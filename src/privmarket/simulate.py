@@ -52,6 +52,9 @@ class ExperimentConfig:
     mode: Mode = Mode.LDP_ONLY
 
     def __post_init__(self):
+        for name in ("population", "n_choices", "seed", "trials"):
+            if type(getattr(self, name)) is not int:  # a bool is an int, yet no count
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.population < 1:
             raise ValueError("population must be at least 1")
         if self.n_choices < 2:

@@ -73,6 +73,16 @@ class TestSimulateCommand:
         written = {name: hashlib.sha256(data).hexdigest() for name, data in read_all(tmp_path / "out").items()}
         assert written == self.SIMULATE_PINS[f_flags]
 
+    def test_full_protocol_mode_writes_what_ldp_only_writes(self, tmp_path, capsys):
+        # the marketplace run gives the LDP-only estimate bit for bit, so every file and the summary agree
+        flags = ["simulate", "--populations", "50,80", "--trials", "2", "--seed", "3"]
+        written = {}
+        for mode in ("ldp_only", "full_protocol"):
+            assert main(flags + ["--mode", mode, "--out", str(tmp_path / mode)]) == 0
+            written[mode] = (read_all(tmp_path / mode), capsys.readouterr().out)
+        assert written["full_protocol"] == written["ldp_only"]
+        assert len(written["ldp_only"][0]) == 5  # four trial files and summary.csv
+
     def test_invalid_flip_probability_is_usage_error(self, tmp_path):
         assert main(["simulate", "--f", "1.5", "--out", str(tmp_path)]) == 2
 
@@ -352,6 +362,16 @@ class TestEstimateCommand:
         assert main(["estimate", "--reports-file", str(reports), "--f", "0.5"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", stderr + "\n")
+
+    @pytest.mark.parametrize("name, error", [
+        ("absent.bin", "[Errno 2] No such file or directory"),
+        (".", "[Errno 21] Is a directory"),
+    ])
+    def test_an_unreadable_reports_file_is_named(self, tmp_path, capsys, name, error):
+        path = tmp_path / name
+        assert main(["estimate", "--reports-file", str(path), "--f", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"cannot read reports file: {error}: '{path}'\n")
 
     def test_requires_f(self, tmp_path):
         reports = tmp_path / "reports.bin"

@@ -75,7 +75,8 @@ class TestNewtypes:
             encrypt(SessionKey(b"\x00" * 32), b"x", nonce)
 
     def test_made_values_equal_checked_ones(self):
-        # digest, hmac_derive, derive_session_key and encrypt skip the constructor's checks
+        # digest, hmac_derive and derive_session_key build through the checked constructors, encrypt skips
+        # Ciphertext's: either way each value equals, and hashes as, one the checked constructor builds
         secret = hmac_derive(PreSharedKey(b"\x07" * 32), Nonce(b"\x01" * 16))
         key = derive_session_key(secret, secret)
         c = encrypt(key, b"payload", b"\x02" * 12)
@@ -243,8 +244,8 @@ class TestPopulationAead:
         # and each row is the library's AES-GCM under its own nonce
         library = AESGCM(key)
         assert [bytes(c) for c in sealed] == [n + library.encrypt(n, p, None) for p, n in zip(plaintexts, nonces)]
-        assert decrypt_population(sk, sealed) == ([decrypt(sk, c) for c in sealed], ())
-        assert decrypt_population(sk, sealed)[0] == plaintexts
+        assert decrypt_population(sk, sealed) == [decrypt(sk, c) for c in sealed]
+        assert decrypt_population(sk, sealed) == plaintexts
 
     @given(PLAINTEXT_LISTS, st.data())
     @settings(deadline=None, max_examples=100)
@@ -262,9 +263,9 @@ class TestPopulationAead:
                 else:  # a foreign nonce
                     c = Ciphertext(b"\xee" * 12, c.body)
             received.append(c)
-        opened, failed = decrypt_population(sk, received)
-        assert failed == tuple(sorted(damaged))
-        assert opened == [p for position, p in enumerate(plaintexts) if position not in damaged]
+        opened = decrypt_population(sk, received)  # one slot per envelope, None where it does not open
+        assert [position for position, slot in enumerate(opened) if slot is None] == sorted(damaged)
+        assert opened == [None if position in damaged else p for position, p in enumerate(plaintexts)]
         for position, c in enumerate(received):
             if position in damaged:
                 with pytest.raises(DecryptionError, match="^ciphertext failed authentication$"):
@@ -294,7 +295,7 @@ class TestPopulationAead:
     def test_an_empty_population_seals_and_opens_nothing(self):
         sk = SessionKey(b"\x00" * 32)
         assert encrypt_population(sk, [], b"") == []
-        assert decrypt_population(sk, []) == ([], ())
+        assert decrypt_population(sk, []) == []
 
 
 class TestEscrowSoundness:
@@ -367,6 +368,14 @@ class TestBitVectorCodec:
         matrix, undecodable = decode_bit_matrix([good, bad, good, bad, other], 3)
         assert undecodable == (1, 3)
         assert matrix.tolist() == [[1, 0, 1], [1, 0, 1], [0, 1, 1]]
+
+    def test_matrix_decode_sets_aside_a_slot_that_did_not_open(self):
+        # a None slot of decrypt_population is a record that does not decode, named by its position
+        good = encode_bit_vector([1, 0, 1])
+        matrix, undecodable = decode_bit_matrix([None, good, None, good], 3)
+        assert undecodable == (0, 2)
+        assert matrix.tolist() == [[1, 0, 1], [1, 0, 1]]
+        assert decode_bit_matrix([None], 3)[0].shape == (0, 3)
 
     @given(st.integers(min_value=0, max_value=20), st.data())
     @settings(deadline=None, max_examples=200)

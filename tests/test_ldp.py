@@ -33,6 +33,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             QuerySpec(["a", "b", "a"])
 
+    @pytest.mark.parametrize("labels", [[["a"], "b"], ["a", {"b"}]])
+    def test_query_spec_refuses_a_label_that_is_not_a_string_before_comparing_labels(self, labels):
+        # an unhashable label would otherwise fail the distinctness check with a TypeError
+        with pytest.raises(ValueError, match="^choice labels must be strings$"):
+            QuerySpec(labels)
+
     def test_privacy_params_bounds(self):
         PrivacyParams(0.0)
         PrivacyParams(0.99)

@@ -306,6 +306,14 @@ class TestSetup:
         assert c1.n1 != c2.n1
         assert sysop1.secret_for(c1) != sysop2.secret_for(c2)
 
+    def test_psk_is_issued_only_to_a_registered_operator(self):
+        _, _, sysop, contract, _ = setup_small_survey(small_config(), [profile(1)])
+        before = len(contract.log)
+        with pytest.raises(ProtocolError, match="^operator op-02 is not registered$"):
+            sysop.issue_psk(contract, "op-02")
+        assert len(contract.log) == before
+        assert sysop.issue_psk(contract, "op-01") == sysop._survey_keys[contract.contract_id.hex][0]
+
     def test_distribution_record_lists_registered_operators(self):
         profiles = [profile(i) for i in range(3)]
         _, _, _, _, recipients = setup_small_survey(small_config(), profiles)
@@ -479,6 +487,17 @@ class TestFilter:
         assert digest(published) == contract.filter_digest
         assert fv.popcount == 2
 
+    def test_a_profile_list_that_does_not_cover_the_commitments_records_nothing(self):
+        profiles = [profile(i + 1) for i in range(3)]
+        config = small_config(nr=1)
+        store, _, sysop, contract, _ = setup_small_survey(config, profiles)
+        commit_all(store, sysop, contract, profiles)
+        before = len(contract.log)
+        with pytest.raises(ProtocolError, match=r"^profile list \(2\) does not cover commitments \(3\)$"):
+            build_and_finalize_filter(sysop, contract, profiles[:2], config.criteria, store=store)
+        assert len(contract.log) == before
+        assert contract.phase == ContractPhase.COLLECTING
+
     def test_a_profile_list_with_a_swapped_tail_records_nothing(self):
         # NR = 1 is met at the first arrival; the profiles after it are checked all the same
         profiles = [profile(i + 1) for i in range(4)]
@@ -515,6 +534,14 @@ class TestDelivery:
                 assert ascending[msg.index] == operator.profile.active_address.value
             else:
                 assert msg is None
+
+    def test_deliver_needs_one_ciphertext_per_operator(self):
+        _, _, _, contract, operators, fv = run_to_filter()
+        before = len(contract.log)
+        with pytest.raises(ValueError, match="^deliver needs one ciphertext per operator, got 3 for 4$"):
+            deliver_population([o.profile for o in operators], [o.ciphertext for o in operators[:-1]], fv,
+                               contract.commitments)
+        assert len(contract.log) == before
 
     def test_unknown_address_raises(self):
         _, _, _, contract, _, fv = run_to_filter()
@@ -780,6 +807,17 @@ class TestDepositAndSettle:
         with pytest.raises(ProtocolError):
             settle_and_decrypt(authority, contract, authority.accepted)
 
+    def test_settle_refuses_a_delivery_count_other_than_nr(self):
+        _, authority, sysop, contract, operators, fv = run_to_filter(nr=2)
+        self._deliver_all(authority, contract, operators, fv)
+        authority_deposit_and_await_reveal(authority, contract)
+        sysop_reveal_secret(sysop, contract)
+        before = len(contract.log)
+        (first, c), _ = authority.accepted.items()
+        with pytest.raises(ProtocolError, match="^have 1 deliveries, need exactly 2$"):
+            settle_and_decrypt(authority, contract, {first: c})
+        assert len(contract.log) == before
+
     def test_settle_after_reveal_decrypts_everything(self):
         _, authority, sysop, contract, operators, fv = run_to_filter(nr=3, count=5)
         self._deliver_all(authority, contract, operators, fv)
@@ -956,6 +994,18 @@ class TestRunSurvey:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_config(**{term: 2**64})
 
+    @pytest.mark.parametrize("term, name, value", [
+        ("nr", "required response count", 3.0),
+        ("nr", "required response count", True),
+        ("nr", "required response count", "3"),
+        ("fee", "fee", True),
+        ("fee", "fee", 1.5),
+    ])
+    def test_terms_that_are_not_ints_are_refused(self, term, name, value):
+        # refused by the configuration, not by the ledger once the survey runs
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+            small_config(**{term: value})
+
     def test_exactly_nr_accepted_and_decrypted(self):
         profiles = [profile(i + 1, choice=i % 4) for i in range(6)]
         config = small_config(nr=4, fee=100, f=0.5)
@@ -1072,6 +1122,12 @@ class TestRunSurvey:
         verified = [i for i, line in enumerate(honest) if " verify-delivery " in line]
         rejected = honest[verified[1]].replace("verdict=accepted", "verdict=hash_mismatch")
         assert excinfo.value.trace == honest[: verified[1]] + [rejected]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_run_survey_needs_one_random_stream_per_profile(self, count):
+        with pytest.raises(ValueError, match="^need exactly one random stream per operator profile$"):
+            run_survey(small_config(nr=2), [profile(1), profile(2)], operator_rngs=rngs(count),
+                       infra_rng=np.random.default_rng(0))
 
     def test_infra_rng_may_not_randomize_operators(self):
         infra = np.random.default_rng(0)

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import time
 
@@ -78,6 +79,14 @@ class TestConfigValidation:
                 ExperimentConfig(population=10, mean=mean)
         with pytest.raises(ValueError):
             ExperimentConfig(population=10, trials=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("population", 2.5), ("population", True), ("n_choices", 20.0), ("seed", 1.5), ("trials", True),
+    ])
+    def test_a_count_that_is_not_an_int_is_refused(self, field, value):
+        # a bool is an int, yet no count; a float would reach numpy or range() mid-run
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
+            ExperimentConfig(**{"population": 10, field: value})
 
 
 class TestLdpExperiment:
@@ -225,6 +234,17 @@ class TestExport:
         assert len(lines) == 3
         assert lines[1].startswith("100,2,")
         assert lines[2].startswith("200,2,")
+
+
+@pytest.mark.parametrize("population", [1, 10, 100])
+def test_a_survey_builds_the_same_value_objects_at_every_population(population, monkeypatch):
+    # every FixedBytes runs its one checked constructor, so each build is counted: 15 per survey, none per operator
+    built = collections.Counter()
+    post_init = envelope.FixedBytes.__post_init__
+    monkeypatch.setattr(envelope.FixedBytes, "__post_init__",
+                        lambda self: built.update([type(self).__name__]) or post_init(self))
+    run_full_protocol_experiment(ExperimentConfig(population=population, seed=7))
+    assert built == {"Address": 2, "PreSharedKey": 1, "Nonce": 2, "Secret": 4, "SessionKey": 2, "Digest": 4}
 
 
 def test_substreams_are_independent_and_reproducible():
