@@ -12,8 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from .envelope import MixedLengthsError, decode_bit_stream
-from .ldp import PrivacyParams, accumulate_counts, estimate_frequencies
+from .envelope import MixedLengthsError, count_ones, read_bit_stream
+from .ldp import BitCounts, PrivacyParams, estimate_frequencies
 from .ledger import ContractPhase, EventLog, LogFormatError, verify_event_chain
 from .protocol import FilterCriteria, ProtocolError, SurveyConfiguration
 from .simulate import (
@@ -155,7 +155,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     for line in outcome.trace:
         print(line)
     print()
-    print(outcome.contract.log.text_dump(), end="")
+    dump = outcome.contract.log.text_dump()
+    print(dump, end="")
     ok, bad = verify_event_chain(outcome.contract.log)
     print()
     print(f"final phase: {outcome.contract.phase.name}")
@@ -165,7 +166,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         out = Path(args.trace_out)
         (out / "trace.txt").write_text("\n".join(outcome.trace) + "\n")
         (out / "events.bin").write_bytes(outcome.contract.log.to_bytes())
-        (out / "events.txt").write_text(outcome.contract.log.text_dump())
+        (out / "events.txt").write_text(dump)
 
     return 0 if ok and outcome.contract.phase == ContractPhase.SETTLED else 1
 
@@ -192,7 +193,7 @@ def cmd_inspect_ledger(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     privacy = _set_flags(PrivacyParams(), f=("--f", args.f))
     try:
-        bits = decode_bit_stream(Path(args.reports_file).read_bytes())
+        rows, n = read_bit_stream(Path(args.reports_file).read_bytes())
     except OSError as exc:
         print(f"cannot read reports file: {exc}", file=sys.stderr)
         return 1
@@ -202,13 +203,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"corrupt reports file: {exc}", file=sys.stderr)
         return 1
-    if not len(bits):
+    if not len(rows):
         print("reports file holds no vectors", file=sys.stderr)
         return 1
-    if bits.shape[1] < 2:
-        print(f"reports hold {bits.shape[1]}-bit vectors; a query has at least 2 choices", file=sys.stderr)
+    if n < 2:
+        print(f"reports hold {n}-bit vectors; a query has at least 2 choices", file=sys.stderr)
         return 1
-    counts = accumulate_counts(bits)
+    counts = BitCounts(count_ones(rows, n), len(rows))
     estimate = estimate_frequencies(counts, privacy)
     print("choice_index,ones,estimated_raw,estimated_clamped")
     for j, ones in enumerate(counts.ones_per_position):

@@ -14,7 +14,9 @@ Normative byte layouts (inputs to hashing and commitments, bit-exact):
 * bit vector: 4-byte big-endian length n, then ceil(n/8) bytes with bit j
   stored at byte j//8, most significant bit first; padding bits are zero.
   decode_bit_matrix reports the records that do not decode by position, a
-  None slot of decrypt_population among them.
+  None slot of decrypt_population among them. read_bit_stream validates a
+  stream on its packed rows, and count_ones counts their ones per position:
+  `estimate` never unpacks a stream.
 * ciphertext: 12-byte cipher nonce, then the AES-GCM body (payload plus
   16-byte authentication tag). A Ciphertext is these bytes, so H(C_R), the
   SHA-256 of the Ciphertext itself, commits to nonce, body and tag jointly.
@@ -214,11 +216,13 @@ def encode_bit_vector(bits: Sequence[int] | np.ndarray) -> bytes:
     return encode_bit_matrix(np.asarray(bits)[None])[0]  # only a 1-D input passes the 2-D check
 
 
-def _unpack_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bits of rows holding one encoded n-bit record each; per row: is the prefix n, is the padding zero."""
-    prefixed = (rows[:, :4] == np.frombuffer(struct.pack(">I", n), dtype=np.uint8)).all(axis=1)
+def _check_rows(data: bytes, count: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first `count` n-bit records of data as uint8 rows; per row: is its prefix n, is its padding zero."""
+    size = 4 + (n + 7) // 8
+    rows = np.frombuffer(data, np.uint8, count * size).reshape(count, size)
+    prefixed = np.ndarray((count,), ">u4", data, 0, (size,)) == n  # one strided big-endian view of every prefix
     padded = (rows[:, -1] & ((1 << (-n % 8)) - 1)) == 0  # a multiple of 8 bits has no padding
-    return np.unpackbits(rows[:, 4:], axis=1, count=n), prefixed, padded
+    return rows, prefixed, padded
 
 
 def decode_bit_matrix(records: Sequence[bytes | None], n: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -232,34 +236,45 @@ def decode_bit_matrix(records: Sequence[bytes | None], n: int) -> tuple[np.ndarr
     # swap None or a record of another length for all ones, which never decode (at n = 2**32 - 1 a padding bit is set)
     if any(len(record or b"") != size for record in records):
         records = [record if len(record or b"") == size else b"\xff" * size for record in records]
-    bits, prefixed, padded = _unpack_rows(np.frombuffer(b"".join(records), dtype=np.uint8).reshape(-1, size), n)
+    rows, prefixed, padded = _check_rows(b"".join(records), len(records), n)
     good = prefixed & padded
-    return bits if good.all() else bits[good], tuple(np.flatnonzero(~good).tolist())
+    return np.unpackbits(rows[good, 4:], axis=1, count=n), tuple(np.flatnonzero(~good).tolist())
 
 
-def decode_bit_stream(data: bytes) -> np.ndarray:
-    """Strictly decode a concatenation of equal-length bit vectors into one (N, n) uint8 matrix.
+def read_bit_stream(data: bytes) -> tuple[np.ndarray, int]:
+    """Strictly read a concatenation of equal-length bit vectors: its records as validated, still packed rows.
 
-    n is the first record's length prefix; empty input is a (0, 0) matrix.
-    Row i holds the bits of record i. BitVectorError names the first bad
-    record: truncated, nonzero padding, or (MixedLengthsError) a whole
+    Returns the (N, 4 + ceil(n/8)) uint8 rows, row i record i, and n, the first record's length prefix (0 for empty
+    input). BitVectorError names the first bad record: truncated, nonzero padding, or (MixedLengthsError) a whole
     record holding another number of bits.
     """
     n = int.from_bytes(data[:4], "big")  # input shorter than a prefix holds no whole record
     size = 4 + (n + 7) // 8
     count = len(data) // size
-    rows = np.frombuffer(data, dtype=np.uint8, count=count * size).reshape(count, size)
-    bits, prefixed, padded = _unpack_rows(rows, n)
+    rows, prefixed, padded = _check_rows(data, count, n)
     bad = np.flatnonzero(~(prefixed & padded))
     if bad.size and prefixed[bad[0]]:
         raise BitVectorError(int(bad[0]), "nonzero padding bits")
     good = int(bad[0]) if bad.size else count
     rest = data[good * size :]
     if not rest:
-        return bits
+        return rows, n
     if len(rest) < 4:
         raise BitVectorError(good, "truncated length prefix")
     m = int.from_bytes(rest[:4], "big")
     if len(rest) < 4 + (m + 7) // 8:
         raise BitVectorError(good, "truncated body")
     raise MixedLengthsError(good, f"holds {m} bits, record 0 holds {n}")
+
+
+def decode_bit_stream(data: bytes) -> np.ndarray:
+    """`read_bit_stream`'s records as one (N, n) uint8 matrix, row i the bits of record i; empty input is (0, 0)."""
+    rows, n = read_bit_stream(data)
+    return np.unpackbits(rows[:, 4:], axis=1, count=n)
+
+
+def count_ones(rows: np.ndarray, n: int) -> np.ndarray:
+    """The int64 count of ones at each of the n positions of packed rows as `read_bit_stream` returns them, without
+    unpacking them: one histogram of each byte column's values, times the bits of each value."""
+    histograms = np.array([np.bincount(column, minlength=256) for column in rows[:, 4:].T], np.int64).reshape(-1, 256)
+    return (histograms @ np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)).reshape(-1)[:n]

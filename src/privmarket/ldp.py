@@ -131,13 +131,13 @@ def randomize_batch(
 
 
 def accumulate_counts(reports: np.ndarray) -> BitCounts:
-    """Sum reported bits per position: one column sum over an (N, n) 0/1 matrix."""
+    """Sum reported bits per position over an (N, n) 0/1 matrix: one einsum into int64, faster than a column sum."""
     reports = np.asarray(reports)
     if reports.ndim != 2 or not len(reports):
         raise ValueError("need a non-empty (N, n) matrix of reports")
     if ((reports != 0) & (reports != 1)).any():
         raise ValueError("response bits must be 0 or 1")
-    return BitCounts(reports.sum(axis=0, dtype=np.int64), len(reports))
+    return BitCounts(np.einsum("ij->j", reports, dtype=np.int64, casting="unsafe"), len(reports))  # exact: 0/1 only
 
 
 def estimate_frequencies(counts: BitCounts, params: PrivacyParams) -> FrequencyEstimate:

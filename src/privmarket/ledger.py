@@ -30,11 +30,12 @@ record: `_encode` cuts an event's bytes at its values into constant pieces and
 encoded values, and `_record` joins them between sequence_no and prev_hash.
 The Committed parts are encoded once, since a survey writes one Committed
 record per operator and every other kind once; the record length and every
-part's place in a record follow from their lengths. The reads take the
-records as one block. The fit check joins the records of the Committed length
-in blocks and compares each block's piece columns with the pieces at once.
-`from_bytes` walks only the records that do not fit, field by field with every
-check, so only the walk raises, and the first record that fails keeps its
+part's place in a record follow from their lengths. The reads take the records
+as one block. The fit check joins the records of the Committed length in blocks
+and compares each block's piece columns with the pieces at once. A log keeps
+its records' fit flags (records only append), so a record's fit is checked
+once. `from_bytes` walks only the records that do not fit, field by field with
+every check, so only the walk raises, and the first record that fails keeps its
 index and message. Reading an event, by index, slice or iteration, walks its
 record into a `LedgerEvent` with a read-only payload in ascending key order.
 `text_dump` writes a fitting record's line as one f-string over its byte
@@ -274,6 +275,7 @@ class EventLog(Sequence[LedgerEvent]):
 
     def __init__(self):
         self._records: list[bytes] = []  # u32 body_len | event_bytes | event_hash
+        self._fit = np.empty(0, bool)  # whether each of the first records fits the Committed parts
 
     def __len__(self) -> int:
         return len(self._records)
@@ -299,21 +301,22 @@ class EventLog(Sequence[LedgerEvent]):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
-        records, cut = _split(data)
-        for i in np.flatnonzero(~_fits(records)).tolist():
-            _walk(records[i], i)  # the first record that fails its walk raises, before a tail cut short
+        log = cls()
+        log._records, cut = _split(data)
+        log._fit = _fits(log._records)
+        for i in np.flatnonzero(~log._fit).tolist():
+            _walk(log._records[i], i)  # the first record that fails its walk raises, before a tail cut short
         if cut:
             raise cut
-        log = cls()
-        log._records = records
         return log
 
     def text_dump(self) -> str:
         """One line per event, as `describe` renders it: a record that fits the Committed parts is one f-string
         over its byte slices, and every other record is walked."""
+        self._fit = np.concatenate([self._fit, _fits(self._records[len(self._fit) :])])  # records only append
         lines = [f"{_U32.unpack_from(r, 4)[0]} Committed event={r[-32:].hex()} prev={r[-64:-32].hex()} "
                  f"address={r[_ADDRESS].hex()} commitment={r[_COMMITMENT].hex()}" if fit else _walk(r, i).describe()
-                 for i, (r, fit) in enumerate(zip(self._records, _fits(self._records).tolist()))]
+                 for i, (r, fit) in enumerate(zip(self._records, self._fit.tolist()))]
         return "\n".join([*lines, ""])
 
 

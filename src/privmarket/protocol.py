@@ -114,6 +114,9 @@ class SurveyConfiguration:
     privacy: PrivacyParams
 
     def __post_init__(self):
+        for name, kind in (("query", QuerySpec), ("criteria", FilterCriteria), ("privacy", PrivacyParams)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for term, value in (("required response count", self.required_responses), ("fee", self.fee)):
             if type(value) is not int:  # a bool is an int, yet no count
                 raise ValueError(f"{term} must be an int, got {value!r}")

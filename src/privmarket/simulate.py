@@ -55,6 +55,9 @@ class ExperimentConfig:
         for name in ("population", "n_choices", "seed", "trials"):
             if type(getattr(self, name)) is not int:  # a bool is an int, yet no count
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name, kind in (("privacy", PrivacyParams), ("mode", Mode)):
+            if not isinstance(getattr(self, name), kind):  # run_trials runs any other mode as FULL_PROTOCOL
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if self.population < 1:
             raise ValueError("population must be at least 1")
         if self.n_choices < 2:

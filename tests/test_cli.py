@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from privmarket import cli
+from privmarket import cli, ledger
 from privmarket.cli import main
-from privmarket.envelope import digest, encode_bit_vector
+from privmarket.envelope import digest, encode_bit_matrix, encode_bit_vector
 from privmarket.ldp import PrivacyParams
 from privmarket.ledger import EventKind, EventLog
 from privmarket.simulate import ExperimentConfig, Mode, run_full_protocol_experiment
@@ -145,6 +145,14 @@ class TestDemoCommand:
         out = capsys.readouterr().out
         assert "fee=18446744073709551615" in out
         assert "final phase: SETTLED" in out
+
+    def test_demo_dumps_the_log_once(self, tmp_path, monkeypatch, capsys):
+        # stdout and events.txt print the one dump
+        dumps, text_dump = [], EventLog.text_dump
+        monkeypatch.setattr(EventLog, "text_dump", lambda log: dumps.append(text_dump(log)) or dumps[-1])
+        assert main(["demo", "--trace-out", str(tmp_path)]) == 0
+        assert len(dumps) == 1 and dumps[0] in capsys.readouterr().out
+        assert (tmp_path / "events.txt").read_text() == dumps[0]
 
     def test_demo_deterministic(self, tmp_path):
         flags = ["demo", "--operators", "4", "--nr", "2", "--seed", "13"]
@@ -414,6 +422,12 @@ class TestReadPathPins:
         assert out.endswith("\nchain OK\n")
         assert sha256(out.encode()) == "73382734261ecc2732ff61f99e018be06ee36ee17aea7d70c063d96a90d85eff"
 
+    def test_inspect_checks_each_record_fit_once(self, survey_log_file, monkeypatch, capsys):
+        checked, fits = [], ledger._fits
+        monkeypatch.setattr(ledger, "_fits", lambda records: checked.append(len(records)) or fits(records))
+        assert main(["inspect-ledger", "--log-file", str(survey_log_file)]) == 0
+        assert sum(checked) == 2006 and capsys.readouterr().out.endswith("\nchain OK\n")
+
     def test_inspect_tampered_log(self, survey_log_file, tmp_path, capsys):
         data = bytearray(survey_log_file.read_bytes())
         data[-65] ^= 0x01  # last payload byte of the final record
@@ -432,6 +446,24 @@ class TestReadPathPins:
         assert main(["estimate", "--reports-file", str(reports), "--f", "0.5"]) == 0
         out = capsys.readouterr().out
         assert sha256(out.encode()) == "825294a2f538430a3e9e9b68ca7baf3bc6a07642fad5eba029e4d977a118b080"
+
+    @pytest.mark.parametrize("n, reports_sha, out_sha", [
+        (20, "9c31d0c777b943ad4fb478573637025ef2aa68de309f75ca1380d20147ff053f",
+         "62aff899e238e218aa65a13b4825b67901da41320fad2c4d2d643ce7da2e295b"),
+        # 9 bits: every record carries 7 padding bits in its second packed byte
+        (9, "82c0e7a207947d2daf4ddfadec20085dcdd0f9df4cb596ff418fb91750d69ceb",
+         "62393490b6da7b9a12d4eeebf9db767c4f4c8ca4e4ec321111bf3fa38a8ebdbb"),
+    ])
+    def test_estimate_100k_packed_reports(self, tmp_path, capsys, n, reports_sha, out_sha):
+        # the counts are taken from the packed rows; the output is the bytes of an unpacked column sum
+        bits = np.random.default_rng([20240, n]).integers(0, 2, size=(100_000, n), dtype=np.uint8)
+        reports = tmp_path / "reports.bin"
+        reports.write_bytes(b"".join(encode_bit_matrix(bits)))
+        assert sha256(reports.read_bytes()) == reports_sha
+        assert main(["estimate", "--reports-file", str(reports), "--f", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert sha256(out.encode()) == out_sha
+        assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == bits.sum(axis=0).tolist()
 
 
 class TestBadFlagValues:

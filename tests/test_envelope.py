@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -17,17 +18,20 @@ from privmarket.envelope import (
     PreSharedKey,
     Secret,
     SessionKey,
+    count_ones,
     decode_bit_matrix,
     decode_bit_stream,
     decrypt,
     decrypt_population,
     derive_session_key,
     digest,
+    encode_bit_matrix,
     encode_bit_vector,
     encrypt,
     encrypt_population,
     hmac_derive,
     hmac_sha256,
+    read_bit_stream,
     sha256,
 )
 from privmarket.ledger import Address
@@ -424,6 +428,28 @@ def stream_reference(data: bytes) -> list[tuple[int, ...]] | None:
     return rows if len({len(r) for r in rows}) <= 1 else None
 
 
+def stream_refusal(data: bytes) -> tuple[type, int, str] | None:
+    """The error of the first record a record-by-record walk refuses, or None: a record cut short, one whose length
+    prefix is not record 0's, or one that the reference's decode_bit_vector refuses (nonzero padding)."""
+    offset, index, first = 0, 0, None
+    while offset < len(data):
+        if len(data) - offset < 4:
+            return BitVectorError, index, "truncated length prefix"
+        m = int.from_bytes(data[offset : offset + 4], "big")
+        end = offset + 4 + (m + 7) // 8
+        if end > len(data):
+            return BitVectorError, index, "truncated body"
+        first = m if first is None else first
+        if m != first:
+            return MixedLengthsError, index, f"holds {m} bits, record 0 holds {first}"
+        try:
+            decode_bit_vector(data[offset:end])
+        except ValueError:
+            return BitVectorError, index, "nonzero padding bits"
+        offset, index = end, index + 1
+    return None
+
+
 class TestBitStream:
     def test_equal_length_records_become_one_matrix(self):
         blob = encode_bit_vector([1, 0, 1]) + encode_bit_vector([0, 0, 1])
@@ -478,13 +504,29 @@ class TestBitStream:
             blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
         self._agrees_with_reference(bytes(blob[: data.draw(st.integers(0, len(blob)))]))
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 20, 64])
+    @pytest.mark.parametrize("count", [0, 1, 1000])
+    @given(st.integers(0, 2**32 - 1), st.data())
+    @settings(deadline=None, max_examples=15)
+    def test_fuzz_mutated_wide_and_long_streams(self, n, count, seed, data):
+        blob = bytearray(b"".join(encode_bit_matrix(np.random.default_rng(seed).integers(0, 2, size=(count, n)))))
+        if blob and data.draw(st.booleans()):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        self._agrees_with_reference(bytes(blob[: data.draw(st.just(len(blob)) | st.integers(0, len(blob)))]))
+
     @staticmethod
     def _agrees_with_reference(data: bytes):
-        want = stream_reference(data)
+        """decode_bit_stream returns the reference's rows, and count_ones their per-position sums, for a stream the
+        reference accepts; for any other, the validating reader raises the walk's first refusal."""
+        want, refusal = stream_reference(data), stream_refusal(data)
+        assert (want is None) == (refusal is not None)
         try:
-            matrix = decode_bit_stream(data)
-        except BitVectorError:
-            assert want is None
+            rows, n = read_bit_stream(data)
+        except BitVectorError as exc:
+            assert (type(exc), exc.record, str(exc)) == (refusal[0], refusal[1], f"record {refusal[1]}: {refusal[2]}")
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                decode_bit_stream(data)
             return
-        assert want is not None
-        assert [tuple(r) for r in matrix.tolist()] == want
+        assert [tuple(r) for r in decode_bit_stream(data).tolist()] == want
+        sums = np.array(want, dtype=np.int64).reshape(len(want), n).sum(axis=0)
+        assert count_ones(rows, n).dtype == np.int64 and count_ones(rows, n).tolist() == sums.tolist()

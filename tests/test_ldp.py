@@ -194,6 +194,15 @@ class TestAccumulate:
         assert accumulate_counts([rv.bits for rv in vectors]) == expected
         assert accumulate_counts(matrix) == expected
 
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_counts_equal_the_column_sum_of_any_dtype(self, rows, n, seed):
+        # the count is an einsum with an unsafe cast to int64: exact for 0/1 entries of every dtype, floats included
+        matrix = np.random.default_rng(seed).integers(0, 2, size=(rows, n))
+        for dtype in (bool, np.uint8, np.int64, np.float64):
+            reports = matrix.astype(dtype)
+            assert accumulate_counts(reports) == BitCounts(reports.sum(axis=0), rows)
+
     def test_malformed_matrix_rejected(self):
         with pytest.raises(ValueError):
             accumulate_counts(np.array([[0, 2], [1, 0]]))

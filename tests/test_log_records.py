@@ -188,6 +188,21 @@ class TestBlockReads:
         assert verify_event_chain(EventLog()) == verify_event_chain(log) == reference.verify_event_chain(log) == (True, None)
         assert list(log) == [] and log.text_dump() == ""
 
+    def test_each_record_fit_is_checked_once_as_the_log_grows(self, monkeypatch):
+        import privmarket.ledger as ledger
+
+        data, checked, fits = fixed_logs()["demo"], [], ledger._fits
+        monkeypatch.setattr(ledger, "_fits", lambda records: checked.append(len(records)) or fits(records))
+        log = EventLog.from_bytes(data)
+        first = log.text_dump()
+        assert first == "".join(reference.describe(event) + "\n" for event in log) and sum(checked) == len(log)
+        # one record that fits the Committed parts, one of the Committed length that does not, one of another kind
+        log.append(EventKind.COMMITTED, {"address": bytes(20), "commitment": bytes(32)})
+        log.append(EventKind.COMMITTED, {"addrezz": bytes(20), "commitment": bytes(32)})
+        log.append(EventKind.FILTER_RECORDED, {"filter_digest": bytes(32)})
+        assert log.text_dump() == first + "".join(reference.describe(event) + "\n" for event in log[-3:])
+        assert log.text_dump().startswith(first) and sum(checked) == len(log)
+
     @pytest.mark.parametrize("order", list(itertools.permutations(["sequence_no", "link", "hash"])))
     def test_the_smallest_failing_index_of_the_three_checks_wins(self, order):
         records = split(fixed_logs()["demo"])

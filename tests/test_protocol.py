@@ -140,6 +140,18 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             parse_config_file(good.replace(canonical, variant))
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("query", ["a", "b"], "QuerySpec"),
+        ("criteria", {"region": ["NSW"]}, "FilterCriteria"),
+        ("privacy", 0.5, "PrivacyParams"),
+    ])
+    def test_a_term_of_another_type_is_refused(self, field, value, kind):
+        # before render_config_file would fail on it with an AttributeError
+        terms = dict(query=QuerySpec(["a", "b"]), criteria=FilterCriteria.empty(), required_responses=1, fee=0,
+                     privacy=PrivacyParams(0.5))
+        with pytest.raises(ValueError, match=f"^{field} must be a {kind}, got {re.escape(repr(value))}$"):
+            SurveyConfiguration(**{**terms, field: value})
+
     def test_parse_rejects_truncation(self):
         good = render_config_file(small_config())
         truncated = b"\n".join(good.split(b"\n")[:3]) + b"\n"

@@ -88,6 +88,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
             ExperimentConfig(**{"population": 10, field: value})
 
+    def test_a_mode_that_is_not_a_mode_is_refused(self):
+        # a string never equals Mode.LDP_ONLY, so run_trials would run the full protocol for "ldp_only"
+        with pytest.raises(ValueError, match="^mode must be a Mode, got 'ldp_only'$"):
+            ExperimentConfig(population=20, mode="ldp_only")
+
+    def test_privacy_that_is_not_privacy_params_is_refused(self):
+        with pytest.raises(ValueError, match="^privacy must be a PrivacyParams, got 0.5$"):
+            ExperimentConfig(population=20, privacy=0.5)
+
 
 class TestLdpExperiment:
     def test_no_noise_is_exact(self):
