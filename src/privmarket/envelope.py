@@ -14,9 +14,9 @@ Normative byte layouts (inputs to hashing and commitments, bit-exact):
 * bit vector: 4-byte big-endian length n, then ceil(n/8) bytes with bit j
   stored at byte j//8, most significant bit first; padding bits are zero.
   decode_bit_matrix reports the records that do not decode by position, a
-  None slot of decrypt_population among them. read_bit_stream validates a
-  stream on its packed rows, and count_ones counts their ones per position:
-  `estimate` never unpacks a stream.
+  None slot of decrypt_population among them. read_bit_stream, the one
+  stream reader, validates a stream on its packed rows, and count_ones
+  counts their ones per position: `estimate` never unpacks a stream.
 * ciphertext: 12-byte cipher nonce, then the AES-GCM body (payload plus
   16-byte authentication tag). A Ciphertext is these bytes, so H(C_R), the
   SHA-256 of the Ciphertext itself, commits to nonce, body and tag jointly.
@@ -265,12 +265,6 @@ def read_bit_stream(data: bytes) -> tuple[np.ndarray, int]:
     if len(rest) < 4 + (m + 7) // 8:
         raise BitVectorError(good, "truncated body")
     raise MixedLengthsError(good, f"holds {m} bits, record 0 holds {n}")
-
-
-def decode_bit_stream(data: bytes) -> np.ndarray:
-    """`read_bit_stream`'s records as one (N, n) uint8 matrix, row i the bits of record i; empty input is (0, 0)."""
-    rows, n = read_bit_stream(data)
-    return np.unpackbits(rows[:, 4:], axis=1, count=n)
 
 
 def count_ones(rows: np.ndarray, n: int) -> np.ndarray:

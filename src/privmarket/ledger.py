@@ -291,6 +291,8 @@ class EventLog(Sequence[LedgerEvent]):
         return self
 
     def append(self, kind: EventKind, payload: Payload) -> LedgerEvent:
+        if not isinstance(kind, EventKind):  # an int would write a kind byte that the log's readers refuse
+            raise TypeError(f"event kind must be an EventKind, got {kind!r}")
         payload = dict(sorted(payload.items()))  # a copy: the caller's dict may change later
         record = _record(len(self), _encode(kind, payload), _prev(self._records))
         self._records.append(record)
@@ -301,8 +303,9 @@ class EventLog(Sequence[LedgerEvent]):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
+        """The log whose canonical bytes are `data`, any bytes-like value (read as one `bytes`, a `bytes` uncopied)."""
         log = cls()
-        log._records, cut = _split(data)
+        log._records, cut = _split(data if type(data) is bytes else bytes(memoryview(data)))
         log._fit = _fits(log._records)
         for i in np.flatnonzero(~log._fit).tolist():
             _walk(log._records[i], i)  # the first record that fails its walk raises, before a tail cut short

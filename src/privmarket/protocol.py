@@ -9,9 +9,10 @@ Honest lifecycle: configure -> commit -> filter -> deliver -> deposit ->
 reveal -> pay out -> decrypt and aggregate. The deposit can only be
 claimed by revealing s2 on the ledger, and the authority can only derive
 the session key from that same reveal, which is what makes the exchange
-fair. A survey's operators travel as one `Population` of columns, which
-each phase takes in one call; each one-operator call is the one-row call
-of its phase. A commitment stays the raw SHA-256 of its ciphertext from
+fair. A survey's operators travel as one `Population`, only its columns,
+which each phase takes in one call; each one-operator call is the one-row
+call of its phase. An `OperatorProfile` is frozen, so it is checked once,
+when it is made. A commitment stays the raw SHA-256 of its ciphertext from
 commit to verification.
 
 The survey configuration file is line-based text, hashed as exact bytes
@@ -128,9 +129,9 @@ class SurveyConfiguration:
             raise ValueError("fee must be non-negative")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class OperatorProfile:
-    """A data provider as the system operator knows it.
+    """A data provider as the system operator knows it, checked once, when it is made.
 
     true_choice exists for simulation: it is what the operator would
     answer; it never leaves the operator un-randomized.
@@ -154,8 +155,8 @@ class OperatorProfile:
 
 
 @dataclass(eq=False)
-class Population(Sequence[OperatorProfile]):
-    """Operator profiles as columns, in arrival order; a profile is built when read, with its active address only."""
+class Population:
+    """Operators as columns, in arrival order; a range of rows slices into a Population, and no row is read alone."""
 
     operator_ids: Sequence[str]
     addresses: bytes  # the active addresses, one block of ADDRESS_LEN bytes per operator
@@ -163,12 +164,10 @@ class Population(Sequence[OperatorProfile]):
     attributes: Mapping[str, Sequence[str | None]]  # a column per attribute name, None where a profile lacks it
 
     @classmethod
-    def of(cls, profiles: Sequence[OperatorProfile]) -> "Population":
-        """`profiles` itself if it is a Population, else its columns, each profile passing `OperatorProfile`'s checks."""
+    def of(cls, profiles: Population | Sequence[OperatorProfile]) -> Population:
+        """`profiles` itself if it is a Population, else the columns of the profiles."""
         if isinstance(profiles, Population):
             return profiles
-        for profile in profiles:
-            profile.__post_init__()
         names = dict.fromkeys(name for profile in profiles for name in profile.attributes)
         return cls(
             [profile.operator_id for profile in profiles],
@@ -180,26 +179,27 @@ class Population(Sequence[OperatorProfile]):
     def __len__(self) -> int:
         return len(self.operator_ids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            rows = np.frombuffer(self.addresses, np.uint8).reshape(-1, ADDRESS_LEN)[index]
-            return Population(self.operator_ids[index], rows.tobytes(), self.true_choices[index],
-                              {name: column[index] for name, column in self.attributes.items()})
-        i = range(len(self))[index]
-        attributes = {name: column[i] for name, column in self.attributes.items() if column[i] is not None}
-        address = Address(self.addresses[i * ADDRESS_LEN : (i + 1) * ADDRESS_LEN])
-        return OperatorProfile(self.operator_ids[i], (address,), attributes, int(self.true_choices[i]))
+    def __getitem__(self, rows: slice) -> Population:
+        if not isinstance(rows, slice):
+            raise TypeError(f"a Population is sliced by a range of rows, not indexed by {type(rows).__name__}")
+        block = np.frombuffer(self.addresses, np.uint8).reshape(-1, ADDRESS_LEN)[rows]
+        return Population(self.operator_ids[rows], block.tobytes(), self.true_choices[rows],
+                          {name: column[rows] for name, column in self.attributes.items()})
 
 
 @dataclass(frozen=True)
 class FilterVector:
-    """Eligibility bits aligned with the sorted commitment index."""
+    """Eligibility bits aligned with the sorted commitment index, kept as a tuple (another sequence becomes one)."""
 
     bits: tuple[int, ...]
 
+    def __post_init__(self):
+        if type(self.bits) is not tuple:
+            object.__setattr__(self, "bits", tuple(self.bits))
+
     @property
     def popcount(self) -> int:
-        return sum(self.bits)
+        return self.bits.count(1)
 
 
 @dataclass(frozen=True)
@@ -312,16 +312,16 @@ class Authority:
 
 
 class SystemOperator:
-    """Broker: screens operators, escrows s2, distributes compensation."""
+    """Broker: screens operators, escrows s2, distributes compensation. Its registry is the registered operator ids."""
 
     def __init__(self, address: Address, rng: np.random.Generator):
         self.address = address
         self._rng = rng
-        self.registry: dict[str, OperatorProfile] = {}
+        self.registry: set[str] = set()
         self._survey_keys: dict[str, tuple[PreSharedKey, Secret]] = {}
 
     def register_operator(self, profile: OperatorProfile) -> None:
-        self.registry[profile.operator_id] = profile
+        self.registry.add(profile.operator_id)
 
     def issue_psk(self, contract: SurveyContract, operator_id: str) -> PreSharedKey:
         if operator_id not in self.registry:
@@ -382,8 +382,9 @@ def setup_survey(
 
 
 def commit_population(
-    profiles: Sequence[OperatorProfile], contract: SurveyContract, config_bytes: bytes, expected_digest: Digest,
-    psk: PreSharedKey, n1: Nonce, n2: Nonce, rng: np.random.Generator, own_rng: np.random.Generator,
+    profiles: Population | Sequence[OperatorProfile], contract: SurveyContract, config_bytes: bytes,
+    expected_digest: Digest, psk: PreSharedKey, n1: Nonce, n2: Nonce, rng: np.random.Generator,
+    own_rng: np.random.Generator,
 ) -> tuple[list[Ciphertext], list[bytes]]:
     """Operators, in arrival order, each verify the configuration, encrypt and commit: (ciphertexts, raw commitments).
 
@@ -441,7 +442,7 @@ def operator_prepare_and_commit(
 def build_and_finalize_filter(
     sysop: SystemOperator,
     contract: SurveyContract,
-    profiles_by_arrival: Sequence[OperatorProfile],
+    profiles_by_arrival: Population | Sequence[OperatorProfile],
     criteria: FilterCriteria,
     *,
     store: ArtifactStore,
@@ -481,7 +482,7 @@ def build_and_finalize_filter(
 
 
 def deliver_population(
-    profiles: Sequence[OperatorProfile], ciphertexts: Sequence[Ciphertext | None],
+    profiles: Population | Sequence[OperatorProfile], ciphertexts: Sequence[Ciphertext | None],
     filter_vector: FilterVector, commitments: ledger_mod.CommitmentIndex,
 ) -> tuple[list[int], list[Ciphertext]]:
     """The loop of operator_deliver: each operator whose filter bit is set sends its index (an int) and ciphertext, in
@@ -493,7 +494,8 @@ def deliver_population(
     indices, sent = [], []
     for row, (rank, ciphertext) in enumerate(zip(ranks, ciphertexts)):
         if rank < 0:
-            raise ProtocolError(f"operator address {population[row].active_address} absent from commitment index")
+            address = population.addresses[row * ADDRESS_LEN : (row + 1) * ADDRESS_LEN]
+            raise ProtocolError(f"operator address 0x{address.hex()} absent from commitment index")
         if rank >= len(bits):
             raise ProtocolError(f"filter of {len(bits)} bits holds no bit for index {rank}")
         if bits[rank] == 1:
@@ -651,7 +653,7 @@ class SurveyOutcome:
 
 def run_survey(
     config: SurveyConfiguration,
-    profiles: Sequence[OperatorProfile],
+    profiles: Population | Sequence[OperatorProfile],
     *,
     operator_rngs: Sequence[np.random.Generator],
     infra_rng: np.random.Generator,
@@ -663,9 +665,9 @@ def run_survey(
     operator i; entries may repeat, a shared generator being consumed in
     arrival order, and each run of consecutive operators sharing one commits
     as one population (commit_population). Cipher nonces come from
-    infra_rng after setup, so no entry may be infra_rng. The profiles are one Population, which is
-    also the system operator's registry, and each later phase takes it in one call; delivery still
-    ends at the first rejection. Raises ProtocolError (with the trace attached) if the survey cannot complete.
+    infra_rng after setup, so no entry may be infra_rng. The profiles become one Population, whose
+    operators all get the psk without registering; each later phase takes it in one call, and delivery
+    still ends at the first rejection. Raises ProtocolError (with the trace attached) if the survey cannot complete.
     """
     population = Population.of(profiles)
     if len(operator_rngs) != len(population):
@@ -683,7 +685,7 @@ def run_survey(
         trace.step("sysop", "distribute-psk", f"recipients={len(set(population.operator_ids))}")
 
         config_bytes = store.get(contract.config_uri)
-        psk, _ = sysop._survey_keys[contract.contract_id.hex]  # for every operator: the population is the registry
+        psk, _ = sysop._survey_keys[contract.contract_id.hex]  # every operator of the population gets the psk
         ciphertexts: list[Ciphertext] = []
         try:
             for _, run in itertools.groupby(operator_rngs, key=id):

@@ -1,12 +1,12 @@
 """Per-respondent reference implementations that the batch code is tested against.
 
 privmarket handles a population as one (N, n) matrix: `ldp.randomize_batch`
-encodes and randomizes it, `envelope.decode_bit_matrix` and
-`envelope.decode_bit_stream` decode it. The functions here do the same work
-one respondent and one record at a time, written independently of the batch
-code, so a test can compare the two row by row. `reference_survey` runs a
-whole survey that way, one operator and one command at a time, screening each
-operator with `evaluate_criteria`.
+encodes and randomizes it, `envelope.decode_bit_matrix` decodes it and
+`envelope.read_bit_stream` reads a stream of it as packed rows. The
+functions here do the same work one respondent and one record at a time,
+written independently of the batch code, so a test can compare the two row
+by row. `reference_survey` runs a whole survey that way, one operator and
+one command at a time, screening each operator with `evaluate_criteria`.
 
 `ledger.EventLog` holds only its records' bytes. `verify_event_chain`,
 `check_transfer_safety` and `describe` here read a log the way the ledger

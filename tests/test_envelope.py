@@ -20,7 +20,6 @@ from privmarket.envelope import (
     SessionKey,
     count_ones,
     decode_bit_matrix,
-    decode_bit_stream,
     decrypt,
     decrypt_population,
     derive_session_key,
@@ -419,8 +418,14 @@ class TestBitVectorCodec:
             unpack_bit_vector_stream(blob)
 
 
+def unpacked(data: bytes) -> np.ndarray:
+    """`read_bit_stream`'s rows unpacked in the test: the (N, n) uint8 bit matrix of a stream, (0, 0) for empty input."""
+    rows, n = read_bit_stream(data)
+    return np.unpackbits(rows[:, 4:], axis=1, count=n)
+
+
 def stream_reference(data: bytes) -> list[tuple[int, ...]] | None:
-    """Per-record decode of a report stream, or None where decode_bit_stream must refuse it."""
+    """Per-record decode of a report stream, or None where read_bit_stream must refuse it."""
     try:
         rows = unpack_bit_vector_stream(data)
     except ValueError:
@@ -453,12 +458,12 @@ def stream_refusal(data: bytes) -> tuple[type, int, str] | None:
 class TestBitStream:
     def test_equal_length_records_become_one_matrix(self):
         blob = encode_bit_vector([1, 0, 1]) + encode_bit_vector([0, 0, 1])
-        matrix = decode_bit_stream(blob)
+        matrix = unpacked(blob)
         assert matrix.dtype == np.uint8
         assert matrix.tolist() == [[1, 0, 1], [0, 0, 1]]
 
     def test_empty_stream_is_an_empty_matrix(self):
-        assert decode_bit_stream(b"").shape == (0, 0)
+        assert unpacked(b"").shape == (0, 0)
 
     @pytest.mark.parametrize(
         "tail,message",
@@ -476,14 +481,14 @@ class TestBitStream:
     def test_names_the_first_bad_record(self, tail, message):
         good = encode_bit_vector([1, 0, 1])
         with pytest.raises(BitVectorError, match=message) as excinfo:
-            decode_bit_stream(good + good + tail)
+            unpacked(good + good + tail)
         assert excinfo.value.record == 2
 
     @pytest.mark.parametrize("other", [[1, 1], [1] * 9])
     def test_mixed_lengths_are_their_own_error(self, other):
         good = encode_bit_vector([1, 0, 1])
         with pytest.raises(MixedLengthsError, match="record 1") as excinfo:
-            decode_bit_stream(good + encode_bit_vector(other) + good)
+            unpacked(good + encode_bit_vector(other) + good)
         assert excinfo.value.record == 1
 
     @given(st.binary(max_size=64))
@@ -516,8 +521,8 @@ class TestBitStream:
 
     @staticmethod
     def _agrees_with_reference(data: bytes):
-        """decode_bit_stream returns the reference's rows, and count_ones their per-position sums, for a stream the
-        reference accepts; for any other, the validating reader raises the walk's first refusal."""
+        """read_bit_stream's rows unpack to the reference's rows, and count_ones gives their per-position sums, for a
+        stream the reference accepts; for any other, the validating reader raises the walk's first refusal."""
         want, refusal = stream_reference(data), stream_refusal(data)
         assert (want is None) == (refusal is not None)
         try:
@@ -525,8 +530,8 @@ class TestBitStream:
         except BitVectorError as exc:
             assert (type(exc), exc.record, str(exc)) == (refusal[0], refusal[1], f"record {refusal[1]}: {refusal[2]}")
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                decode_bit_stream(data)
+                unpacked(data)
             return
-        assert [tuple(r) for r in decode_bit_stream(data).tolist()] == want
+        assert [tuple(r) for r in unpacked(data).tolist()] == want
         sums = np.array(want, dtype=np.int64).reshape(len(want), n).sum(axis=0)
         assert count_ones(rows, n).dtype == np.int64 and count_ones(rows, n).tolist() == sums.tolist()

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import re
 import struct
 from types import MappingProxyType
 
@@ -609,6 +610,20 @@ class TestEventChain:
         assert restored.to_bytes() == data
         assert [e.event_hash for e in restored] == [e.event_hash for e in log]
 
+    @pytest.mark.parametrize("form", [bytes, bytearray, memoryview])
+    def test_any_bytes_like_input_reads_as_its_bytes(self, form):
+        data = run_full_protocol_experiment(ExperimentConfig(population=3, seed=1))[1].to_bytes()
+        want, log = EventLog.from_bytes(data), EventLog.from_bytes(form(data))
+        assert log.text_dump() == want.text_dump() and "bytearray" not in log.text_dump()
+        assert list(log) == list(want) and all(type(e.event_bytes) is bytes for e in log)
+        assert log.to_bytes() == data and type(log.to_bytes()) is bytes
+        assert verify_event_chain(log) == verify_event_chain(want) == (True, None)
+
+    @pytest.mark.parametrize("data", ["", "0 Created", 5, [0, 0, 0, 0]])
+    def test_input_that_is_not_bytes_like_is_refused(self, data):
+        with pytest.raises(TypeError):
+            EventLog.from_bytes(data)
+
     def test_text_dump_one_line_per_event(self):
         log = full_honest_log().log
         lines = log.text_dump().splitlines()
@@ -680,6 +695,15 @@ class TestReadOnlyEvents:
         assert list(event.payload) == ["amount", "from"]
         assert event.describe().endswith(f" amount=5 from={AUTHORITY.value.hex()}")
         assert log.text_dump() == EventLog.from_bytes(log.to_bytes()).text_dump()
+
+    # an int kind the log's readers refuse, one past a u8, and a bool, which wrote a Created record
+    @pytest.mark.parametrize("kind", [9, 300, True, 2, None, "COMMITTED"])
+    def test_a_kind_that_is_no_event_kind_is_refused_and_changes_nothing(self, kind):
+        log = full_honest_log().log
+        before = (len(log), log.to_bytes(), log.text_dump())
+        with pytest.raises(TypeError, match=f"^event kind must be an EventKind, got {re.escape(repr(kind))}$"):
+            log.append(kind, {"a": 1})
+        assert (len(log), log.to_bytes(), log.text_dump()) == before
 
     def test_mutable_payload_values_rejected(self):
         log = EventLog()

@@ -1,3 +1,5 @@
+import collections.abc
+import dataclasses
 import functools
 import re
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from privmarket.envelope import Ciphertext, decode_bit_stream, derive_session_key, digest
+from privmarket.envelope import Ciphertext, derive_session_key, digest
 from privmarket.ldp import PrivacyParams, QuerySpec, accumulate_counts, estimate_frequencies
 from privmarket import protocol
 from privmarket.ledger import Address, ContractPhase, EventKind, LedgerError, equal_split, payout, verify_event_chain
@@ -43,7 +45,7 @@ from privmarket.protocol import (
     sysop_reveal_secret,
     verify_deliveries,
 )
-from reference import arrival_addresses
+from reference import arrival_addresses, unpack_bit_vector_stream
 
 
 def addr(first_byte: int) -> Address:
@@ -310,6 +312,10 @@ class TestSetup:
         assert created.payload["s1"] == contract.s1.value
         assert s2.value not in created.payload.values()
 
+    def test_the_registry_is_the_set_of_registered_ids(self):
+        _, _, sysop, _, recipients = setup_small_survey(small_config(), [profile(2), profile(1), profile(2)])
+        assert sysop.registry == {"op-01", "op-02"} and recipients == ("op-01", "op-02")
+
     def test_two_surveys_are_independent(self):
         config = small_config()
         _, _, sysop1, c1, _ = setup_small_survey(config, [profile(1)], seed=1)
@@ -524,6 +530,14 @@ class TestFilter:
         with pytest.raises(KeyError):
             store.get(filter_uri(contract))
 
+    # the counts that wrapped at 256 when popcount summed uint8 bits
+    @pytest.mark.parametrize("bits", [np.ones(300, np.uint8), [1] * 300, (1,) * 300, tuple(np.ones(300, np.uint8))],
+                             ids=["uint8-array", "list", "tuple", "uint8-tuple"])
+    def test_popcount_is_exact_past_255(self, bits):
+        fv = FilterVector(bits)
+        assert type(fv.bits) is tuple and fv.bits == (1,) * 300
+        assert type(fv.popcount) is int and fv.popcount == 300
+
 
 def run_to_filter(nr=2, count=4, f=0.0, seed=0):
     profiles = [profile(i + 1, choice=i % 4) for i in range(count)]
@@ -558,7 +572,7 @@ class TestDelivery:
     def test_unknown_address_raises(self):
         _, _, _, contract, _, fv = run_to_filter()
         stranger = Operator(profile(0x77), np.random.default_rng(0))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match=f"^operator address {addr(0x77)} absent from commitment index$"):
             operator_deliver(stranger, fv, contract.commitments)
 
     def test_verify_rejects_tampered_ciphertext(self):
@@ -760,15 +774,26 @@ class TestPopulation:
         OperatorProfile("op-c", (addr(5),), {"tier": ""}, 1),
     ]
 
-    def test_a_row_reads_back_as_its_profile_with_the_active_address_only(self):
+    def test_the_columns_are_the_profiles_fields_with_the_active_address_only(self):
         population = Population.of(self.PROFILES)
         assert len(population) == 3 and population.addresses == addr(9).value + addr(2).value + addr(5).value
-        for read, want in zip(population, self.PROFILES):
-            assert read == OperatorProfile(want.operator_id, (want.active_address,), dict(want.attributes), want.true_choice)
-            assert type(read.true_choice) is int
-        assert population[-1] == population[2] and list(population[1:]) == list(population)[1:]
-        with pytest.raises(IndexError):
-            population[3]
+        assert population.operator_ids == [p.operator_id for p in self.PROFILES]
+        assert population.true_choices.dtype == np.int64
+        assert population.true_choices.tolist() == [p.true_choice for p in self.PROFILES]
+        assert population.attributes == {
+            name: [p.attributes.get(name) for p in self.PROFILES] for name in ("region", "tier")
+        } == {"region": ["NSW", None, None], "tier": ["gold", None, ""]}
+        tail = population[1:]
+        assert len(tail) == 2 and tail.operator_ids == ["op-b", "op-c"] and tail.addresses == population.addresses[20:]
+        assert tail.true_choices.tolist() == [0, 1] and tail.attributes == {"region": [None, None], "tier": [None, ""]}
+        assert len(population[3:]) == 0 and population[3:].addresses == b""
+
+    def test_a_population_is_not_a_sequence_and_reads_no_row(self):
+        population = Population.of(self.PROFILES)
+        assert not isinstance(population, collections.abc.Sequence)
+        for index in (0, -1, 3):
+            with pytest.raises(TypeError, match="^a Population is sliced by a range of rows, not indexed by int$"):
+                population[index]
 
     def test_a_population_is_its_own_population(self):
         population = Population.of(self.PROFILES)
@@ -776,11 +801,21 @@ class TestPopulation:
         assert len(Population.of([])) == 0 and Population.of([]).addresses == b""
 
     @pytest.mark.parametrize("addresses, message", [((), "at least one address"), ((addr(1), addr(1)), "distinct")])
-    def test_profile_checks_still_refuse_through_of(self, addresses, message):
-        changed = OperatorProfile("op-x", (addr(1),), {}, 0)
-        changed.addresses = addresses  # after construction, so only `of` can refuse it
+    def test_a_profile_is_checked_when_made_and_frozen_after(self, addresses, message):
         with pytest.raises(ValueError, match=message):
-            Population.of([self.PROFILES[1], changed])
+            OperatorProfile("op-x", addresses, {}, 0)
+        made = OperatorProfile("op-x", (addr(1),), {}, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.addresses = addresses
+        made.attributes["region"] = "NSW"  # the contents of its attributes may still change
+        population = Population.of([self.PROFILES[1], made])
+        assert population.addresses == addr(2).value + addr(1).value and population.attributes == {"region": [None, "NSW"]}
+
+    def test_of_runs_no_profile_check(self, monkeypatch):
+        profiles = [OperatorProfile(f"op-{i}", (Address(i.to_bytes(20, "big")),), {}, i % 4) for i in range(1000)]
+        checks = []
+        monkeypatch.setattr(OperatorProfile, "__post_init__", lambda self: checks.append(self))
+        assert len(Population.of(profiles)) == 1000 and checks == []
 
     def test_deliver_population_returns_python_ints(self):
         _, _, _, contract, operators, fv = run_to_filter(nr=3, count=5)
@@ -949,7 +984,7 @@ class TestEqualSplit:
         authority_deposit_and_await_reveal(authority, contract)
         sysop_reveal_secret(sysop, contract)
         # the system operator stops here; an operator settles with the published filter
-        published = decode_bit_stream(store.get(filter_uri(contract)))[0].tolist()
+        published = list(unpack_bit_vector_stream(store.get(filter_uri(contract)))[0])
         paid = payout(contract, published)
         share = equal_split(contract.fee, contract.required_responses)
         eligible = [a for a, bit in zip(sorted(arrival_addresses(contract.commitments)), fv.bits) if bit]
@@ -1108,7 +1143,8 @@ class TestRunSurvey:
         outcome, profiles = run()
         assert isinstance(outcome.trace, SurveyTrace) and outcome.trace._lines is None
         for p in profiles:
-            p.operator_id = "renamed"
+            p.attributes["region"] = "renamed"
+        profiles.reverse()
         assert list(outcome.trace) == rendered_at_once == list(outcome.trace)
         assert len(outcome.trace) == 2 + 5 + 1 + 3 + 2 + 3 + 1
         assert "op-01" in outcome.trace[2]

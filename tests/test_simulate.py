@@ -10,7 +10,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from privmarket import envelope, simulate
 from privmarket.ldp import PrivacyParams
 from privmarket.ledger import Address, verify_event_chain
-from privmarket.protocol import FilterCriteria, OperatorProfile, SurveyConfiguration, run_survey
+from privmarket.protocol import FilterCriteria, OperatorProfile, Population, SurveyConfiguration, run_survey
 from privmarket.simulate import (
     CHOICES_SLOT,
     INFRA_SLOT,
@@ -311,8 +311,10 @@ def test_seeded_survey_columns_equal_the_profile_list(monkeypatch):
         OperatorProfile(f"op-{i:05d}", (Address(infra.bytes(20)),), {"region": REGIONS[i % len(REGIONS)]}, int(c))
         for i, c in enumerate(choices)
     ]
-    (population,) = seen
-    assert list(population) == profiles
+    (population,), want = seen, Population.of(profiles)
+    assert population.operator_ids == want.operator_ids and population.addresses == want.addresses
+    assert population.true_choices.dtype == want.true_choices.dtype == np.int64
+    assert population.true_choices.tolist() == want.true_choices.tolist() and population.attributes == want.attributes
     assert population.operator_ids == [p.operator_id for p in profiles]
     assert population.addresses == b"".join(p.active_address.value for p in profiles)
     assert population.attributes == {"region": [p.attributes["region"] for p in profiles]}
