@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from .envelope import MixedLengthsError, count_ones, read_bit_stream
-from .ldp import BitCounts, PrivacyParams, estimate_frequencies
+from .ldp import BitCounts, FilterCriteria, PrivacyParams, SurveyConfiguration, estimate_frequencies
 from .ledger import ContractPhase, EventLog, LogFormatError, verify_event_chain
-from .protocol import FilterCriteria, ProtocolError, SurveyConfiguration
+from .protocol import ProtocolError
 from .simulate import (
     ExperimentConfig,
     Mode,

@@ -11,13 +11,18 @@ choice histogram.
 This is the basic one-time variant of RAPPOR (Erlingsson et al., CCS 2014)
 applied directly to per-choice bits, without Bloom-filter encoding or a
 second instantaneous randomization round.
+
+The survey's terms live here too: `SurveyConfiguration` and its file, whose
+exact bytes are hashed. This module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+from urllib.parse import quote, unquote
 
 import numpy as np
 
@@ -62,6 +67,8 @@ class PrivacyParams:
     f: float = 0.5
 
     def __post_init__(self):
+        if isinstance(self.f, bool) or not isinstance(self.f, numbers.Real):  # False would mean no privacy at all
+            raise ValueError(f"flip probability must be a real number, got {self.f!r}")
         f = float(self.f)
         if not (0.0 <= f < 1.0):
             raise ValueError(f"flip probability must satisfy 0 <= f < 1, got {self.f}")
@@ -174,3 +181,102 @@ def epsilon_of(params: PrivacyParams, hamming_distance: int = 2) -> float:
     if f == 0.0:
         return math.inf
     return hamming_distance * math.log((1.0 - f / 2.0) / (f / 2.0))
+
+
+CONFIG_HEADER = "survey-config/1"
+
+
+@dataclass(frozen=True)
+class FilterCriteria:
+    """Conjunctive attribute predicates; an empty list accepts everyone."""
+
+    predicates: tuple[tuple[str, tuple[str, ...]], ...]
+
+    def __init__(self, predicates: Iterable[tuple[str, Sequence[str]]] = ()):
+        normalized: dict[str, tuple[str, ...]] = {}
+        for attr, values in predicates:
+            if not isinstance(attr, str):
+                raise ValueError(f"criteria attribute names must be strings, got {attr!r}")
+            if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+                raise ValueError(f"criteria for {attr!r} must be a list of strings")
+            if "" in values:  # it would render like no value at all
+                raise ValueError(f"criteria for {attr!r} must not allow the empty string")
+            for text in (attr, *values):
+                check_text(f"criteria for {attr!r}:", text)
+            if attr in normalized:
+                raise ValueError("criteria attribute names must be distinct")
+            normalized[attr] = tuple(sorted(set(values)))
+        object.__setattr__(self, "predicates", tuple(normalized.items()))
+
+    @classmethod
+    def empty(cls) -> "FilterCriteria":
+        return cls(())
+
+
+@dataclass(frozen=True)
+class SurveyConfiguration:
+    query: QuerySpec
+    criteria: FilterCriteria
+    required_responses: int
+    fee: int
+    privacy: PrivacyParams
+
+    def __post_init__(self):
+        for name, kind in (("query", QuerySpec), ("criteria", FilterCriteria), ("privacy", PrivacyParams)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        for term, value in (("required response count", self.required_responses), ("fee", self.fee)):
+            if type(value) is not int:  # a bool is an int, yet no count
+                raise ValueError(f"{term} must be an int, got {value!r}")
+            if value >= 1 << 64:  # the ledger records both as u64
+                raise ValueError(f"{term} must be below 2**64")
+        if self.required_responses < 1:
+            raise ValueError("required response count must be at least 1")
+        if self.fee < 0:
+            raise ValueError("fee must be non-negative")
+
+
+def render_config_file(config: SurveyConfiguration) -> bytes:
+    """Canonical text form; identical configurations give identical bytes."""
+    lines = [CONFIG_HEADER, f"choices {config.query.n}"]
+    for i, label in enumerate(config.query.choices):
+        lines.append(f"choice {i} {quote(label, safe='')}")
+    lines.append(f"criteria {len(config.criteria.predicates)}")
+    for attr, values in config.criteria.predicates:
+        joined = ",".join(quote(v, safe="") for v in values)
+        lines.append(f"require {quote(attr, safe='')} {joined}")
+    lines.append(f"required-responses {config.required_responses}")
+    lines.append(f"fee {config.fee}")
+    lines.append(f"flip-probability {config.privacy.f!r}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def parse_config_file(data: bytes) -> SurveyConfiguration:
+    """Strict inverse of render_config_file: accepts exactly the bytes it renders.
+
+    Fields are read by position; the final re-render rejects any other
+    spelling (`+5`, `05`, `5_0`, `0.50`, `%63`), so equal surveys have equal digests.
+    """
+    lines = iter(data.decode("utf-8").split("\n")[1:])
+
+    def field() -> str:
+        return next(lines).partition(" ")[2]
+
+    try:
+        labels = [unquote(field().partition(" ")[2]) for _ in range(int(field()))]
+        predicates = []
+        for _ in range(int(field())):
+            attr, _, values = field().partition(" ")
+            predicates.append((unquote(attr), [unquote(v) for v in values.split(",")] if values else []))
+        config = SurveyConfiguration(
+            query=QuerySpec(labels),
+            criteria=FilterCriteria(predicates),
+            required_responses=int(field()),
+            fee=int(field()),
+            privacy=PrivacyParams(float(field())),
+        )
+    except StopIteration as exc:
+        raise ValueError("configuration file truncated") from exc
+    if render_config_file(config) != data:
+        raise ValueError("configuration file is not in canonical form")
+    return config

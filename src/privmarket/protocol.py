@@ -11,13 +11,12 @@ claimed by revealing s2 on the ledger, and the authority can only derive
 the session key from that same reveal, which is what makes the exchange
 fair. A survey's operators travel as one `Population`, only its columns,
 which each phase takes in one call; each one-operator call is the one-row
-call of its phase. An `OperatorProfile` is frozen, so it is checked once,
-when it is made. A commitment stays the raw SHA-256 of its ciphertext from
-commit to verification.
+call of its phase. An `OperatorProfile` and a `Population` are each checked
+once, when they are made. A commitment stays the raw SHA-256 of its
+ciphertext from commit to verification.
 
-The survey configuration file is line-based text, hashed as exact bytes
-(verification never re-renders parsed content). Tokens are
-percent-encoded so labels may contain arbitrary characters.
+This module holds the parties and the phases. The survey's terms and its
+configuration file live in `ldp`, and are imported here under their names.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
-from urllib.parse import quote, unquote
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,18 +46,10 @@ from .envelope import (
     hmac_derive,
     sha256,
 )
-from .ldp import (
-    FrequencyEstimate,
-    PrivacyParams,
-    QuerySpec,
-    accumulate_counts,
-    check_text,
-    estimate_frequencies,
-    randomize_batch,
-)
+from .ldp import (CONFIG_HEADER, FilterCriteria, FrequencyEstimate, SurveyConfiguration, accumulate_counts,
+                  estimate_frequencies, parse_config_file, randomize_batch, render_config_file)
 from .ledger import ADDRESS_LEN, Address, ContractPhase, LedgerError, SurveyContract
 
-CONFIG_HEADER = "survey-config/1"
 DEADLINE = 1 << 32
 
 
@@ -79,56 +69,6 @@ class InsufficientEligibleError(ProtocolError):
     """Fewer eligible committed operators than required responses."""
 
 
-@dataclass(frozen=True)
-class FilterCriteria:
-    """Conjunctive attribute predicates; an empty list accepts everyone."""
-
-    predicates: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def __init__(self, predicates: Iterable[tuple[str, Sequence[str]]] = ()):
-        normalized: dict[str, tuple[str, ...]] = {}
-        for attr, values in predicates:
-            if not isinstance(attr, str):
-                raise ValueError(f"criteria attribute names must be strings, got {attr!r}")
-            if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
-                raise ValueError(f"criteria for {attr!r} must be a list of strings")
-            if "" in values:  # it would render like no value at all
-                raise ValueError(f"criteria for {attr!r} must not allow the empty string")
-            for text in (attr, *values):
-                check_text(f"criteria for {attr!r}:", text)
-            if attr in normalized:
-                raise ValueError("criteria attribute names must be distinct")
-            normalized[attr] = tuple(sorted(set(values)))
-        object.__setattr__(self, "predicates", tuple(normalized.items()))
-
-    @classmethod
-    def empty(cls) -> "FilterCriteria":
-        return cls(())
-
-
-@dataclass(frozen=True)
-class SurveyConfiguration:
-    query: QuerySpec
-    criteria: FilterCriteria
-    required_responses: int
-    fee: int
-    privacy: PrivacyParams
-
-    def __post_init__(self):
-        for name, kind in (("query", QuerySpec), ("criteria", FilterCriteria), ("privacy", PrivacyParams)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
-        for term, value in (("required response count", self.required_responses), ("fee", self.fee)):
-            if type(value) is not int:  # a bool is an int, yet no count
-                raise ValueError(f"{term} must be an int, got {value!r}")
-            if value >= 1 << 64:  # the ledger records both as u64
-                raise ValueError(f"{term} must be below 2**64")
-        if self.required_responses < 1:
-            raise ValueError("required response count must be at least 1")
-        if self.fee < 0:
-            raise ValueError("fee must be non-negative")
-
-
 @dataclass(frozen=True, slots=True)
 class OperatorProfile:
     """A data provider as the system operator knows it, checked once, when it is made.
@@ -145,8 +85,12 @@ class OperatorProfile:
     def __post_init__(self):
         if not self.addresses:
             raise ValueError("operator needs at least one address")
+        if not all(isinstance(address, Address) for address in self.addresses):
+            raise ValueError(f"operator addresses must be Address values, got {self.addresses!r}")
         if len(self.addresses) > 1 and len(set(self.addresses)) != len(self.addresses):
             raise ValueError("operator addresses must be distinct")
+        if isinstance(self.true_choice, bool) or not isinstance(self.true_choice, (int, np.integer)):
+            raise ValueError(f"true_choice must be an int, got {self.true_choice!r}")
 
     @property
     def active_address(self) -> Address:
@@ -156,7 +100,7 @@ class OperatorProfile:
 
 @dataclass(eq=False)
 class Population:
-    """Operators as columns, in arrival order; a range of rows slices into a Population, and no row is read alone."""
+    """Operators as columns, in arrival order, checked once, when made: every column has a row per operator id."""
 
     operator_ids: Sequence[str]
     addresses: bytes  # the active addresses, one block of ADDRESS_LEN bytes per operator
@@ -176,15 +120,18 @@ class Population:
             {name: [profile.attributes.get(name) for profile in profiles] for name in names},
         )
 
+    def __post_init__(self):
+        count, choices = len(self.operator_ids), self.true_choices
+        if not isinstance(self.addresses, bytes) or len(self.addresses) != count * ADDRESS_LEN:
+            raise ValueError(f"addresses must be one bytes block of {count} x {ADDRESS_LEN} bytes")
+        if not isinstance(choices, np.ndarray) or choices.dtype != np.int64 or choices.shape != (count,):
+            raise ValueError(f"true_choices must be a 1-D int64 array of length {count}")
+        for name, column in self.attributes.items():
+            if len(column) != count:
+                raise ValueError(f"attribute column {name!r} must have length {count}, got {len(column)}")
+
     def __len__(self) -> int:
         return len(self.operator_ids)
-
-    def __getitem__(self, rows: slice) -> Population:
-        if not isinstance(rows, slice):
-            raise TypeError(f"a Population is sliced by a range of rows, not indexed by {type(rows).__name__}")
-        block = np.frombuffer(self.addresses, np.uint8).reshape(-1, ADDRESS_LEN)[rows]
-        return Population(self.operator_ids[rows], block.tobytes(), self.true_choices[rows],
-                          {name: column[rows] for name, column in self.attributes.items()})
 
 
 @dataclass(frozen=True)
@@ -242,56 +189,6 @@ class ArtifactStore:
 
 def filter_uri(contract: SurveyContract) -> str:
     return f"survey://{contract.contract_id.hex}/filter"
-
-
-# ---------------------------------------------------------------------------
-# survey configuration file
-
-
-def render_config_file(config: SurveyConfiguration) -> bytes:
-    """Canonical text form; identical configurations give identical bytes."""
-    lines = [CONFIG_HEADER, f"choices {config.query.n}"]
-    for i, label in enumerate(config.query.choices):
-        lines.append(f"choice {i} {quote(label, safe='')}")
-    lines.append(f"criteria {len(config.criteria.predicates)}")
-    for attr, values in config.criteria.predicates:
-        joined = ",".join(quote(v, safe="") for v in values)
-        lines.append(f"require {quote(attr, safe='')} {joined}")
-    lines.append(f"required-responses {config.required_responses}")
-    lines.append(f"fee {config.fee}")
-    lines.append(f"flip-probability {config.privacy.f!r}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def parse_config_file(data: bytes) -> SurveyConfiguration:
-    """Strict inverse of render_config_file: accepts exactly the bytes it renders.
-
-    Fields are read by position; the final re-render rejects any other
-    spelling (`+5`, `05`, `5_0`, `0.50`, `%63`), so equal surveys have equal digests.
-    """
-    lines = iter(data.decode("utf-8").split("\n")[1:])
-
-    def field() -> str:
-        return next(lines).partition(" ")[2]
-
-    try:
-        labels = [unquote(field().partition(" ")[2]) for _ in range(int(field()))]
-        predicates = []
-        for _ in range(int(field())):
-            attr, _, values = field().partition(" ")
-            predicates.append((unquote(attr), [unquote(v) for v in values.split(",")] if values else []))
-        config = SurveyConfiguration(
-            query=QuerySpec(labels),
-            criteria=FilterCriteria(predicates),
-            required_responses=int(field()),
-            fee=int(field()),
-            privacy=PrivacyParams(float(field())),
-        )
-    except StopIteration as exc:
-        raise ValueError("configuration file truncated") from exc
-    if render_config_file(config) != data:
-        raise ValueError("configuration file is not in canonical form")
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -383,23 +280,24 @@ def setup_survey(
 
 def commit_population(
     profiles: Population | Sequence[OperatorProfile], contract: SurveyContract, config_bytes: bytes,
-    expected_digest: Digest, psk: PreSharedKey, n1: Nonce, n2: Nonce, rng: np.random.Generator,
+    expected_digest: Digest, psk: PreSharedKey, n1: Nonce, n2: Nonce, report_rngs: Sequence[np.random.Generator],
     own_rng: np.random.Generator,
 ) -> tuple[list[Ciphertext], list[bytes]]:
     """Operators, in arrival order, each verify the configuration, encrypt and commit: (ciphertexts, raw commitments).
 
-    Each operator first checks the configuration bytes against the on-ledger digest. They share
-    the report generator `rng` and the own generator `own_rng`. Each is drawn
-    from once, with the bytes of one draw per operator (see simulate): report i
-    is row i of one (N, n) draw, nonce i bytes [12i, 12i + 12) of one own draw.
-    A survey has one psk, so all encrypt under one session key: the configuration
-    is parsed and s1, s2 and sk derived once for the population, and its
-    plaintexts are sealed in one `encrypt_population` call. Their raw SHA-256 commitments then reach
-    the ledger with the raw addresses in one `commit_responses` call, which commits them in order:
-    a refused one raises, and those before it stay committed.
+    Each operator first checks the configuration bytes against the on-ledger digest. Operator i draws its
+    report from report_rngs[i]; entries may repeat, and each run of consecutive operators that share a
+    generator is drawn from it once, in arrival order: one (count, n) draw, a row per operator. The cipher
+    nonces are one draw from the own generator, nonce i bytes [12i, 12i + 12) of it (see simulate). A survey
+    has one psk, so all encrypt under one session key: the configuration is parsed and s1, s2 and sk derived
+    once, and the plaintexts are sealed in one `encrypt_population` call. Their raw SHA-256 commitments then
+    reach the ledger with the raw addresses in one `commit_responses` call, which commits them in order: a
+    refused one raises, and those before it stay committed.
     """
     population = Population.of(profiles)
-    if len(population) > 1 and own_rng is rng:
+    if len(report_rngs) != len(population):
+        raise ValueError("need exactly one random stream per operator profile")
+    if len(population) > 1 and any(rng is own_rng for rng in report_rngs):
         raise ValueError("the own generator doubles as the report generator for more than one operator")
     expected = expected_digest.value
     for _ in range(len(population)):
@@ -411,7 +309,9 @@ def commit_population(
     if len(population):  # verified bytes: draw for the whole population, before anyone commits
         config = parse_config_file(config_bytes)
         sk = derive_session_key(hmac_derive(psk, n1), hmac_derive(psk, n2))
-        reports = randomize_batch(population.true_choices, config.query.n, config.privacy, rng)
+        runs = [list(run) for _, run in itertools.groupby(report_rngs, key=id)]
+        rows = np.split(population.true_choices, np.cumsum([len(run) for run in runs])[:-1])
+        reports = np.concatenate([randomize_batch(c, config.query.n, config.privacy, run[0]) for c, run in zip(rows, runs)])
         ciphertexts = encrypt_population(sk, encode_bit_matrix(reports), own_rng.bytes(CIPHER_NONCE_LEN * len(population)))
     commitments = list(map(sha256, ciphertexts))
     ledger_mod.commit_responses(contract, np.frombuffer(population.addresses, f"V{ADDRESS_LEN}").tolist(), commitments)
@@ -434,7 +334,7 @@ def operator_prepare_and_commit(
     generator, which may be `rng` itself. The operator holds its ciphertext once the ledger took it.
     """
     (operator.ciphertext,), (commitment,) = commit_population(
-        [operator.profile], contract, config_bytes, expected_digest, psk, n1, n2, rng, operator._rng
+        [operator.profile], contract, config_bytes, expected_digest, psk, n1, n2, [rng], operator._rng
     )
     return operator.ciphertext, Digest(commitment)
 
@@ -661,17 +561,13 @@ def run_survey(
     """Drive one honest survey end to end, deterministically.
 
     Parties act in a fixed order; operators commit and deliver in profile
-    order, which is therefore the arrival order. operator_rngs[i] randomizes
-    operator i; entries may repeat, a shared generator being consumed in
-    arrival order, and each run of consecutive operators sharing one commits
-    as one population (commit_population). Cipher nonces come from
-    infra_rng after setup, so no entry may be infra_rng. The profiles become one Population, whose
-    operators all get the psk without registering; each later phase takes it in one call, and delivery
-    still ends at the first rejection. Raises ProtocolError (with the trace attached) if the survey cannot complete.
+    order, which is therefore the arrival order. operator_rngs[i] randomizes operator i (see
+    commit_population); cipher nonces come from infra_rng after setup, so no entry may be infra_rng.
+    The profiles become one Population, whose operators all get the psk without registering and commit
+    in one call; each later phase takes it in one call, and delivery still ends at the first rejection.
+    Raises ProtocolError (with the trace attached) if the survey cannot complete.
     """
     population = Population.of(profiles)
-    if len(operator_rngs) != len(population):
-        raise ValueError("need exactly one random stream per operator profile")
     if any(rng is infra_rng for rng in operator_rngs):
         raise ValueError("operator_rngs must not include infra_rng, which draws the cipher nonces")
     trace = SurveyTrace()
@@ -686,15 +582,11 @@ def run_survey(
 
         config_bytes = store.get(contract.config_uri)
         psk, _ = sysop._survey_keys[contract.contract_id.hex]  # every operator of the population gets the psk
-        ciphertexts: list[Ciphertext] = []
         try:
-            for _, run in itertools.groupby(operator_rngs, key=id):
-                start = len(ciphertexts)
-                group = population[start : start + len(list(run))]
-                ciphertexts += commit_population(
-                    group, contract, config_bytes, contract.config_digest, psk,
-                    contract.n1, contract.n2, operator_rngs[start], infra_rng,
-                )[0]
+            ciphertexts, _ = commit_population(
+                population, contract, config_bytes, contract.config_digest, psk,
+                contract.n1, contract.n2, operator_rngs, infra_rng,
+            )
         finally:  # a line per operator that committed, in arrival order, also when a later one failed
             commitments = contract.commitments.commitments()
             operator_ids = population.operator_ids[: len(commitments)]

@@ -21,15 +21,17 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .ldp import FrequencyEstimate, PrivacyParams, QuerySpec, accumulate_counts, estimate_frequencies, randomize_batch
+from .ldp import (FilterCriteria, FrequencyEstimate, PrivacyParams, QuerySpec, SurveyConfiguration, accumulate_counts,
+                  estimate_frequencies, randomize_batch)
 from .ledger import ADDRESS_LEN, EventLog
-from .protocol import FilterCriteria, Population, SurveyConfiguration, SurveyOutcome, run_survey
+from .protocol import Population, SurveyOutcome, run_survey
 
 CHOICES_SLOT, REPORTS_SLOT, INFRA_SLOT = 0, 1, 2
 REGIONS = ("NSW", "VIC", "QLD")
@@ -55,7 +57,7 @@ class ExperimentConfig:
         for name in ("population", "n_choices", "seed", "trials"):
             if type(getattr(self, name)) is not int:  # a bool is an int, yet no count
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for name, kind in (("privacy", PrivacyParams), ("mode", Mode)):
+        for name, kind in (("mean", numbers.Real), ("sd", numbers.Real), ("privacy", PrivacyParams), ("mode", Mode)):
             if not isinstance(getattr(self, name), kind):  # run_trials runs any other mode as FULL_PROTOCOL
                 raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if self.population < 1:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ class TestTypes:
             PrivacyParams(1.0)
         with pytest.raises(ValueError):
             PrivacyParams(-0.01)
+
+    @pytest.mark.parametrize("f", ["0.5", False, True, None])
+    def test_privacy_params_refuses_an_f_that_is_not_a_real_number(self, f):
+        # "0.5" became 0.5, and False became f = 0: no privacy at all
+        with pytest.raises(ValueError, match=f"^flip probability must be a real number, got {f!r}$"):
+            PrivacyParams(f)
+
+    def test_privacy_params_takes_an_int_f(self):
+        assert type(PrivacyParams(0).f) is float and PrivacyParams(0) == PrivacyParams(0.0)
 
     def test_response_vector_rejects_non_bits(self):
         with pytest.raises(ValueError):
@@ -280,6 +290,41 @@ def test_dp_bound_by_exhaustive_enumeration():
             worst = max(worst, ratio)
     assert worst <= math.exp(eps) + 1e-9
     assert worst == pytest.approx(math.exp(eps), abs=1e-9)
+
+
+def _grid_point_at_or_above(x: float) -> Fraction:
+    """The least u that Generator.random can yield with u >= x: it yields k * 2**-53, k in [0, 2**53)."""
+    return Fraction(math.ceil(Fraction(x) * 2**53), 2**53)
+
+
+@pytest.mark.parametrize("f", [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+def test_the_exact_channel_of_randomize_batch_gives_epsilon(f):
+    # The code's edges cut the grid of u values into intervals. Feed each interval's ends and middle to
+    # randomize_batch: row [u, u] with choice 0 plays the true-1 game at position 0, the true-0 game at 1.
+    params, step = PrivacyParams(f), Fraction(1, 2**53)
+    edges = sorted({Fraction(0), _grid_point_at_or_above(f / 2), _grid_point_at_or_above(f), Fraction(1)})
+    intervals = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+    probes = np.array([float(u) for lo, hi in intervals for u in (lo, lo + (hi - lo) / step // 2 * step, hi - step)])
+
+    class Stub:
+        def random(self, shape):
+            assert shape == (len(probes), 2)
+            return np.repeat(probes[:, None], 2, axis=1)
+
+    bits = randomize_batch(np.zeros(len(probes), np.int64), 2, params, Stub()).reshape(len(intervals), 3, 2)
+    assert (bits == bits[:, :1]).all()  # each bit is constant on each interval
+    # channel[true bit][reported bit], summed from the interval widths
+    ones = [sum(hi - lo for (lo, hi), bit in zip(intervals, bits[:, 0, position]) if bit) for position in (1, 0)]
+    channel = [[1 - p_one, p_one] for p_one in ones]
+    assert float(channel[1][1]) == pytest.approx(1 - f / 2, abs=2e-16)
+    assert float(channel[0][1]) == pytest.approx(f / 2, abs=2e-16)
+    worst = Fraction(0)
+    for a, b in itertools.permutations(np.eye(3, dtype=int).tolist(), 2):  # one-hot neighbours
+        for out in itertools.product((0, 1), repeat=3):
+            p_a, p_b = (math.prod(channel[t][o] for t, o in zip(x, out)) for x in (a, b))
+            if p_a:
+                worst = max(worst, p_a / p_b if p_b else math.inf)
+    assert float(worst) == pytest.approx(math.exp(epsilon_of(params)), rel=1e-14)
 
 
 def test_mean_estimate_tracks_true_counts_within_three_se():

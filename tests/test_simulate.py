@@ -93,6 +93,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^mode must be a Mode, got 'ldp_only'$"):
             ExperimentConfig(population=20, mode="ldp_only")
 
+    @pytest.mark.parametrize("field, value", [("mean", "10"), ("sd", "2")])
+    def test_a_mean_or_sd_that_is_not_a_number_is_refused(self, field, value):
+        # a string failed with a TypeError, in math.isfinite or in the comparison with 0
+        with pytest.raises(ValueError, match=f"^{field} must be a Real, got {value!r}$"):
+            ExperimentConfig(**{"population": 10, field: value})
+
     def test_privacy_that_is_not_privacy_params_is_refused(self):
         with pytest.raises(ValueError, match="^privacy must be a PrivacyParams, got 0.5$"):
             ExperimentConfig(population=20, privacy=0.5)
