@@ -234,8 +234,7 @@ def decode_bit_matrix(records: Sequence[bytes | None], n: int) -> tuple[np.ndarr
     """
     size = 4 + (n + 7) // 8
     # swap None or a record of another length for all ones, which never decode (at n = 2**32 - 1 a padding bit is set)
-    if any(len(record or b"") != size for record in records):
-        records = [record if len(record or b"") == size else b"\xff" * size for record in records]
+    records = [record if len(record or b"") == size else b"\xff" * size for record in records]
     rows, prefixed, padded = _check_rows(b"".join(records), len(records), n)
     good = prefixed & padded
     return np.unpackbits(rows[good, 4:], axis=1, count=n), tuple(np.flatnonzero(~good).tolist())

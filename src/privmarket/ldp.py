@@ -40,6 +40,8 @@ class QuerySpec:
     choices: tuple[str, ...]
 
     def __init__(self, choices: Sequence[str]):
+        if isinstance(choices, str):  # each of its characters would be a choice
+            raise ValueError("choices must be a sequence of labels, not one str")
         labels = tuple(choices)
         if len(labels) < 2:
             raise ValueError("a query needs at least 2 choices")

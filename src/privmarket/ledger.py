@@ -131,49 +131,44 @@ _KINDS = {kind.value: kind for kind in EventKind}
 _UNPLAIN = frozenset(" =\"'")  # in a dump token, these could fake a field or a quoted token
 
 
-def _decode_body(body: bytes, index: int) -> LedgerEvent:
-    """Walk one record body; a short field raises struct.error or IndexError, a bad key or str UnicodeDecodeError."""
-    sequence_no, kind_code, count = _BODY_HEAD.unpack_from(body)
-    kind = _KINDS.get(kind_code)
-    if kind is None:
-        raise LogFormatError(index, f"unknown event kind {kind_code}")
-    pos = _BODY_HEAD.size
-    payload: Payload = {}
-    for _ in range(count):
-        (key_len,) = _U16.unpack_from(body, pos)
-        key = body[pos + 2 : pos + 2 + key_len]
-        pos += 2 + key_len
-        tag = body[pos]
-        if tag == _INT_TAG:
-            value = _INT_FIELD.unpack_from(body, pos)[1]
-            pos += _INT_FIELD.size
-        elif tag in (_BYTES_TAG, _STR_TAG):
-            start = pos + _BLOB_FIELD.size
-            pos = start + _BLOB_FIELD.unpack_from(body, pos)[1]
-            value = body[start:pos]
-            if pos > len(body):
-                raise LogFormatError(index, "truncated field")
-            if tag == _STR_TAG:
-                value = value.decode("utf-8")
-        else:
-            raise LogFormatError(index, f"unknown payload tag 0x{tag:02x}")
-        payload[key.decode("utf-8")] = value
-    # ascending and distinct keys: the only order a layout writes
-    if len(payload) != count or list(payload) != sorted(payload):
-        raise LogFormatError(index, "payload keys not in strictly ascending order")
-    if len(body) - pos != 64:
-        raise LogFormatError(index, "truncated field" if len(body) - pos < 64 else "trailing bytes inside record")
-    return LedgerEvent(sequence_no, kind, MappingProxyType(payload), body[pos + 32 :], body[: pos + 32])
-
-
 def _walk(record: bytes, index: int) -> LedgerEvent:
-    """`_decode_body` of one record (u32 body_len | body), every failure a LogFormatError naming `index`."""
+    """Walk one record (u32 body_len | body) field by field, every failure a LogFormatError naming `index`."""
     try:
-        return _decode_body(record[4:], index)
+        sequence_no, kind_code, count = _BODY_HEAD.unpack_from(record, 4)
+        kind = _KINDS.get(kind_code)
+        if kind is None:
+            raise LogFormatError(index, f"unknown event kind {kind_code}")
+        pos = 4 + _BODY_HEAD.size
+        payload: Payload = {}
+        for _ in range(count):
+            (key_len,) = _U16.unpack_from(record, pos)
+            key = record[pos + 2 : pos + 2 + key_len]
+            pos += 2 + key_len
+            tag = record[pos]
+            if tag == _INT_TAG:
+                value = _INT_FIELD.unpack_from(record, pos)[1]
+                pos += _INT_FIELD.size
+            elif tag in (_BYTES_TAG, _STR_TAG):
+                start = pos + _BLOB_FIELD.size
+                pos = start + _BLOB_FIELD.unpack_from(record, pos)[1]
+                value = record[start:pos]
+                if pos > len(record):
+                    raise LogFormatError(index, "truncated field")
+                if tag == _STR_TAG:
+                    value = value.decode("utf-8")
+            else:
+                raise LogFormatError(index, f"unknown payload tag 0x{tag:02x}")
+            payload[key.decode("utf-8")] = value
     except (struct.error, IndexError):
         raise LogFormatError(index, "truncated field") from None
     except UnicodeDecodeError:
         raise LogFormatError(index, "payload key or string is not valid UTF-8") from None
+    # ascending and distinct keys: the only order a layout writes
+    if len(payload) != count or list(payload) != sorted(payload):
+        raise LogFormatError(index, "payload keys not in strictly ascending order")
+    if len(record) - pos != 64:
+        raise LogFormatError(index, "truncated field" if len(record) - pos < 64 else "trailing bytes inside record")
+    return LedgerEvent(sequence_no, kind, MappingProxyType(payload), record[pos + 32 :], record[4 : pos + 32])
 
 
 def _encode(kind: EventKind, payload: Mapping[str, PayloadValue]) -> list[bytes]:

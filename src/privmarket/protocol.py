@@ -9,8 +9,8 @@ Honest lifecycle: configure -> commit -> filter -> deliver -> deposit ->
 reveal -> pay out -> decrypt and aggregate. The deposit can only be
 claimed by revealing s2 on the ledger, and the authority can only derive
 the session key from that same reveal, which is what makes the exchange
-fair. A survey's operators travel as one `Population`, only its columns,
-which each phase takes in one call; each one-operator call is the one-row
+fair. A survey's operators travel as one `Population`, only its columns, which
+each batch phase takes in one call; each one-operator call is the one-row
 call of its phase. An `OperatorProfile` and a `Population` are each checked
 once, when they are made. A commitment stays the raw SHA-256 of its
 ciphertext from commit to verification.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -108,10 +108,11 @@ class Population:
     attributes: Mapping[str, Sequence[str | None]]  # a column per attribute name, None where a profile lacks it
 
     @classmethod
-    def of(cls, profiles: Population | Sequence[OperatorProfile]) -> Population:
-        """`profiles` itself if it is a Population, else the columns of the profiles."""
+    def of(cls, profiles: Population | Iterable[OperatorProfile]) -> Population:
+        """`profiles` itself if it is a Population, else the columns of the profiles, which are read once."""
         if isinstance(profiles, Population):
             return profiles
+        profiles = tuple(profiles)
         names = dict.fromkeys(name for profile in profiles for name in profile.attributes)
         return cls(
             [profile.operator_id for profile in profiles],
@@ -121,12 +122,16 @@ class Population:
         )
 
     def __post_init__(self):
+        if isinstance(self.operator_ids, str):  # each of its characters would be an id
+            raise ValueError("operator_ids must be a sequence of ids, not one str")
         count, choices = len(self.operator_ids), self.true_choices
         if not isinstance(self.addresses, bytes) or len(self.addresses) != count * ADDRESS_LEN:
             raise ValueError(f"addresses must be one bytes block of {count} x {ADDRESS_LEN} bytes")
         if not isinstance(choices, np.ndarray) or choices.dtype != np.int64 or choices.shape != (count,):
             raise ValueError(f"true_choices must be a 1-D int64 array of length {count}")
         for name, column in self.attributes.items():
+            if isinstance(column, str):  # each of its characters would be a value
+                raise ValueError(f"attribute column {name!r} must be a sequence of values, not one str")
             if len(column) != count:
                 raise ValueError(f"attribute column {name!r} must have length {count}, got {len(column)}")
 
@@ -141,8 +146,7 @@ class FilterVector:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.bits) is not tuple:
-            object.__setattr__(self, "bits", tuple(self.bits))
+        object.__setattr__(self, "bits", tuple(self.bits))  # a tuple is its own tuple
 
     @property
     def popcount(self) -> int:
@@ -279,7 +283,7 @@ def setup_survey(
 
 
 def commit_population(
-    profiles: Population | Sequence[OperatorProfile], contract: SurveyContract, config_bytes: bytes,
+    population: Population, contract: SurveyContract, config_bytes: bytes,
     expected_digest: Digest, psk: PreSharedKey, n1: Nonce, n2: Nonce, report_rngs: Sequence[np.random.Generator],
     own_rng: np.random.Generator,
 ) -> tuple[list[Ciphertext], list[bytes]]:
@@ -294,7 +298,6 @@ def commit_population(
     reach the ledger with the raw addresses in one `commit_responses` call, which commits them in order: a
     refused one raises, and those before it stay committed.
     """
-    population = Population.of(profiles)
     if len(report_rngs) != len(population):
         raise ValueError("need exactly one random stream per operator profile")
     if len(population) > 1 and any(rng is own_rng for rng in report_rngs):
@@ -334,7 +337,7 @@ def operator_prepare_and_commit(
     generator, which may be `rng` itself. The operator holds its ciphertext once the ledger took it.
     """
     (operator.ciphertext,), (commitment,) = commit_population(
-        [operator.profile], contract, config_bytes, expected_digest, psk, n1, n2, [rng], operator._rng
+        Population.of([operator.profile]), contract, config_bytes, expected_digest, psk, n1, n2, [rng], operator._rng
     )
     return operator.ciphertext, Digest(commitment)
 
@@ -342,7 +345,7 @@ def operator_prepare_and_commit(
 def build_and_finalize_filter(
     sysop: SystemOperator,
     contract: SurveyContract,
-    profiles_by_arrival: Population | Sequence[OperatorProfile],
+    profiles_by_arrival: Population | Iterable[OperatorProfile],
     criteria: FilterCriteria,
     *,
     store: ArtifactStore,
@@ -378,16 +381,15 @@ def build_and_finalize_filter(
     filter_bytes = encode_bit_vector(bits)
     ledger_mod.finalize_filter(contract, digest(filter_bytes))
     store.put(filter_uri(contract), filter_bytes)
-    return FilterVector(tuple(bits.tolist()))
+    return FilterVector(bits.tolist())
 
 
 def deliver_population(
-    profiles: Population | Sequence[OperatorProfile], ciphertexts: Sequence[Ciphertext | None],
+    population: Population, ciphertexts: Sequence[Ciphertext | None],
     filter_vector: FilterVector, commitments: ledger_mod.CommitmentIndex,
 ) -> tuple[list[int], list[Ciphertext]]:
     """The loop of operator_deliver: each operator whose filter bit is set sends its index (an int) and ciphertext, in
     order; the first that cannot (no commitment, no bit at its index, or no ciphertext) raises. Returns what was sent."""
-    population = Population.of(profiles)
     ranks, bits = commitments.ranks_of(population.addresses).tolist(), filter_vector.bits
     if len(ciphertexts) != len(ranks):
         raise ValueError(f"deliver needs one ciphertext per operator, got {len(ciphertexts)} for {len(ranks)}")
@@ -410,7 +412,7 @@ def operator_deliver(
     operator: Operator, filter_vector: FilterVector, commitments: ledger_mod.CommitmentIndex
 ) -> DeliveryMessage | None:
     """Send (index, ciphertext) if this operator's filter bit is set."""
-    indices, sent = deliver_population([operator.profile], [operator.ciphertext], filter_vector, commitments)
+    indices, sent = deliver_population(Population.of([operator.profile]), [operator.ciphertext], filter_vector, commitments)
     return DeliveryMessage(indices[0], sent[0]) if indices else None
 
 
@@ -553,7 +555,7 @@ class SurveyOutcome:
 
 def run_survey(
     config: SurveyConfiguration,
-    profiles: Population | Sequence[OperatorProfile],
+    profiles: Population | Iterable[OperatorProfile],
     *,
     operator_rngs: Sequence[np.random.Generator],
     infra_rng: np.random.Generator,

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -29,6 +30,11 @@ class TestTypes:
     def test_query_spec_rejects_a_label_holding_a_lone_surrogate(self):
         with pytest.raises(ValueError, match=r"^choice label 'b\\ud800' holds a lone surrogate"):
             QuerySpec(["a", "b\ud800"])
+
+    def test_query_spec_refuses_one_str_as_its_choices(self):
+        # "abc" was read as the three choices "a", "b" and "c"
+        with pytest.raises(ValueError, match="^choices must be a sequence of labels, not one str$"):
+            QuerySpec("abc")
 
     def test_query_spec_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
@@ -325,6 +331,91 @@ def test_the_exact_channel_of_randomize_batch_gives_epsilon(f):
             if p_a:
                 worst = max(worst, p_a / p_b if p_b else math.inf)
     assert float(worst) == pytest.approx(math.exp(epsilon_of(params)), rel=1e-14)
+
+
+# The same claim on the real generator, after Ding et al., "Detecting Violations of Differential Privacy" (CCS 2018):
+# reports drawn by randomize_batch and packed by encode_bit_matrix, the plaintext bytes that travel. Each check's
+# bound holds for the code with probability at least 1 - ALPHA, from exact Clopper-Pearson bounds.
+PRIVACY_F, PRIVACY_N, DRAWS, ALPHA = 0.5, 3, 20_000, 1e-6
+
+
+def _at_least(k: int, m: int, p: float) -> float:
+    """P[X >= k] for X ~ Binomial(m, p), 0 < p < 1, as the sum of its terms, each taken in logs."""
+    ks = np.arange(k, m + 1)
+    log_binomials = np.concatenate([[0.0], np.cumsum(np.log(np.arange(m, 0, -1)) - np.log(np.arange(1, m + 1)))])
+    return float(np.exp(log_binomials[k:] + ks * math.log(p) + (m - ks) * math.log1p(-p)).sum())
+
+
+def _clopper_pearson_lower(k: int, m: int, alpha: float) -> float:
+    """The exact lower bound on p at confidence 1 - alpha after k of m: the p at which P[X >= k] = alpha."""
+    if k == 0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(60):  # P[X >= k] grows with p
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _at_least(k, m, mid) < alpha else (lo, mid)
+    return lo
+
+
+def _clopper_pearson_upper(k: int, m: int, alpha: float) -> float:
+    """The exact upper bound on p at confidence 1 - alpha after k of m: one minus the lower bound of the others."""
+    return 1.0 - _clopper_pearson_lower(m - k, m, alpha)
+
+
+def _keeps_the_true_bit_more(choices, n, params, rng):
+    """Mutant: a bit stays true with probability 1 - f/4, not 1 - f/2 (the code at half the flip probability)."""
+    return randomize_batch(choices, n, PrivacyParams(params.f / 2), rng)
+
+
+def _one_u_row(choices, n, params, rng):
+    """Mutant: one row of n uniforms plays every respondent's game."""
+
+    class OneRow:
+        def random(self, shape):
+            return np.broadcast_to(rng.random(shape[1]), shape)
+
+    return randomize_batch(choices, n, params, OneRow())
+
+
+def test_the_clopper_pearson_bounds_meet_the_exact_tail():
+    m, p = 30, Fraction(3, 10)
+    exact = [sum(math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(k, m + 1)) for k in range(1, m + 1)]
+    assert [_at_least(k, m, 0.3) for k in range(1, m + 1)] == pytest.approx([float(t) for t in exact], rel=1e-12)
+    for m in (1, 10, DRAWS // 2):  # P[X = m] = p**m and P[X = 0] = (1 - p)**m: the bounds in closed form
+        assert _clopper_pearson_lower(m, m, ALPHA) == pytest.approx(ALPHA ** (1 / m), rel=1e-9)
+        assert _clopper_pearson_upper(0, m, ALPHA) == pytest.approx(1 - ALPHA ** (1 / m), rel=1e-9)
+
+
+# The one-row mutant is not among these: each of its reports keeps the code's distribution, so whether this check
+# fires depends on the one row drawn, not on DRAWS. The agreement check below flags it.
+@pytest.mark.parametrize("randomize, flagged", [(randomize_batch, False), (_keeps_the_true_bit_more, True)],
+                         ids=["code", "keeps 1 - f/4"])
+def test_no_output_event_of_the_sent_bytes_has_a_ratio_above_e_epsilon(randomize, flagged):
+    # DRAWS reports of each neighbouring choice. On the first half, pick the output and the order of the two choices
+    # whose empirical ratio, each count plus one, is largest; on the second, bound that ratio below by the lower
+    # bound of its numerator over the upper bound of its denominator, each at 1 - ALPHA/2.
+    params, rng, half = PrivacyParams(PRIVACY_F), np.random.default_rng(0), DRAWS // 2
+    reports = [envelope.encode_bit_matrix(randomize(np.full(DRAWS, c), PRIVACY_N, params, rng)) for c in (0, 1)]
+    seen = [collections.Counter(sent[:half]) for sent in reports]
+    output, a, b = max(((x, a, 1 - a) for a in (0, 1) for x in seen[a]),
+                       key=lambda t: (seen[t[1]][t[0]] + 1) / (seen[t[2]][t[0]] + 1))
+    k_a, k_b = (reports[c][half:].count(output) for c in (a, b))
+    bound = _clopper_pearson_lower(k_a, DRAWS - half, ALPHA / 2) / _clopper_pearson_upper(k_b, DRAWS - half, ALPHA / 2)
+    assert (bound > math.exp(epsilon_of(params))) == flagged
+
+
+@pytest.mark.parametrize("randomize, flagged", [
+    (randomize_batch, False), (_keeps_the_true_bit_more, True), (_one_u_row, True),
+], ids=["code", "keeps 1 - f/4", "one u row"])
+def test_two_respondents_with_one_choice_agree_no_more_often_than_independence_predicts(randomize, flagged):
+    # Respondents 2i and 2i + 1 of one draw, both of choice 0, send the same bytes with probability sum_x p(x)**2 if
+    # their reports are independent draws of the channel pinned above: a position with P[1] = q agrees with
+    # probability q**2 + (1 - q)**2, which is 1 - f + f**2/2 for q = f/2 and for q = 1 - f/2 alike.
+    params = PrivacyParams(PRIVACY_F)
+    sent = envelope.encode_bit_matrix(randomize(np.zeros(DRAWS, np.int64), PRIVACY_N, params, np.random.default_rng(0)))
+    agree = sum(map(bytes.__eq__, sent[::2], sent[1::2]))
+    predicted = (1 - params.f + params.f**2 / 2) ** PRIVACY_N
+    assert (_clopper_pearson_lower(agree, DRAWS // 2, ALPHA) > predicted) == flagged
 
 
 def test_mean_estimate_tracks_true_counts_within_three_se():

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import reference
 from privmarket.cli import main
-from privmarket.ledger import GENESIS_PREV, EventKind, EventLog, LogFormatError, _decode_body, check_transfer_safety, verify_event_chain
+from privmarket.ledger import GENESIS_PREV, EventKind, EventLog, LogFormatError, _walk, check_transfer_safety, verify_event_chain
 from privmarket.simulate import ExperimentConfig, run_full_protocol_experiment
 
 
@@ -137,7 +137,7 @@ class TestByteReadsMatchEventReads:
         except LogFormatError:
             return
         offsets = record_offsets(data)
-        walked = [_decode_body(data[a + 4 : b], i) for i, (a, b) in enumerate(zip(offsets, offsets[1:] + [len(data)]))]
+        walked = [_walk(data[a:b], i) for i, (a, b) in enumerate(zip(offsets, offsets[1:] + [len(data)]))]
         assert [log.events[i] for i in range(len(log))] == walked
         assert list(log) == walked
         assert log.events[1:-1] == walked[1:-1]
@@ -245,7 +245,7 @@ class TestBlockReads:
         monkeypatch.setattr(ledger, "_walk", lambda record, index: walked.append(index) or walk(record, index))
         log = EventLog.from_bytes(b"".join(records))
         assert at in walked and not set(walked) & set(committed) - {at}
-        events = [_decode_body(record[4:], i) for i, record in enumerate(records)]
+        events = [_walk(record, i) for i, record in enumerate(records)]
         assert list(events[at].payload) == keys
         assert list(log) == events
         assert log.text_dump() == "".join(reference.describe(event) + "\n" for event in events)

@@ -403,7 +403,8 @@ class TestCommitPopulation:
         reports, own = np.random.default_rng(1), np.random.default_rng(2)
         profiles, contract, config_bytes, psk = self._survey(7)
         ciphertexts, commitments = commit_population(
-            profiles, contract, config_bytes, contract.config_digest, psk, contract.n1, contract.n2, [reports] * 7, own,
+            Population.of(profiles), contract, config_bytes, contract.config_digest, psk, contract.n1, contract.n2,
+            [reports] * 7, own,
         )
         ref_reports, ref_own = np.random.default_rng(1), np.random.default_rng(2)
         ref_profiles, ref_contract, _, ref_psk = self._survey(7)
@@ -425,7 +426,8 @@ class TestCommitPopulation:
         profiles, contract, config_bytes, psk = self._survey(3)
         with pytest.raises(ConfigIntegrityError):
             commit_population(
-                profiles, contract, config_bytes + b" ", contract.config_digest, psk, contract.n1, contract.n2,
+                Population.of(profiles), contract, config_bytes + b" ", contract.config_digest, psk, contract.n1,
+                contract.n2,
                 [reports] * 3, own,
             )
         assert (reports.bit_generator.state, own.bit_generator.state) == states
@@ -436,8 +438,8 @@ class TestCommitPopulation:
         shared = np.random.default_rng(0)
         with pytest.raises(ValueError, match="doubles as the report generator"):
             commit_population(
-                profiles, contract, config_bytes, contract.config_digest, psk, contract.n1, contract.n2, [shared] * 2,
-                shared,
+                Population.of(profiles), contract, config_bytes, contract.config_digest, psk, contract.n1, contract.n2,
+                [shared] * 2, shared,
             )
         assert len(contract.log) == 1
 
@@ -567,8 +569,8 @@ class TestDelivery:
         _, _, _, contract, operators, fv = run_to_filter()
         before = len(contract.log)
         with pytest.raises(ValueError, match="^deliver needs one ciphertext per operator, got 3 for 4$"):
-            deliver_population([o.profile for o in operators], [o.ciphertext for o in operators[:-1]], fv,
-                               contract.commitments)
+            deliver_population(Population.of([o.profile for o in operators]), [o.ciphertext for o in operators[:-1]],
+                               fv, contract.commitments)
         assert len(contract.log) == before
 
     def test_unknown_address_raises(self):
@@ -762,7 +764,8 @@ class TestPopulationFormsAreLoops:
 
         def batch():
             indices, sent = deliver_population(
-                [operator.profile for operator, _ in senders], [c for _, c in senders], fv, contract.commitments,
+                Population.of([operator.profile for operator, _ in senders]), [c for _, c in senders], fv,
+                contract.commitments,
             )
             return list(zip(indices, sent))
 
@@ -798,6 +801,27 @@ class TestPopulation:
         assert Population.of(population) is population
         assert len(Population.of([])) == 0 and Population.of([]).addresses == b""
 
+    def test_of_reads_an_iterator_of_profiles_once(self):
+        # it walked its input once per column, so an iterator gave an empty population
+        once, listed = Population.of(iter(self.PROFILES)), Population.of(self.PROFILES)
+        assert once.operator_ids == listed.operator_ids and once.addresses == listed.addresses
+        assert once.true_choices.tolist() == listed.true_choices.tolist() and once.attributes == listed.attributes
+
+    def test_a_survey_of_an_iterator_of_profiles_is_the_survey_of_their_list(self):
+        def survey(profiles):
+            return run_survey(small_config(nr=3, f=0.5), profiles, operator_rngs=rngs(5),
+                              infra_rng=np.random.default_rng(0))
+
+        profiles = [profile(i + 1, choice=i % 4) for i in range(5)]
+        once, listed = survey(iter(profiles)), survey(profiles)
+        assert once.contract.log.to_bytes() == listed.contract.log.to_bytes()
+        assert list(once.trace) == list(listed.trace)
+
+    def test_a_population_refuses_one_str_as_its_operator_ids(self):
+        # "ab" was read as the ids "a" and "b"
+        with pytest.raises(ValueError, match="^operator_ids must be a sequence of ids, not one str$"):
+            Population("ab", addr(1).value + addr(2).value, np.array([0, 1]), {})
+
     @pytest.mark.parametrize("addresses, message", [((), "at least one address"), ((addr(1), addr(1)), "distinct")])
     def test_a_profile_is_checked_when_made_and_frozen_after(self, addresses, message):
         with pytest.raises(ValueError, match=message):
@@ -831,7 +855,9 @@ class TestPopulation:
         (addr(1).value + addr(2).value, [0, 1], {"region": ["NSW"]},
          "attribute column 'region' must have length 2, got 1"),
         (addr(1).value + addr(2).value, [0.0, 1.0], {}, "true_choices must be a 1-D int64 array of length 2"),
-    ], ids=["20-byte block", "30-byte block", "3 choices", "1-entry column", "float choices"])
+        (addr(1).value + addr(2).value, [0, 1], {"region": "NS"},  # screened op-a as region "N", op-b as "S"
+         "attribute column 'region' must be a sequence of values, not one str"),
+    ], ids=["20-byte block", "30-byte block", "3 choices", "1-entry column", "float choices", "str column"])
     def test_a_population_is_checked_when_made(self, addresses, choices, attributes, message):
         def survey(addresses, choices, attributes):
             population = Population(["op-a", "op-b"], addresses, np.array(choices), attributes)
@@ -850,7 +876,7 @@ class TestPopulation:
     def test_deliver_population_returns_python_ints(self):
         _, _, _, contract, operators, fv = run_to_filter(nr=3, count=5)
         indices, sent = deliver_population(
-            [o.profile for o in operators], [o.ciphertext for o in operators], fv, contract.commitments,
+            Population.of([o.profile for o in operators]), [o.ciphertext for o in operators], fv, contract.commitments,
         )
         assert len(indices) == 3 and all(type(i) is int for i in indices)
         assert sent == [o.ciphertext for o in operators if fv.bits[index_of(contract, o.profile.active_address)]]
